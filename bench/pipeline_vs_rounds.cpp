@@ -214,7 +214,10 @@ SweepPoint measure(StragglerLoop &Loop, Executor &Exec, unsigned P,
                    RunResult *TraceOut = nullptr) {
   Loop.reset();
   LoopSpec Spec = Loop.spec();
-  const RunResult R = Exec.run(Spec);
+  RunResult R = Exec.run(Spec);
+  // Reap the warm pool's last template generation now, so the point's
+  // child CPU covers the whole warm lineage.
+  R.Stats.addChildUsage(Exec.release());
   if (R.Status != RunStatus::Success)
     fatalError(std::string("straggler loop failed: ") +
                runStatusName(R.Status));
@@ -262,6 +265,7 @@ SweepPoint measureRecovering(StragglerLoop &Loop, ParallelEngine Engine,
   LoopSpec Spec = Loop.spec();
   RecoveringLoopRunner Runner(Engine, Config);
   Runner.runInner(Spec);
+  Runner.release();
   FaultPlan::global().clear();
   const RunResult &R = Runner.result();
   if (R.Status != RunStatus::Success)

@@ -71,7 +71,8 @@
 # (salvaged_chunks>0, recovered=false).
 #
 # With --pool the sequence additionally exercises the steady-state
-# transport: the ring/pool/transport test filters, a ring-corruption
+# transport: the ring/pool/transport test filters (including the
+# multi-invocation pool-lifetime test), a ring-corruption
 # ALTER_FAULTS plan driven end to end with ALTER_TRANSPORT=ring, and a
 # validation pass over the bench JSON asserting the ring transport copies
 # orders of magnitude fewer wire bytes than the pipe and actually reaches
@@ -253,8 +254,8 @@ pool_stage() { # pool_stage <build-dir>
   "$DIR/tests/commit_ring_test" --gtest_brief=1
   "$DIR/tests/pipeline_executor_test" --gtest_filter='TransportTest.*' \
     --gtest_brief=1
-  "$DIR/tests/robustness_test" --gtest_filter='PoolFaultMatrixTest.*' \
-    --gtest_brief=1
+  "$DIR/tests/robustness_test" \
+    --gtest_filter='PoolFaultMatrixTest.*:PoolLifetimeTest.*' --gtest_brief=1
 
   echo "== pool smoke: ring-corruption env plan on ALTER_TRANSPORT=ring ($DIR) =="
   # A torn ring record (truncate), a bit-flipped one, and a poisoned

@@ -226,6 +226,11 @@ public:
   virtual ~Executor();
 
   /// Executes \p Spec to completion (or failure) and returns the outcome.
+  /// Child CPU time (RunStats::ChildUserNs/ChildSysNs/MaxChildRssBytes)
+  /// can lag one run behind: a fork engine's successful run retires its
+  /// warm template without waiting, so that lineage's CPU time lands in
+  /// the next run() that reaps it, or in release(). A single run() with no
+  /// release() reports no warm-child CPU at all.
   virtual RunResult run(const LoopSpec &Spec) = 0;
 
   /// Informs the engine how much modeled time earlier inner-loop
@@ -233,6 +238,12 @@ public:
   /// 10x-sequential deadline applies to the whole outer execution. The
   /// default ignores it; engines with a modeled clock honor it.
   virtual void setAccumulatedSimNs(uint64_t Ns) { (void)Ns; }
+
+  /// End-of-algorithm step: reaps whatever the engine left running after
+  /// its last run() (the fork engines' retired, still-dying warm template)
+  /// and returns those processes' CPU time, which no RunResult has
+  /// reported yet. The destructor reaps them too but drops the accounting.
+  virtual ChildRusage release() { return ChildRusage(); }
 };
 
 /// The fork-based process engines selectable by the recovery driver and the

@@ -52,6 +52,11 @@ ForkJoinExecutor::ForkJoinExecutor(ExecutorConfig Config)
     this->Config.Costs = &CostModel::calibrated();
 }
 
+ChildRusage ForkJoinExecutor::release() {
+  Parked.reap(/*Block=*/true);
+  return Parked.takeUsage();
+}
+
 RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
   assert(Spec.Body && "loop has no body");
   RunResult Result;
@@ -70,6 +75,9 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
   std::unordered_map<int64_t, unsigned> FaultCounts;
   ConflictDetector Detector(Config.Params.Conflict);
   TraceSink Sink(Config.Trace);
+  // The previous run's template has usually finished dying while the outer
+  // code ran; reap it now if so.
+  Parked.reap(/*Block=*/false);
   // Steady-state transport: the warm template + per-slot commit rings.
   // Pool faults degrade individual forks to the cold pipe path below.
   std::unique_ptr<WorkerPool> Pool;
@@ -161,17 +169,21 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
         ++Result.Stats.ResourceFaults;
         ++Result.Stats.TransportDowngrades;
       }
-      // Retire the template now (the destructor would, but too late to
-      // read the rusage): wait4 on it folds in the CPU time of every warm
-      // child it reaped, so the warm lineage is accounted transitively.
-      Pool->retire();
-      const ChildRusage &U = Pool->templateRusage();
-      Result.Stats.ChildUserNs += U.UserNs;
-      Result.Stats.ChildSysNs += U.SysNs;
-      Result.Stats.MaxChildRssBytes =
-          std::max(Result.Stats.MaxChildRssBytes, U.MaxRssBytes);
+      if (Result.Status == RunStatus::Success)
+        // Retire the template without waiting: it kills and reaps its
+        // residents while the outer code runs, and whoever reaps it later
+        // (the next run, release(), the destructor) gets the CPU time of
+        // the whole warm lineage, which wait4 folds in transitively.
+        Parked.park(Pool->detachTemplate());
+      else
+        // Nothing of a failed or interrupted run outlives it.
+        Pool->retire();
+      Result.Stats.addChildUsage(Pool->templateRusage());
     }
+    Result.Stats.addChildUsage(Parked.takeUsage());
     Sample(0, /*Force=*/true);
+    // cpu_user_ns/cpu_sys_ns count the children this run reaped: the
+    // previous run's parked template, but not a successful run's own.
     if (logEnabled(LogLevel::Info))
       alterLog(LogLevel::Info, "run",
                "event=run_done engine=forkjoin schedule=%s status=%s "
@@ -199,8 +211,8 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
 
   // Graceful wind-down shared by the round-top and post-join checks: every
   // child of the round is already dead and reaped by the time either runs,
-  // and the pool destructor (on return) tears down the template and any
-  // residents, so nothing is orphaned.
+  // and Finish retires an unsuccessful run's template (and any residents)
+  // synchronously, so nothing is orphaned.
   const auto FinishInterrupted = [&] {
     if (Sink.events())
       Sink.event(TraceEventKind::Interrupt, /*Worker=*/0, /*Chunk=*/-1,
@@ -382,10 +394,7 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
           FailWhy[W] = "waitpid failure";
           continue;
         }
-        Result.Stats.ChildUserNs += Usage.UserNs;
-        Result.Stats.ChildSysNs += Usage.SysNs;
-        Result.Stats.MaxChildRssBytes =
-            std::max(Result.Stats.MaxChildRssBytes, Usage.MaxRssBytes);
+        Result.Stats.addChildUsage(Usage);
         if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0) {
           ++Result.Stats.NumChildCrashes;
           FailWhy[W] =

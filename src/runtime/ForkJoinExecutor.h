@@ -31,6 +31,7 @@
 #define ALTER_RUNTIME_FORKJOINEXECUTOR_H
 
 #include "runtime/Executor.h"
+#include "support/Subprocess.h"
 
 namespace alter {
 
@@ -41,11 +42,14 @@ public:
 
   RunResult run(const LoopSpec &Spec) override;
 
+  ChildRusage release() override;
+
   /// The configuration in force.
   const ExecutorConfig &config() const { return Config; }
 
 private:
   ExecutorConfig Config;
+  ParkedChild Parked; // the last successful run's retired template
 };
 
 } // namespace alter

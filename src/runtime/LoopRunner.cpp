@@ -71,6 +71,10 @@ bool ExecutorLoopRunner::runInner(const LoopSpec &Spec) {
   return true;
 }
 
+void ExecutorLoopRunner::release() {
+  Accumulated.Stats.addChildUsage(Exec.release());
+}
+
 RecoveringLoopRunner::RecoveringLoopRunner(ParallelEngine Engine,
                                            ExecutorConfig Config,
                                            AlterAllocator *Allocator)
@@ -79,6 +83,10 @@ RecoveringLoopRunner::RecoveringLoopRunner(ParallelEngine Engine,
     this->Config.Allocator = Allocator;
   this->Allocator = this->Config.Allocator;
   Primary = makeParallelEngine(Engine, this->Config);
+}
+
+void RecoveringLoopRunner::release() {
+  Accumulated.Stats.addChildUsage(Primary->release());
 }
 
 bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
@@ -452,6 +460,14 @@ void RecoveringLoopRunner::runLadder(const LoopSpec &Spec,
   }
 }
 
+RunResult RecoveringLoopRunner::runFreshEngine(const ExecutorConfig &SubConfig,
+                                               const LoopSpec &Sub) {
+  const std::unique_ptr<Executor> Exec = makeParallelEngine(Engine, SubConfig);
+  RunResult R = Exec->run(Sub);
+  R.Stats.addChildUsage(Exec->release());
+  return R;
+}
+
 RunResult
 RecoveringLoopRunner::runChunksParallel(const LoopSpec &Spec,
                                         const std::vector<int64_t> &Chunks,
@@ -487,7 +503,7 @@ RecoveringLoopRunner::runChunksParallel(const LoopSpec &Spec,
   // here instead, in original coordinates, after the engine validated and
   // applied each chunk.
   SubConfig.Journal = nullptr;
-  RunResult R = makeParallelEngine(Engine, SubConfig)->run(Sub);
+  RunResult R = runFreshEngine(SubConfig, Sub);
   Accumulated.mergeTrace(R);
   Accumulated.Stats.merge(R.Stats);
   if (Config.Journal)
@@ -575,7 +591,7 @@ bool RecoveringLoopRunner::runRangeSolo(const LoopSpec &Spec, int64_t Chunk,
   SubConfig.ChunkFaultRetryLimit = 0;
   // Local coordinates again — journal the original range on success.
   SubConfig.Journal = nullptr;
-  RunResult R = makeParallelEngine(Engine, SubConfig)->run(Sub);
+  RunResult R = runFreshEngine(SubConfig, Sub);
   Accumulated.mergeTrace(R);
   Accumulated.Stats.merge(R.Stats);
   if (R.Status != RunStatus::Success)

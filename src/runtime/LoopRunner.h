@@ -40,6 +40,12 @@ public:
   /// when execution failed (crash / timeout) and the workload should stop.
   virtual bool runInner(const LoopSpec &Spec) = 0;
 
+  /// End-of-algorithm step: reaps what the engine kept alive between
+  /// invocations and folds its CPU time into result(). The Workload::run*
+  /// helpers call it before returning result(); destroying the runner
+  /// reaps the same processes without the accounting.
+  virtual void release() {}
+
   /// Accumulated outcome across all runInner() calls.
   const RunResult &result() const { return Accumulated; }
 
@@ -90,6 +96,8 @@ public:
         TimeoutFactor(TimeoutFactor) {}
 
   bool runInner(const LoopSpec &Spec) override;
+
+  void release() override;
 
 private:
   Executor &Exec;
@@ -152,6 +160,8 @@ public:
 
   bool runInner(const LoopSpec &Spec) override;
 
+  void release() override;
+
 private:
   /// True once accumulated real time exceeds TimeoutFactor x
   /// SeqBaselineNs: salvage must stop paying for speculation retries.
@@ -173,6 +183,11 @@ private:
 
   /// Walks the ladder over every chunk \p Failed did not commit.
   void runLadder(const LoopSpec &Spec, const RunResult &Failed);
+
+  /// Runs \p Sub to completion on a fresh engine built from \p SubConfig
+  /// and releases it, so the result carries the engine's whole CPU time.
+  RunResult runFreshEngine(const ExecutorConfig &SubConfig,
+                           const LoopSpec &Sub);
 
   /// Re-runs \p Chunks (original indices, ascending) in parallel under a
   /// fresh engine via a re-indexed sub-spec. Merges stats/trace and
@@ -231,8 +246,9 @@ private:
   ParallelEngine Engine;
   ExecutorConfig Config;
   AlterAllocator *Allocator;
-  /// The engine instance used for whole-loop invocations; ladder sub-runs
-  /// construct fresh engines so their width/retry settings differ.
+  /// The engine instance used for whole-loop invocations (it holds the
+  /// last invocation's retired template until release()); ladder sub-runs
+  /// construct fresh engines so their width/retry settings stay private.
   std::unique_ptr<Executor> Primary;
   /// Set once the outer deadline trips; subsequent invocations bypass the
   /// speculative engine entirely.

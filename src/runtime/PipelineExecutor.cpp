@@ -74,6 +74,11 @@ PipelineExecutor::PipelineExecutor(ExecutorConfig Config)
     this->Config.Costs = &CostModel::calibrated();
 }
 
+ChildRusage PipelineExecutor::release() {
+  Parked.reap(/*Block=*/true);
+  return Parked.takeUsage();
+}
+
 RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   assert(Spec.Body && "loop has no body");
   RunResult Result;
@@ -109,6 +114,9 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
 
   ConflictDetector Detector(Config.Params.Conflict);
   TraceSink Sink(Config.Trace);
+  // The previous run's template has usually finished dying while the outer
+  // code ran; reap it now if so.
+  Parked.reap(/*Block=*/false);
   // Steady-state transport: the warm template + per-slot commit rings.
   // Pool faults degrade individual forks to the cold pipe path below.
   std::unique_ptr<WorkerPool> Pool;
@@ -145,15 +153,6 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     for (const Slot &S : Slots)
       N += S.St == Slot::State::Running ? 1 : 0;
     return N;
-  };
-
-  // Accumulate a reaped cold child's CPU time. Warm children are reaped by
-  // the template and arrive transitively via templateRusage() at the end.
-  auto addChildUsage = [&](const ChildRusage &Usage) {
-    Result.Stats.ChildUserNs += Usage.UserNs;
-    Result.Stats.ChildSysNs += Usage.SysNs;
-    Result.Stats.MaxChildRssBytes =
-        std::max(Result.Stats.MaxChildRssBytes, Usage.MaxRssBytes);
   };
 
   // Timeline sampler: piggybacks on the poll-wakeup dispatch point (and
@@ -206,13 +205,21 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
         ++Result.Stats.ResourceFaults;
         ++Result.Stats.TransportDowngrades;
       }
-      // Retire the template now (the destructor would, but too late to
-      // read the rusage): wait4 on it folds in the CPU time of every warm
-      // child it reaped, so the warm lineage is accounted transitively.
-      Pool->retire();
-      addChildUsage(Pool->templateRusage());
+      if (Result.Status == RunStatus::Success)
+        // Retire the template without waiting: it kills and reaps its
+        // residents while the outer code runs, and whoever reaps it later
+        // (the next run, release(), the destructor) gets the CPU time of
+        // the whole warm lineage, which wait4 folds in transitively.
+        Parked.park(Pool->detachTemplate());
+      else
+        // Nothing of a failed or interrupted run outlives it.
+        Pool->retire();
+      Result.Stats.addChildUsage(Pool->templateRusage());
     }
+    Result.Stats.addChildUsage(Parked.takeUsage());
     sampleTimeline(/*Force=*/true);
+    // cpu_user_ns/cpu_sys_ns count the children this run reaped: the
+    // previous run's parked template, but not a successful run's own.
     if (logEnabled(LogLevel::Info))
       alterLog(LogLevel::Info, "run",
                "event=run_done engine=pipeline schedule=%s status=%s "
@@ -249,7 +256,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
         int Status = 0;
         ChildRusage Usage;
         if (waitpidRusage(S.Ch.DirectPid, &Status, &Usage) > 0)
-          addChildUsage(Usage);
+          Result.Stats.addChildUsage(Usage);
       }
       // Warm children are the template's to reap; the pool teardown (or
       // the Kill command just sent) takes care of them.
@@ -524,7 +531,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
         chunkFault(S.Chunk, "waitpid failure");
         return;
       }
-      addChildUsage(Usage);
+      Result.Stats.addChildUsage(Usage);
       if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0) {
         ++Result.Stats.NumChildCrashes;
         S.St = Slot::State::Free;
@@ -632,8 +639,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   while (Committed != NumChunks) {
     if (shutdownRequested()) {
       // Graceful wind-down: stop dispatching, SIGKILL and reap every live
-      // child (the pool destructor tears down the template and its
-      // residents on return), and surface a valid partial result.
+      // child (finishStats retires an unsuccessful run's template and its
+      // residents synchronously), and surface a valid partial result.
       killInFlight();
       Result.Status = RunStatus::Interrupted;
       Result.Detail = strprintf(

@@ -50,6 +50,7 @@
 #define ALTER_RUNTIME_PIPELINEEXECUTOR_H
 
 #include "runtime/Executor.h"
+#include "support/Subprocess.h"
 
 namespace alter {
 
@@ -59,6 +60,8 @@ public:
   explicit PipelineExecutor(ExecutorConfig Config);
 
   RunResult run(const LoopSpec &Spec) override;
+
+  ChildRusage release() override;
 
   /// The configuration in force.
   const ExecutorConfig &config() const { return Config; }
@@ -75,6 +78,7 @@ public:
 private:
   ExecutorConfig Config;
   uint64_t AccumulatedSimNs = 0;
+  ParkedChild Parked; // the last successful run's retired template
 };
 
 } // namespace alter

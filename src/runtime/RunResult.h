@@ -17,8 +17,10 @@
 
 #include "support/Metrics.h"
 #include "support/Stats.h"
+#include "support/Subprocess.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -163,7 +165,8 @@ struct RunStats {
 
   /// User-mode CPU ns summed over reaped children. Warm (template-forked)
   /// children are reaped by the template, so their usage arrives
-  /// transitively when the template itself is reaped at pool teardown.
+  /// transitively when the template itself is reaped: by the run that
+  /// reaps it, or by the runner's end-of-algorithm release step.
   uint64_t ChildUserNs = 0;
   /// System-mode CPU ns summed over reaped children.
   uint64_t ChildSysNs = 0;
@@ -272,6 +275,13 @@ struct RunStats {
       return 0.0;
     return static_cast<double>(NumRetries) /
            static_cast<double>(NumTransactions);
+  }
+
+  /// Adds one reaped child's (or template lineage's) wait4 accounting.
+  void addChildUsage(const ChildRusage &Usage) {
+    ChildUserNs += Usage.UserNs;
+    ChildSysNs += Usage.SysNs;
+    MaxChildRssBytes = std::max(MaxChildRssBytes, Usage.MaxRssBytes);
   }
 
   /// Accumulates \p Other into this (used across outer-loop invocations).

@@ -465,13 +465,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   const uint64_t RealStart = nowNs();
   uint64_t LastProgressNs = RealStart;
 
-  auto addChildUsage = [&](const ChildRusage &Usage) {
-    Result.Stats.ChildUserNs += Usage.UserNs;
-    Result.Stats.ChildSysNs += Usage.SysNs;
-    Result.Stats.MaxChildRssBytes =
-        std::max(Result.Stats.MaxChildRssBytes, Usage.MaxRssBytes);
-  };
-
   auto finishStats = [&] {
     Result.Stats.RealTimeNs = nowNs() - RealStart;
     // Single-CPU host: the protocol ran for real, the parallel wall-clock
@@ -510,7 +503,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       int Status = 0;
       ChildRusage Usage;
       if (waitpidRusage(SW.Pid, &Status, &Usage) > 0)
-        addChildUsage(Usage);
+        Result.Stats.addChildUsage(Usage);
     }
     if (SW.WorkW >= 0)
       ::close(SW.WorkW);
@@ -852,7 +845,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     int Status = 0;
     ChildRusage Usage;
     if (waitpidRusage(SW.Pid, &Status, &Usage) > 0)
-      addChildUsage(Usage);
+      Result.Stats.addChildUsage(Usage);
     SW.Pid = -1;
     const bool QueueReject =
         WIFEXITED(Status) && WEXITSTATUS(Status) == StageQueueRejectExit;

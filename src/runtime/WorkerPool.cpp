@@ -246,7 +246,7 @@ void WorkerPool::killTemplateHard() {
     int Status = 0;
     ChildRusage Usage;
     if (waitpidRusage(TemplatePid, &Status, &Usage) > 0)
-      accumulateTemplateUsage(Usage);
+      TemplateUsage.add(Usage);
   }
   if (ControlFd >= 0)
     ::close(ControlFd);
@@ -304,13 +304,6 @@ void WorkerPool::killTemplateHard() {
   }
 }
 
-void WorkerPool::accumulateTemplateUsage(const ChildRusage &Usage) {
-  TemplateUsage.UserNs += Usage.UserNs;
-  TemplateUsage.SysNs += Usage.SysNs;
-  TemplateUsage.MaxRssBytes =
-      std::max(TemplateUsage.MaxRssBytes, Usage.MaxRssBytes);
-}
-
 size_t WorkerPool::ringDepthBytes() const {
   size_t Total = 0;
   for (const SlotState &S : Slots)
@@ -366,22 +359,30 @@ bool WorkerPool::ensureTemplate() {
   return true;
 }
 
-void WorkerPool::retireTemplate() {
+pid_t WorkerPool::detachTemplate() {
   if (TemplatePid < 0)
-    return;
+    return -1;
   // Control-pipe EOF tells the template to kill and reap any straggling
   // children and exit; it is quiescent otherwise, so this is prompt.
   ::close(ControlFd);
   ControlFd = -1;
-  int Status = 0;
-  ChildRusage Usage;
-  if (waitpidRusage(TemplatePid, &Status, &Usage) > 0)
-    accumulateTemplateUsage(Usage);
+  const pid_t Pid = TemplatePid;
   TemplatePid = -1;
-  // Resident (reuse-idle) children died in the teardown; forget them so
-  // no redispatch targets a dead process.
+  // Resident (reuse-idle) children die in the teardown; forget them so no
+  // redispatch targets a dead process.
   for (SlotState &S : Slots)
     resetSlot(S);
+  return Pid;
+}
+
+void WorkerPool::retireTemplate() {
+  const pid_t Pid = detachTemplate();
+  if (Pid < 0)
+    return;
+  int Status = 0;
+  ChildRusage Usage;
+  if (waitpidRusage(Pid, &Status, &Usage) > 0)
+    TemplateUsage.add(Usage);
 }
 
 bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
@@ -723,8 +724,16 @@ void WorkerPool::templateMain(int CtlFd) {
   };
 
   const auto Shutdown = [&] {
-    for (unsigned I = 0; I != Child.size(); ++I)
-      KillReap(I, /*Doorbell=*/false);
+    // Kill every child before reaping any, so the residents die in
+    // parallel instead of one exit after another.
+    for (const pid_t P : Child)
+      if (P >= 0)
+        ::kill(P, SIGKILL);
+    for (const pid_t P : Child) {
+      int Status = 0;
+      if (P >= 0)
+        waitpidRetry(P, &Status);
+    }
     _exit(0);
   };
 

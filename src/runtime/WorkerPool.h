@@ -28,7 +28,7 @@
 ///            child runs runWireChildRing. If the slot's previous child is
 ///            somehow still unreaped, it is killed and reaped first.
 ///   Kill   — SIGKILL + reap the slot's child (deadline enforcement).
-///   EOF    — teardown: kill and reap every child, _exit.
+///   EOF    — teardown: SIGKILL every child, then reap them all, _exit.
 ///
 /// Completion signals (template/child -> parent, per-slot doorbell pipe):
 /// the child writes RingDoorbellData after each published piece; the
@@ -114,7 +114,9 @@ struct ChunkChannel {
 /// One run's warm template process and its per-slot commit rings. Created
 /// by a fork engine when ExecutorConfig::Transport == TransportKind::Ring;
 /// ladder sub-runs construct fresh engines, so they get private pools and
-/// rings automatically.
+/// rings automatically. After a successful run the engine retires the
+/// template with detachTemplate() and reaps it later (ParkedChild), so no
+/// run waits for the previous one's teardown.
 class WorkerPool {
 public:
   /// Allocates the rings, doorbell pipes, and work pipes for \p NumSlots
@@ -190,6 +192,13 @@ public:
   /// final incarnation's CPU time is folded in.
   void retire() { retireTemplate(); }
 
+  /// Retires the current template without waiting for it: closes its
+  /// control pipe, which makes it SIGKILL its children, reap them and
+  /// exit, and returns its pid (-1 when no template is up) for the caller
+  /// to reap. The lineage's CPU time arrives with that reap, not in
+  /// templateRusage().
+  pid_t detachTemplate();
+
   /// Accumulated rusage of every template incarnation reaped so far. Linux
   /// wait4 reports a process's own usage PLUS that of its waited-for
   /// descendants, and the template reaps every warm child, so this is the
@@ -218,7 +227,6 @@ private:
   };
 
   void resetSlot(SlotState &S);
-  void accumulateTemplateUsage(const ChildRusage &Usage);
   bool ensureTemplate();
   void retireTemplate();
   void killTemplateHard();

@@ -30,13 +30,14 @@ pid_t alter::waitpidRetry(pid_t Pid, int *Status) {
   }
 }
 
-pid_t alter::waitpidRusage(pid_t Pid, int *Status, ChildRusage *Usage) {
+pid_t alter::waitpidRusage(pid_t Pid, int *Status, ChildRusage *Usage,
+                           int Options) {
   struct rusage Ru;
   for (;;) {
-    const pid_t R = ::wait4(Pid, Status, 0, &Ru);
+    const pid_t R = ::wait4(Pid, Status, Options, &Ru);
     if (R < 0 && errno == EINTR)
       continue;
-    if (R >= 0 && Usage) {
+    if (R > 0 && Usage) {
       Usage->UserNs = static_cast<uint64_t>(Ru.ru_utime.tv_sec) *
                           1'000'000'000ULL +
                       static_cast<uint64_t>(Ru.ru_utime.tv_usec) * 1000ULL;
@@ -48,6 +49,30 @@ pid_t alter::waitpidRusage(pid_t Pid, int *Status, ChildRusage *Usage) {
     }
     return R;
   }
+}
+
+void ParkedChild::park(pid_t Child) {
+  reap(/*Block=*/true);
+  Pid = Child;
+}
+
+void ParkedChild::reap(bool Block) {
+  if (Pid < 0)
+    return;
+  int Status = 0;
+  ChildRusage Reaped;
+  const pid_t R = waitpidRusage(Pid, &Status, &Reaped, Block ? 0 : WNOHANG);
+  if (R == 0)
+    return; // not exited yet
+  if (R > 0)
+    Usage.add(Reaped);
+  Pid = -1;
+}
+
+ChildRusage ParkedChild::takeUsage() {
+  const ChildRusage Taken = Usage;
+  Usage = ChildRusage();
+  return Taken;
 }
 
 SubprocessResult

@@ -16,6 +16,7 @@
 #ifndef ALTER_SUPPORT_SUBPROCESS_H
 #define ALTER_SUPPORT_SUBPROCESS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -68,11 +69,48 @@ struct ChildRusage {
   uint64_t UserNs = 0;     ///< user CPU time
   uint64_t SysNs = 0;      ///< system CPU time
   uint64_t MaxRssBytes = 0; ///< peak resident set
+
+  /// Folds in another reap: times add up, the peak is the larger one.
+  void add(const ChildRusage &Other) {
+    UserNs += Other.UserNs;
+    SysNs += Other.SysNs;
+    MaxRssBytes = std::max(MaxRssBytes, Other.MaxRssBytes);
+  }
 };
 
 /// waitpidRetry() via wait4(2): additionally fills \p Usage with the
-/// child's resource accounting when non-null (left untouched on failure).
-pid_t waitpidRusage(pid_t Pid, int *Status, ChildRusage *Usage);
+/// child's resource accounting when non-null (left untouched unless the
+/// child was reaped). \p Options is passed through, so WNOHANG returns 0
+/// for a child that has not exited yet.
+pid_t waitpidRusage(pid_t Pid, int *Status, ChildRusage *Usage,
+                    int Options = 0);
+
+/// A child that is reaped later instead of waited for now: a fork
+/// engine's retired warm template, which kills and reaps its own children
+/// while the parent moves on. Holds at most one pid; parking another
+/// first waits for the previous one.
+class ParkedChild {
+public:
+  ParkedChild() = default;
+  ParkedChild(const ParkedChild &) = delete;
+  ParkedChild &operator=(const ParkedChild &) = delete;
+  /// Waits for the parked child; its usage is dropped.
+  ~ParkedChild() { reap(/*Block=*/true); }
+
+  /// Parks \p Pid (nothing for -1) after reaping the previous child.
+  void park(pid_t Pid);
+
+  /// Reaps the parked child, if any: waits for it when \p Block, else
+  /// only if it has already exited.
+  void reap(bool Block);
+
+  /// wait4 usage of the children reaped since the last call.
+  ChildRusage takeUsage();
+
+private:
+  pid_t Pid = -1;
+  ChildRusage Usage;
+};
 
 } // namespace alter
 

@@ -64,6 +64,7 @@ RunResult Workload::runLockstep(const RuntimeParams &Params,
   LockstepExecutor Exec(Config);
   ExecutorLoopRunner Runner(Exec, SeqBaselineNs);
   run(Runner);
+  Runner.release();
   return Runner.result();
 }
 
@@ -79,6 +80,7 @@ RunResult Workload::runForkJoin(const RuntimeParams &Params,
   ForkJoinExecutor Exec(Config);
   ExecutorLoopRunner Runner(Exec, SeqBaselineNs);
   run(Runner);
+  Runner.release();
   return Runner.result();
 }
 
@@ -94,6 +96,7 @@ RunResult Workload::runPipeline(const RuntimeParams &Params,
   PipelineExecutor Exec(Config);
   ExecutorLoopRunner Runner(Exec, SeqBaselineNs);
   run(Runner);
+  Runner.release();
   return Runner.result();
 }
 
@@ -111,6 +114,7 @@ RunResult Workload::runRecovering(ParallelEngine Engine,
       resolveJournal(Journal, *this, Params, SchedulePolicy::Auto);
   RecoveringLoopRunner Runner(Engine, Config);
   run(Runner);
+  Runner.release();
   return Runner.result();
 }
 
@@ -128,6 +132,7 @@ RunResult Workload::runScheduled(SchedulePolicy Policy,
   Config.Journal = resolveJournal(Journal, *this, Params, Policy);
   RecoveringLoopRunner Runner(ParallelEngine::Pipeline, Config);
   run(Runner);
+  Runner.release();
   return Runner.result();
 }
 

@@ -38,7 +38,9 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <tuple>
 #include <unistd.h>
 
@@ -1095,6 +1097,169 @@ TEST(ShutdownTest, RealSigtermReturnsInterruptedOnEveryEngine) {
         << "a pre-latched signal must stop the run before any dispatch";
     EXPECT_EQ(liveChildrenOfSelf(), "");
     clearShutdownRequest();
+  }
+}
+
+//===----------------------------------------------------------------------===
+// Pool lifetime: every invocation of an outer loop runs warm, and nothing
+// of the retired templates outlives the runner
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Shared lines of /proc/self/maps (permissions ending in 's'). The
+/// commit rings are the only shared mappings the runtime makes, so a leaked
+/// ring shows up here even under an allocator that maps memory of its own
+/// (AddressSanitizer's does).
+size_t sharedMapsLineCount() {
+  std::ifstream In("/proc/self/maps");
+  size_t Count = 0;
+  std::string Range, Perms, Rest;
+  while (In >> Range >> Perms && std::getline(In, Rest))
+    Count += Perms.size() == 4 && Perms[3] == 's' ? 1 : 0;
+  return Count;
+}
+
+/// Drives Invocations runInner calls through one RecoveringLoopRunner, the
+/// way an outer convergence loop does: between calls the outer code writes
+/// Base plainly (not through TxnContext), and every call's LoopSpec
+/// captures its own K. One-shot faults strike three chosen invocations.
+void checkPoolLifetime(ParallelEngine Engine, TransportKind Transport) {
+  constexpr int Invocations = 50;
+  constexpr int64_t N = 24;
+  constexpr int64_t Cf = 2;
+  constexpr uint64_t Chunks = N / Cf;
+  constexpr int CrashAt = 10, PoisonAt = 25, MmapFailAt = 40;
+  const bool Ring = Transport == TransportKind::Ring;
+
+  std::vector<int64_t> Data(N, -1);
+  int64_t Base = 0;
+  std::vector<RunStats> PerRun;
+  uint64_t ForkEvents = 0, WarmEvents = 0, ReuseEvents = 0;
+  RunStats Total;
+
+  FaultPlan::global().clear();
+  const size_t MapsBaseline = sharedMapsLineCount();
+  {
+    ExecutorConfig Config;
+    Config.NumWorkers = 3;
+    Config.Params.ChunkFactor = Cf;
+    Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+    Config.Transport = Transport;
+    Config.Schedule = SchedulePolicy::Chunked;
+    // Fork events carry the dispatch kind (Arg1: 0 cold, 1 warm, 2
+    // redispatch), an account kept apart from the pool's own counters.
+    Config.Trace = TraceLevel::Events;
+    RecoveringLoopRunner Runner(Engine, Config);
+    for (int Inv = 0; Inv != Invocations; ++Inv) {
+      SCOPED_TRACE("invocation " + std::to_string(Inv));
+      Base = 1000 * Inv; // a plain outer write the children must see
+      const int64_t K = 7 * Inv + 1;
+      if (Inv == CrashAt)
+        FaultPlan::global().arm(FaultKind::ChildCrash, /*Chunk=*/1);
+      if (Inv == PoisonAt)
+        FaultPlan::global().arm(FaultKind::TemplatePoison, /*Chunk=*/1);
+      if (Inv == MmapFailAt)
+        FaultPlan::global().arm(FaultKind::MmapFail, /*Slot=*/0);
+      LoopSpec Spec;
+      Spec.Name = "lifetime";
+      Spec.NumIterations = N;
+      Spec.Body = [&Data, &Base, K](TxnContext &Ctx, int64_t I) {
+        Ctx.store(&Data[static_cast<size_t>(I)], Ctx.load(&Base) + K * I);
+      };
+      const RunStats Before = Runner.result().Stats;
+      ASSERT_TRUE(Runner.runInner(Spec)) << Runner.result().Detail;
+      std::istringstream Children(liveChildrenOfSelf());
+      EXPECT_LE(std::distance(std::istream_iterator<std::string>(Children),
+                              std::istream_iterator<std::string>()),
+                Ring ? 1 : 0)
+          << "at most one retired template may be parked";
+      const RunStats &After = Runner.result().Stats;
+      RunStats D;
+      D.WarmForks = After.WarmForks - Before.WarmForks;
+      D.ColdForks = After.ColdForks - Before.ColdForks;
+      D.ChildReuses = After.ChildReuses - Before.ChildReuses;
+      D.TemplateRefreshes = After.TemplateRefreshes - Before.TemplateRefreshes;
+      D.PoolFaults = After.PoolFaults - Before.PoolFaults;
+      D.NumChildCrashes = After.NumChildCrashes - Before.NumChildCrashes;
+      D.TransportDowngrades =
+          After.TransportDowngrades - Before.TransportDowngrades;
+      PerRun.push_back(D);
+      for (int64_t I = 0; I != N; ++I)
+        ASSERT_EQ(Data[static_cast<size_t>(I)], Base + K * I)
+            << "iteration " << I << " missed this invocation's values";
+    }
+    EXPECT_FALSE(Runner.result().Stats.Recovered);
+    Total = Runner.result().Stats;
+    for (const TraceEvent &E : Runner.result().TraceEvents) {
+      if (E.Kind != TraceEventKind::Fork)
+        continue;
+      ++ForkEvents;
+      WarmEvents += E.Arg1 >= 1 ? 1 : 0;
+      ReuseEvents += E.Arg1 == 2 ? 1 : 0;
+    }
+  }
+  // The runner (and with it the engine and its parked template) is gone:
+  // nothing of any pool may outlive it.
+  EXPECT_EQ(liveChildrenOfSelf(), "");
+  EXPECT_EQ(sharedMapsLineCount(), MapsBaseline) << "a ring mapping leaked";
+
+  RunStats Sum;
+  for (size_t Inv = 0; Inv != PerRun.size(); ++Inv) {
+    SCOPED_TRACE("invocation " + std::to_string(Inv));
+    const RunStats &D = PerRun[Inv];
+    Sum.WarmForks += D.WarmForks;
+    Sum.ColdForks += D.ColdForks;
+    Sum.ChildReuses += D.ChildReuses;
+    Sum.TemplateRefreshes += D.TemplateRefreshes;
+    Sum.PoolFaults += D.PoolFaults;
+    const int At = static_cast<int>(Inv);
+    // A poisoned template may take one in-flight sibling down with it.
+    if (!(Ring && At == PoisonAt)) {
+      EXPECT_EQ(D.NumChildCrashes > 0, At == CrashAt)
+          << "a crash degrades its own invocation only";
+    }
+    EXPECT_EQ(D.PoolFaults > 0, Ring && At == PoisonAt);
+    EXPECT_EQ(D.TransportDowngrades > 0, Ring && At == MmapFailAt);
+    EXPECT_EQ(D.TemplateRefreshes, 0u) << "refresh is off by default";
+    EXPECT_LE(D.ChildReuses, D.WarmForks);
+    EXPECT_GE(D.WarmForks + D.ColdForks, Chunks);
+    const bool Degraded = At == CrashAt || At == PoisonAt || At == MmapFailAt;
+    if (!Ring) {
+      EXPECT_EQ(D.WarmForks, 0u);
+    } else if (!Degraded) {
+      // Every clean invocation runs warm, the one after a fault included.
+      EXPECT_EQ(D.WarmForks, Chunks);
+      EXPECT_EQ(D.ColdForks, 0u);
+    }
+  }
+  EXPECT_EQ(Total.WarmForks, Sum.WarmForks);
+  EXPECT_EQ(Total.ColdForks, Sum.ColdForks);
+  EXPECT_EQ(Total.ChildReuses, Sum.ChildReuses);
+  EXPECT_EQ(Total.TemplateRefreshes, Sum.TemplateRefreshes);
+  EXPECT_EQ(Total.PoolFaults, Sum.PoolFaults);
+  EXPECT_EQ(Total.WarmForks + Total.ColdForks, ForkEvents);
+  EXPECT_EQ(Total.WarmForks, WarmEvents);
+  EXPECT_EQ(Total.ChildReuses, ReuseEvents);
+  if (Engine == ParallelEngine::ForkJoin) {
+    EXPECT_EQ(Total.ChildReuses, 0u);
+  }
+  // Setup faults have nothing to strike on the pipe transport.
+  EXPECT_EQ(FaultPlan::global().pendingCount(), Ring ? 0u : 1u);
+  FaultPlan::global().clear();
+}
+
+} // namespace
+
+TEST(PoolLifetimeTest, EveryInvocationOfAnOuterLoopRunsWarm) {
+  for (ParallelEngine Engine :
+       {ParallelEngine::ForkJoin, ParallelEngine::Pipeline}) {
+    for (TransportKind Transport :
+         {TransportKind::Ring, TransportKind::Pipe}) {
+      SCOPED_TRACE(std::string(engineName(Engine)) + "/" +
+                   transportKindName(Transport));
+      checkPoolLifetime(Engine, Transport);
+    }
   }
 }
 
