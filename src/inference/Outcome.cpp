@@ -44,6 +44,10 @@ InferenceOutcome alter::classifyRun(const RunResult &Result, bool OutputValid,
   case RunStatus::Timeout:
     return EnvFaults != 0 ? InferenceOutcome::EnvFault
                           : InferenceOutcome::Timeout;
+  case RunStatus::Interrupted:
+    // A shutdown request stopped the run: its partial output says nothing
+    // about the annotation either way.
+    return InferenceOutcome::EnvFault;
   case RunStatus::Success:
     break;
   }

@@ -18,6 +18,8 @@
 /// the ANNOTATION — the same candidate might be perfectly breakable on a
 /// healthy host. Classifying it as an environmental fault keeps the
 /// inference table from rejecting an annotation for the machine's sins.
+/// A run stopped by a shutdown request (RunStatus::Interrupted) is an
+/// EnvFault for the same reason: its partial output is no evidence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +38,8 @@ enum class InferenceOutcome {
   HighConflicts,
   OutputMismatch,
   /// The run failed (or only survived via sequential recovery) with
-  /// infrastructure-fault counters nonzero: the evidence indicts the
-  /// environment, not the annotation's semantics.
+  /// infrastructure-fault counters nonzero, or was interrupted: the
+  /// evidence indicts the environment, not the annotation's semantics.
   EnvFault,
 };
 

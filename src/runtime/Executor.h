@@ -165,15 +165,18 @@ struct ExecutorConfig {
 
   /// Fork-free steady state (pipeline engine only): after a slot's chunk
   /// commits, dispatch the next chunk to the SAME resident child over the
-  /// slot's work pipe instead of re-forking — the child's memory is the
-  /// fork-time snapshot plus its own committed writes, so validating its
-  /// reads against every commit since the original fork (the slot keeps
-  /// its fork-time SnapshotSeq) stays sound; it merely aborts more often
-  /// as the snapshot ages. This caps consecutive reuses per child, so the
-  /// snapshot lag — and the conflict-epoch history the detector must
-  /// retain — stays bounded. 0 disables reuse (every chunk re-forks from
-  /// the warm template). The round-based ForkJoin engine never reuses:
-  /// its round-local validation cannot see commits older than the round.
+  /// slot's work pipe instead of re-forking. Until the run fails a
+  /// validation the child keeps its snapshot plus its own committed
+  /// writes, so validating its reads against every commit since that
+  /// snapshot (the slot keeps its SnapshotSeq) stays sound; it merely
+  /// aborts more often as the snapshot ages. This caps consecutive reuses
+  /// per child in such runs, so the snapshot lag — and the conflict-epoch
+  /// history the detector must retain — stays bounded. After a failed
+  /// validation each redispatch catches the child up to committed state
+  /// (WorkerPool), its snapshot is fresh, and the cap no longer applies.
+  /// 0 disables reuse (every chunk re-forks from the warm template). The
+  /// round-based ForkJoin engine never reuses: its round-local validation
+  /// cannot see commits older than the round.
   unsigned MaxChildReuse = 64;
 
   /// Kernel-enforced caps applied inside each forked chunk via setrlimit:

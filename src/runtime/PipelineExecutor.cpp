@@ -52,9 +52,10 @@ struct Slot {
   uint64_t SnapshotSeq = 0;
   /// A warm child may still be resident in this slot (ring transport):
   /// even while the slot is Free — between its chunk completing and the
-  /// next dispatch — the child's fork-time snapshot must hold back epoch
-  /// pruning, or a redispatch would validate against truncated history
-  /// and miss conflicts.
+  /// next dispatch — the child's snapshot must hold back epoch pruning, or
+  /// a redispatch that keeps it would validate against truncated history
+  /// and miss conflicts. Needless once catch-up is engaged, since every
+  /// later dispatch then takes a fresh snapshot.
   bool PinSnapshot = false;
 };
 
@@ -111,6 +112,9 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   int64_t NextToRetire = 0; // InOrder: the only chunk allowed to commit
   int64_t Committed = 0;
   int64_t DrainChunk = -1; // starvation guard target, -1 when inactive
+  // Set at the first failed validation: from then on resident children
+  // replay the commits they missed at each redispatch (WorkerPool).
+  bool CatchUp = false;
 
   ConflictDetector Detector(Config.Params.Conflict);
   TraceSink Sink(Config.Trace);
@@ -357,15 +361,16 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     S.Chunk = Chunk;
     // The child's snapshot reflects every commit applied so far — a warm
     // fork sees exactly the commits streamed to the template before the
-    // Fork command (FIFO), a cold fork sees the parent's memory; both
+    // Fork command (FIFO), a cold fork sees the parent's memory, a
+    // caught-up redispatch replays every commit pushed to the pool; all
     // must validate against everything that commits after this point.
-    // A REUSED child is the exception: its memory still dates from its
-    // original fork (plus its own committed writes), so the slot keeps
-    // its fork-time SnapshotSeq and the chunk validates against every
+    // A REUSED child without catch-up is the exception: its memory still
+    // dates from its snapshot (plus its own committed writes), so the
+    // slot keeps its SnapshotSeq and the chunk validates against every
     // commit since then — older snapshot, more abort exposure, same
     // soundness. (This also pins epoch pruning below that seq; the
     // MaxChildReuse chain cap bounds how far it can lag.)
-    if (!S.Ch.Reused)
+    if (!S.Ch.Reused || CatchUp)
       S.SnapshotSeq = Detector.commitSeq();
     // Ring children stay resident after completion, so their snapshot
     // must pin pruning across the slot's Free gaps; a cold child is gone
@@ -410,7 +415,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   auto pruneEpochs = [&] {
     uint64_t MinSnapshot = Detector.commitSeq();
     for (const Slot &S : Slots)
-      if (S.St == Slot::State::Running || S.PinSnapshot)
+      if (S.St == Slot::State::Running || (S.PinSnapshot && !CatchUp))
         MinSnapshot = std::min(MinSnapshot, S.SnapshotSeq);
     for (const auto &[Chunk, B] : Arrived)
       MinSnapshot = std::min(MinSnapshot, B.SnapshotSeq);
@@ -462,6 +467,12 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   // detector's conflict witness is still valid.
   auto failReport = [&](int64_t Chunk) {
     ++Result.Stats.NumRetries;
+    // A conflict shows this loop's chunks depend on each other, so stale
+    // snapshots cost aborts: catch resident children up from now on.
+    // (Conflict-free runs never pay its copy-on-write faults.)
+    CatchUp = true;
+    if (Pool)
+      Pool->engageCatchUp();
     if (Sink.counters())
       Sink.conflict(Chunk, Detector.lastConflictWord());
     if (Sink.events())

@@ -451,6 +451,96 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
   return std::move(Framed.bytes());
 }
 
+namespace {
+
+/// Fixed head of a commit record; followed by NumSlots x
+/// TxnContext::RedSlotState, u64 LogBytes, and the compact write log.
+struct CommitRecordHeader {
+  uint64_t Worker;
+  uint64_t BumpOffset;
+  uint64_t NumSlots;
+};
+
+} // namespace
+
+void alter::appendCommitRecord(std::vector<uint8_t> &Out, unsigned Worker,
+                               const ChildReport &Rep) {
+  const CommitRecordHeader Hdr{Worker, Rep.BumpOffset, Rep.Slots.size()};
+  const size_t Start = Out.size();
+  Out.resize(Start + sizeof(Hdr) + sizeof(uint64_t) +
+             Rep.Slots.size() * sizeof(TxnContext::RedSlotState));
+  uint8_t *P = Out.data() + Start;
+  std::memcpy(P, &Hdr, sizeof(Hdr));
+  P += sizeof(Hdr);
+  if (!Rep.Slots.empty())
+    std::memcpy(P, Rep.Slots.data(),
+                Rep.Slots.size() * sizeof(TxnContext::RedSlotState));
+  P += Rep.Slots.size() * sizeof(TxnContext::RedSlotState);
+  // The log length is patched in once the log is serialized in place.
+  const size_t LenPos = static_cast<size_t>(P - Out.data());
+  Rep.Log.serializeCompact(Out);
+  const uint64_t LogBytes = Out.size() - LenPos - sizeof(uint64_t);
+  std::memcpy(Out.data() + LenPos, &LogBytes, sizeof(LogBytes));
+}
+
+bool alter::replayCommitRecords(const LoopSpec &Spec,
+                                const ExecutorConfig &Config,
+                                const uint8_t *Data, size_t Size) {
+  ByteReader R(Data, Size);
+  std::vector<TxnContext::RedSlotState> RedSlots(Spec.Reductions.size());
+  while (!R.exhausted()) {
+    const uint8_t *HdrData = R.raw(sizeof(CommitRecordHeader));
+    if (R.failed())
+      return false;
+    CommitRecordHeader Hdr;
+    std::memcpy(&Hdr, HdrData, sizeof(Hdr));
+    // Every record comes from this loop's own commits, so its slot count is
+    // the loop's; anything else is corruption (and would index past
+    // Spec.Reductions below).
+    if (Hdr.NumSlots != RedSlots.size())
+      return false;
+    const size_t SlotBytes = RedSlots.size() * sizeof(TxnContext::RedSlotState);
+    const uint8_t *SlotData = R.raw(SlotBytes);
+    const uint64_t LogBytes = R.u64();
+    if (R.failed() || LogBytes > R.remaining())
+      return false;
+    if (SlotBytes != 0)
+      std::memcpy(RedSlots.data(), SlotData, SlotBytes);
+    WriteLog Log;
+    if (!WriteLog::deserializeCompactChecked(
+            R.raw(static_cast<size_t>(LogBytes)),
+            static_cast<size_t>(LogBytes), Log))
+      return false;
+    Log.apply();
+    for (size_t I = 0; I != RedSlots.size(); ++I)
+      if (RedSlots[I].Active && RedSlots[I].Touched)
+        TxnContext::commitReductionSlot(Spec.Reductions[I], RedSlots[I]);
+    if (Config.Allocator)
+      Config.Allocator->advanceBump(static_cast<unsigned>(Hdr.Worker),
+                                    Hdr.BumpOffset);
+  }
+  return true;
+}
+
+WorkCmdStatus alter::readWorkCommand(int WorkFd, uint8_t Tag,
+                                     WireNextCmd &Cmd,
+                                     std::vector<uint8_t> &CatchUp) {
+  for (;;) {
+    if (!readFull(WorkFd, &Cmd, sizeof(Cmd)))
+      return WorkCmdStatus::Closed;
+    if (Cmd.CatchUpBytes > MaxCatchUpBytes)
+      return WorkCmdStatus::Malformed;
+    CatchUp.resize(static_cast<size_t>(Cmd.CatchUpBytes));
+    if (!readFull(WorkFd, CatchUp.data(), CatchUp.size()))
+      return WorkCmdStatus::Closed;
+    // A command addressed to a dead predecessor (it died between the
+    // parent's dispatch write and its read) is stale: running it would
+    // re-execute a chunk the parent already completed via re-fork.
+    if ((Cmd.Tag & RingDoorbellTagMask) == (Tag & RingDoorbellTagMask))
+      return WorkCmdStatus::Ok;
+  }
+}
+
 void alter::runWireChild(const LoopSpec &Spec, const ExecutorConfig &Config,
                          unsigned Worker, int64_t Chunk, int64_t FirstIter,
                          int64_t LastIter, int Fd, const ArmedFault &Fault) {
@@ -485,6 +575,7 @@ void alter::runWireChildRing(const LoopSpec &Spec,
   MetricsRegistry Reg;
   MetricsRegistry *Metrics = Config.Metrics ? &Reg : nullptr;
 
+  std::vector<uint8_t> CatchUp;
   ArmedFault F = Fault;
   for (;;) {
     const std::vector<uint8_t> Message = buildChildCommitMessage(
@@ -511,35 +602,30 @@ void alter::runWireChildRing(const LoopSpec &Spec,
     if (WorkFd < 0)
       _exit(0);
     // Fork-free steady state: stay resident and wait for the parent to
-    // hand us another chunk. Our memory is the fork-time snapshot plus
-    // this chunk's (written-through) values — the parent only redispatches
-    // if the chunk committed, making that memory a subset of committed
-    // state; otherwise it kills us and re-forks from the template.
+    // hand us another chunk. Our memory is our snapshot plus this chunk's
+    // (written-through) values — the parent only redispatches if the chunk
+    // committed, making that memory a subset of committed state; otherwise
+    // it kills us and re-forks from the template. A command that carries a
+    // catch-up brings us up to committed state before the chunk runs.
     WireNextCmd Cmd;
-    for (;;) {
-      uint8_t *P = reinterpret_cast<uint8_t *>(&Cmd);
-      size_t Need = sizeof(Cmd);
-      while (Need != 0) {
-        const ssize_t N = ::read(WorkFd, P, Need);
-        if (N < 0 && errno == EINTR)
-          continue;
-        if (N <= 0)
-          _exit(0); // EOF (pool teardown) or a hard error: we are done
-        P += N;
-        Need -= static_cast<size_t>(N);
-      }
-      // A command addressed to a dead predecessor (it died between the
-      // parent's dispatch write and its read) is stale: running it would
-      // re-execute a chunk the parent already completed via re-fork.
-      if ((Cmd.Tag & RingDoorbellTagMask) ==
-          (DoorbellTag & RingDoorbellTagMask))
-        break;
+    switch (readWorkCommand(WorkFd, DoorbellTag, Cmd, CatchUp)) {
+    case WorkCmdStatus::Ok:
+      break;
+    case WorkCmdStatus::Closed:
+      _exit(0); // EOF (pool teardown) or a hard error: we are done
+    case WorkCmdStatus::Malformed:
+      _exit(13);
     }
     // Finish-to-redispatch latency: the parent's validate + commit + next
     // dispatch, as seen from the resident child. Recorded now, shipped in
     // the NEXT chunk's frame (take-and-reset above).
     if (Metrics)
       Metrics->record(HistogramId::ValidateWaitNs, nowNs() - WaitT0);
+    // A catch-up that does not decode leaves this memory in no known
+    // state: exit abnormally, which the parent contains as a chunk fault
+    // and answers with a fresh fork from the template.
+    if (!replayCommitRecords(Spec, Config, CatchUp.data(), CatchUp.size()))
+      _exit(13);
     Chunk = Cmd.Chunk;
     FirstIter = Cmd.First;
     LastIter = Cmd.Last;

@@ -107,15 +107,20 @@ struct ChildReport {
                                const ArmedFault &Fault = ArmedFault());
 
 /// One redispatch command on a slot's work pipe (parent -> resident
-/// child): run this chunk against the memory you already have. Sent only
-/// after the child's previous chunk committed, so that memory is a subset
-/// of committed state. Raw little-endian struct — parent and child are
-/// forks of one process, so layouts agree by construction.
+/// child): replay the CatchUpBytes of commit records that follow it, then
+/// run this chunk against the memory you have. Sent only after the
+/// child's previous chunk committed, so that memory is a subset of
+/// committed state. Raw little-endian struct — parent and child are forks
+/// of one process, so layouts agree by construction.
 struct WireNextCmd {
   int64_t Chunk;
   int64_t First;
   int64_t Last;
   ArmedFault Fault;
+  /// Bytes of commit records (appendCommitRecord's form, back to back)
+  /// that follow this command on the pipe: the commits the child missed
+  /// since its snapshot. 0 for a redispatch that keeps the old snapshot.
+  uint64_t CatchUpBytes;
   /// Attempt tag of the child this command is addressed to. If the target
   /// dies between the parent's dispatch write and its work-pipe read (the
   /// parent holds the read end, so the pipe — and the command — survive),
@@ -126,6 +131,43 @@ struct WireNextCmd {
   uint8_t Tag;
 };
 
+/// Largest catch-up one WireNextCmd may carry. A work pipe holds at most
+/// the current command plus one stale command addressed to a dead
+/// predecessor, so keeping each command within half of the kernel's
+/// default 64 KiB pipe buffer means a dispatch write never blocks.
+constexpr size_t MaxCatchUpBytes = (64 << 10) / 2 - sizeof(WireNextCmd);
+
+/// Outcome of readWorkCommand.
+enum class WorkCmdStatus {
+  Ok,        ///< a command addressed to the caller, with its whole catch-up
+  Closed,    ///< EOF or a hard error: the pool is tearing down
+  Malformed, ///< the command claims more catch-up than MaxCatchUpBytes
+};
+
+/// Resident-child side of the work pipe: reads commands from \p WorkFd
+/// until one carries attempt tag \p Tag, leaving it in \p Cmd and its
+/// catch-up records in \p CatchUp. A command with another tag is consumed
+/// whole (header and catch-up) and dropped. The catch-up length is checked
+/// against MaxCatchUpBytes before anything is allocated.
+WorkCmdStatus readWorkCommand(int WorkFd, uint8_t Tag, WireNextCmd &Cmd,
+                              std::vector<uint8_t> &CatchUp);
+
+/// Appends the replay record of one committed chunk to \p Out: the
+/// committing worker's arena cursor, the reduction slots, and the compact
+/// write log. Records are self-delimiting, so they concatenate. The warm
+/// template receives one per commit, and a resident child receives the
+/// ones it missed in a redispatch's catch-up.
+void appendCommitRecord(std::vector<uint8_t> &Out, unsigned Worker,
+                        const ChildReport &Rep);
+
+/// Replays the back-to-back commit records in [\p Data, \p Data + \p Size)
+/// into this process's memory, in order: write log, reduction slots, arena
+/// cursor — what the parent did at each commit. Returns false at the first
+/// malformed record (the caller must then exit: its memory is no longer a
+/// known state).
+bool replayCommitRecords(const LoopSpec &Spec, const ExecutorConfig &Config,
+                         const uint8_t *Data, size_t Size);
+
 /// Ring-transport variant of runWireChild: same transactional execution
 /// and byte-identical ALTER4 frame, but the message is published into
 /// \p Ring (shared with the parent) instead of a pipe, with a
@@ -133,10 +175,12 @@ struct WireNextCmd {
 /// every accepted piece so the parent's poll loop wakes to drain, and a
 /// RingDoorbellFinish byte once the record is fully published. Called by
 /// the warm template's forked children (WorkerPool). After Finish the
-/// child does not exit: it blocks on \p WorkFd for a WireNextCmd and runs
-/// that chunk in the same address space — the fork-free steady state. EOF
-/// or a short read on \p WorkFd exits cleanly; \p WorkFd < 0 restores the
-/// exit-after-one-chunk behavior. Never returns.
+/// child does not exit: it blocks on \p WorkFd for a WireNextCmd, replays
+/// the command's catch-up, and runs that chunk in the same address space —
+/// the fork-free steady state. EOF or a short read on \p WorkFd exits
+/// cleanly; an oversized or malformed catch-up exits abnormally;
+/// \p WorkFd < 0 restores the exit-after-one-chunk behavior. Never
+/// returns.
 [[noreturn]] void runWireChildRing(const LoopSpec &Spec,
                                    const ExecutorConfig &Config,
                                    unsigned Worker, int64_t Chunk,

@@ -6,8 +6,6 @@
 
 #include "runtime/WorkerPool.h"
 
-#include "memory/AlterAllocator.h"
-#include "memory/WriteLog.h"
 #include "support/Error.h"
 #include "support/Io.h"
 #include "support/Subprocess.h"
@@ -58,13 +56,6 @@ struct ForkCmd {
 
 struct KillCmd {
   uint64_t Slot;
-};
-
-struct ApplyCmdHeader {
-  uint64_t Worker;
-  uint64_t BumpOffset;
-  uint64_t NumSlots;
-  // Followed by NumSlots x TxnContext::RedSlotState, u64 LogBytes, log.
 };
 
 void appendRaw(std::vector<uint8_t> &Out, const void *Data, size_t Size) {
@@ -188,8 +179,9 @@ WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
     ::fcntl(S.DoorbellR, F_SETFL, Flags | O_NONBLOCK);
     // Work pipe: the parent keeps BOTH ends — the write end to dispatch,
     // the read end so a respawned template (forked from the parent later)
-    // still inherits it for its children. A WireNextCmd is far below
-    // PIPE_BUF, so dispatch writes never block or interleave.
+    // still inherits it for its children. The parent is its only writer,
+    // and MaxCatchUpBytes keeps a command within half the pipe buffer, so
+    // dispatch writes neither interleave nor block.
     if (::pipe(Fds) != 0) {
       alterLogAlways(LogLevel::Warn, "pool",
                      "event=work_pipe_fail slot=%u errno=%d", SlotIdx, errno);
@@ -352,6 +344,9 @@ bool WorkerPool::ensureTemplate() {
   ControlFd = Fds[1];
   TemplatePid = Pid;
   CommitsSinceSpawn = 0;
+  History.clear();
+  HistoryBytes = 0;
+  HistoryBase = 0;
   // A fresh template snapshots the parent wholesale; whatever children the
   // previous incarnation lost are strangers to it.
   for (SlotState &S : Slots)
@@ -471,11 +466,15 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   // the race gate: it proves the old chunk's last doorbell was already
   // consumed, which is what makes redispatch under the SAME attempt tag
   // safe (and keeping the tag keeps the template's pid/tag bookkeeping
-  // valid for kills and crash reaps). The chain cap bounds snapshot
-  // staleness — and with it conflict-epoch retention — by periodically
-  // falling through to a fresh template fork.
+  // valid for kills and crash reaps). Without catch-up the child keeps
+  // its old snapshot, and the chain cap bounds that staleness — and with
+  // it conflict-epoch retention — by periodically falling through to a
+  // fresh template fork. With catch-up the command carries the commits
+  // the child missed, so its snapshot is as fresh as a fork's; only a
+  // child whose missed commits reach back past the history re-forks.
   if (AllowReuse && S.Used && !S.TerminalSeen && S.LastCommitOk &&
-      S.ReuseChain < Config.MaxChildReuse) {
+      (CatchUp ? S.Snapshot >= HistoryBase
+               : S.ReuseChain < Config.MaxChildReuse)) {
     // Consume any doorbells still queued: the Finish byte itself, when
     // the record was completed by frame inspection before the pipe was
     // drained, and any terminal that raced in (a crash terminal means
@@ -522,15 +521,25 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
         break; // timeout: one more drain would see nothing new
     }
     if (S.FinishSeen && !S.TerminalSeen) {
-      WireNextCmd Next{Chunk, First, Last, Fault,
+      WireNextCmd Next{Chunk, First, Last, Fault, 0,
                        static_cast<uint8_t>(S.Attempt)};
-      if (writeAllRetry(S.WorkW, &Next, sizeof(Next))) {
+      std::vector<uint8_t> Msg(sizeof(Next));
+      if (CatchUp)
+        for (auto It = History.begin() +
+                       static_cast<ptrdiff_t>(S.Snapshot - HistoryBase);
+             It != History.end(); ++It)
+          Msg.insert(Msg.end(), It->begin() + CmdHeaderBytes, It->end());
+      Next.CatchUpBytes = Msg.size() - sizeof(Next);
+      std::memcpy(Msg.data(), &Next, sizeof(Next));
+      if (writeAllRetry(S.WorkW, Msg.data(), Msg.size())) {
         ++Reuses;
         ++S.ReuseChain;
         S.RecordDone = false;
         S.FinishSeen = false;
         S.LastCommitOk = false;
         S.CurChunk = Chunk;
+        if (CatchUp)
+          S.Snapshot = CommitsSinceSpawn;
         Ch = ChunkChannel();
         Ch.Launched = true;
         Ch.Warm = true;
@@ -573,6 +582,7 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   S.LastCommitOk = false;
   S.CurChunk = Chunk;
   S.ReuseChain = 0;
+  S.Snapshot = CommitsSinceSpawn; // FIFO: the fork follows every Apply sent
   Ch = ChunkChannel();
   Ch.Launched = true;
   Ch.Warm = true;
@@ -592,28 +602,28 @@ void WorkerPool::pushCommit(unsigned Worker, int64_t Chunk,
   }
   if (TemplatePid < 0)
     return; // parent state is authoritative; the respawn resyncs wholesale
-  std::vector<uint8_t> LogBuf;
-  Rep.Log.serializeCompact(LogBuf);
-  ApplyCmdHeader Hdr;
-  Hdr.Worker = Worker;
-  Hdr.BumpOffset = Rep.BumpOffset;
-  Hdr.NumSlots = Rep.Slots.size();
-  const uint64_t LogBytes = LogBuf.size();
-  const uint64_t PayloadLen =
-      sizeof(Hdr) + Rep.Slots.size() * sizeof(TxnContext::RedSlotState) +
-      sizeof(LogBytes) + LogBuf.size();
   std::vector<uint8_t> Cmd;
-  Cmd.reserve(CmdHeaderBytes + static_cast<size_t>(PayloadLen));
-  appendCmdHeader(Cmd, OpApply, PayloadLen);
-  appendRaw(Cmd, &Hdr, sizeof(Hdr));
-  if (!Rep.Slots.empty())
-    appendRaw(Cmd, Rep.Slots.data(),
-              Rep.Slots.size() * sizeof(TxnContext::RedSlotState));
-  appendRaw(Cmd, &LogBytes, sizeof(LogBytes));
-  appendRaw(Cmd, LogBuf.data(), LogBuf.size());
-  if (sendAll(Cmd.data(), Cmd.size()))
-    ++CommitsSinceSpawn;
+  appendCmdHeader(Cmd, OpApply, 0);
+  appendCommitRecord(Cmd, Worker, Rep);
+  const uint64_t PayloadLen = Cmd.size() - CmdHeaderBytes;
+  std::memcpy(Cmd.data() + 1, &PayloadLen, sizeof(PayloadLen));
+  if (!sendAll(Cmd.data(), Cmd.size()))
+    return;
+  ++CommitsSinceSpawn;
+  if (!AllowReuse)
+    return;
+  // Keep the record for resident children that miss it, trimmed to what
+  // one redispatch may carry, so every suffix of the history fits.
+  HistoryBytes += PayloadLen;
+  History.push_back(std::move(Cmd));
+  while (HistoryBytes > MaxCatchUpBytes) {
+    HistoryBytes -= History.front().size() - CmdHeaderBytes;
+    History.pop_front();
+    ++HistoryBase;
+  }
 }
+
+void WorkerPool::engageCatchUp() { CatchUp = AllowReuse; }
 
 bool WorkerPool::pump(unsigned Slot, ChunkChannel &Ch) {
   SlotState &S = Slots[Slot];
@@ -776,39 +786,9 @@ void WorkerPool::templateMain(int CtlFd) {
         // A malformed command means the parent and template disagree about
         // the protocol — unrecoverable, and exiting surfaces it as a pool
         // fault the parent absorbs with cold forks.
-        ApplyCmdHeader Hdr;
-        if (PayloadLen < sizeof(Hdr))
+        if (!replayCommitRecords(Spec, Config, Payload,
+                                 static_cast<size_t>(PayloadLen)))
           _exit(13);
-        std::memcpy(&Hdr, Payload, sizeof(Hdr));
-        const uint8_t *P = Payload + sizeof(Hdr);
-        const size_t SlotBytes =
-            static_cast<size_t>(Hdr.NumSlots) *
-            sizeof(TxnContext::RedSlotState);
-        if (PayloadLen < sizeof(Hdr) + SlotBytes + sizeof(uint64_t))
-          _exit(13);
-        std::vector<TxnContext::RedSlotState> RedSlots(
-            static_cast<size_t>(Hdr.NumSlots));
-        if (SlotBytes != 0)
-          std::memcpy(RedSlots.data(), P, SlotBytes);
-        P += SlotBytes;
-        uint64_t LogBytes = 0;
-        std::memcpy(&LogBytes, P, sizeof(LogBytes));
-        P += sizeof(LogBytes);
-        if (PayloadLen !=
-            sizeof(Hdr) + SlotBytes + sizeof(uint64_t) + LogBytes)
-          _exit(13);
-        WriteLog Log;
-        if (!WriteLog::deserializeCompactChecked(
-                P, static_cast<size_t>(LogBytes), Log))
-          _exit(13);
-        Log.apply();
-        for (size_t I = 0; I != RedSlots.size(); ++I)
-          if (RedSlots[I].Active && RedSlots[I].Touched)
-            TxnContext::commitReductionSlot(Spec.Reductions[I],
-                                            RedSlots[I]);
-        if (Config.Allocator)
-          Config.Allocator->advanceBump(static_cast<unsigned>(Hdr.Worker),
-                                        Hdr.BumpOffset);
       } else if (Op == OpFork) {
         ForkCmd Fork;
         if (PayloadLen != sizeof(Fork))

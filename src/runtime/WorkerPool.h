@@ -45,16 +45,23 @@
 /// its slot's WORK PIPE. If the chunk then commits, the parent dispatches
 /// the slot's next chunk to that same resident child with a single
 /// WireNextCmd write: no fork anywhere, by anyone. The child's memory is
-/// its fork-time snapshot plus its own committed (written-through)
-/// values, so the executor keeps the slot's fork-time SnapshotSeq and
-/// validation stays sound — the snapshot just ages, raising the abort
-/// odds on dependent loops exactly as ALTER's speculation model expects.
-/// Any abort, wire reject, crash, or fault on the slot leaves the commit
-/// gate closed and the next dispatch re-forks from the template (killing
-/// the stale resident first). Redispatch keeps the slot's attempt tag:
-/// Finish is provably the old chunk's last doorbell, so no stale byte can
-/// complete the new chunk, and the template's per-slot pid/tag bookkeeping
-/// stays valid for kills and crash reaps.
+/// its snapshot plus its own committed (written-through) values. Until
+/// the run fails a validation, the executor keeps the slot's old
+/// SnapshotSeq and validation stays sound — the snapshot just ages,
+/// bounded by ExecutorConfig::MaxChildReuse. The pool keeps a bounded
+/// history of the Apply records it streams to the template. After the
+/// first failed validation (engageCatchUp) a redispatch carries the
+/// records the child missed since its snapshot; the child replays them
+/// before the chunk, so the executor gives it a fresh SnapshotSeq exactly
+/// as for a fork. A child whose missed records reach back past the
+/// history (MaxCatchUpBytes) re-forks instead. Runs without a failed
+/// validation skip catch-up: there it would buy only copy-on-write
+/// faults. Any abort, wire reject, crash, or fault on the slot leaves the
+/// commit gate closed and the next dispatch re-forks from the template
+/// (killing the stale resident first). Redispatch keeps the slot's
+/// attempt tag: Finish is provably the old chunk's last doorbell, so no
+/// stale byte can complete the new chunk, and the template's per-slot
+/// pid/tag bookkeeping stays valid for kills and crash reaps.
 ///
 /// Every pool failure (template spawn failure, dead template, injected
 /// TemplatePoison) degrades the affected forks to the legacy cold
@@ -73,6 +80,7 @@
 #include "support/FaultInjection.h"
 #include "support/Subprocess.h"
 
+#include <deque>
 #include <memory>
 #include <sys/types.h>
 #include <vector>
@@ -89,9 +97,12 @@ struct ChunkChannel {
   /// the parent (pipe transport or pool fallback).
   bool Warm = false;
   /// Redispatched to the slot's resident child with no fork at all (the
-  /// fork-free steady state). Implies Warm. The executor must keep the
-  /// slot's fork-time SnapshotSeq: the child's memory predates every
-  /// commit since its original fork except its own.
+  /// fork-free steady state). Implies Warm. Once the run has engaged
+  /// catch-up (WorkerPool::engageCatchUp) the child replays every commit
+  /// it missed before running the chunk, so the executor takes a fresh
+  /// SnapshotSeq, as for a fork. Before that, the executor must keep the
+  /// slot's old SnapshotSeq: the child's memory predates every commit
+  /// since its snapshot except its own.
   bool Reused = false;
   /// What the executor polls: the pipe read end (cold) or the slot's
   /// doorbell read end (warm; pool-owned, do not close).
@@ -162,6 +173,8 @@ public:
   /// slots, arena cursor for arena index \p Worker). Call at the exact
   /// point the parent applies the commit itself, before any later fork.
   /// No-op while the template is down (the respawn resyncs wholesale).
+  /// With reuse allowed the record also enters the history that caught-up
+  /// redispatches replay.
   /// \p Chunk identifies the committed chunk: when it matches the chunk
   /// the slot most recently dispatched, the slot's resident child becomes
   /// reuse-eligible — its written-through memory is now committed state.
@@ -169,6 +182,11 @@ public:
   /// slot moved on to another chunk, must NOT mark the current occupant
   /// clean; the chunk match is what prevents that.)
   void pushCommit(unsigned Worker, int64_t Chunk, const ChildReport &Rep);
+
+  /// From now on, redispatch resident children with the commits they
+  /// missed (see the file comment). The pipeline engine calls it at its
+  /// first failed validation. Idempotent; a no-op without reuse.
+  void engageCatchUp();
 
   /// Parent-side pump for a warm slot: drains doorbell bytes and the ring,
   /// and marks Ch.Done (and Abnormal) per the completion rules. Returns
@@ -224,6 +242,7 @@ private:
     bool LastCommitOk = false; // the occupant's own chunk committed
     int64_t CurChunk = -1;     // chunk most recently dispatched here
     unsigned ReuseChain = 0;   // consecutive redispatches of this child
+    uint64_t Snapshot = 0; // commits since spawn in the occupant's memory
   };
 
   void resetSlot(SlotState &S);
@@ -244,6 +263,12 @@ private:
   ChildRusage TemplateUsage; // summed over reaped template incarnations
   int ControlFd = -1; // parent's write end of the current template's pipe
   unsigned CommitsSinceSpawn = 0;
+  bool CatchUp = false; // engageCatchUp() was called
+  /// Full Apply commands of commits HistoryBase, HistoryBase + 1, ... since
+  /// spawn, holding at most MaxCatchUpBytes of records.
+  std::deque<std::vector<uint8_t>> History;
+  size_t HistoryBytes = 0;
+  uint64_t HistoryBase = 0;
   uint64_t Refreshes = 0;
   uint64_t Faults = 0;
   uint64_t Reuses = 0;

@@ -37,6 +37,10 @@ TEST(OutcomeTest, ClassificationRules) {
   EXPECT_EQ(classifyRun(R, true), InferenceOutcome::Crash);
   R.Status = RunStatus::Timeout;
   EXPECT_EQ(classifyRun(R, true), InferenceOutcome::Timeout);
+  R.Status = RunStatus::Interrupted;
+  EXPECT_EQ(classifyRun(R, true), InferenceOutcome::EnvFault);
+  EXPECT_EQ(classifyRun(R, false), InferenceOutcome::EnvFault)
+      << "an interrupted run's partial output is no evidence of mismatch";
 
   R.Status = RunStatus::Success;
   R.Stats.NumTransactions = 100;

@@ -32,6 +32,8 @@
 
 #include "runtime/PipelineExecutor.h"
 #include "runtime/TxnWire.h"
+#include "runtime/WorkerPool.h"
+#include "support/Timer.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -41,6 +43,7 @@
 #include <cstring>
 #include <ctime>
 #include <numeric>
+#include <poll.h>
 #include <set>
 #include <unistd.h>
 #include <vector>
@@ -803,6 +806,177 @@ TEST(TransportTest, ConflictHeavyLoopStaysCorrectUnderReuse) {
       << "the loop must actually conflict for this test to mean anything";
   EXPECT_EQ(Acc, N * (N + 1) / 2)
       << "aborted-child memory must never reach committed state";
+}
+
+/// Runs iteration \p Iter as chunk \p Iter on slot 0 of \p Pool, waits for
+/// its record, and decodes it into \p Rep.
+void runOnSlotZero(WorkerPool &Pool, const LoopSpec &Spec,
+                   const ExecutorConfig &Config, int64_t Iter,
+                   ChunkChannel &Ch, ChildReport &Rep) {
+  ASSERT_TRUE(Pool.warmFork(0, Iter, Iter, Iter + 1, ArmedFault(), Ch));
+  const uint64_t Deadline = nowNs() + 10'000'000'000ULL;
+  while (!Pool.pump(0, Ch)) {
+    ASSERT_LT(nowNs(), Deadline) << "chunk " << Iter << " never completed";
+    pollfd Pfd{Ch.PollFd, POLLIN, 0};
+    ::poll(&Pfd, 1, 100);
+  }
+  ASSERT_FALSE(Ch.Abnormal);
+  std::string Error;
+  ASSERT_TRUE(decodeChildReport(Ch.Buf, Spec, Config.Params, Rep, Error))
+      << Error;
+}
+
+TEST(TransportTest, CaughtUpRedispatchReadsCommittedState) {
+  // Slot 0's child is forked before another worker commits Shared = 42.
+  // With catch-up engaged, redispatching that resident child must replay
+  // the commit first, so the chunk copies 42 into Out — a redispatch that
+  // keeps the fork-time snapshot would copy the stale 1. The parent's own
+  // Shared stays 1, so only the pool's commit stream can deliver 42.
+  int64_t Shared = 1;
+  int64_t Out = 0;
+  LoopSpec Spec;
+  Spec.NumIterations = 2;
+  Spec.Body = [&Shared, &Out](TxnContext &Ctx, int64_t I) {
+    if (I == 1)
+      Ctx.store(&Out, Ctx.load(&Shared));
+  };
+  ExecutorConfig Config;
+  WorkerPool Pool(Spec, Config, /*NumSlots=*/2, /*AllowReuse=*/true);
+  ASSERT_TRUE(Pool.valid());
+
+  ChunkChannel Ch;
+  ChildReport First;
+  ASSERT_NO_FATAL_FAILURE(runOnSlotZero(Pool, Spec, Config, 0, Ch, First));
+  Pool.pushCommit(/*Worker=*/1, /*Chunk=*/0, First);
+
+  ChildReport Other;
+  const int64_t Committed = 42;
+  Other.Log.record(&Shared, &Committed, sizeof(Committed));
+  Pool.pushCommit(/*Worker=*/2, /*Chunk=*/7, Other);
+  Pool.engageCatchUp();
+
+  ChildReport Second;
+  ASSERT_NO_FATAL_FAILURE(runOnSlotZero(Pool, Spec, Config, 1, Ch, Second));
+  EXPECT_TRUE(Ch.Reused) << "the resident child must run the chunk";
+  EXPECT_EQ(Pool.childReuses(), 1u);
+  int64_t Seen = 0;
+  ASSERT_TRUE(Second.Log.lookup(&Out, &Seen, sizeof(Seen)));
+  EXPECT_EQ(Seen, Committed)
+      << "the redispatched chunk read its fork-time value, not committed "
+         "state";
+}
+
+TEST(TransportTest, CaughtUpChildrenKeepSharedCountersExact) {
+  // Each iteration increments one of a few shared counters, so chunks in
+  // flight together conflict and catch-up engages early; a + reduction
+  // rides along. A resident child that replayed less than its fresh
+  // snapshot claims would read a stale counter that WAW validation cannot
+  // see, and a counter would fall short of sequential execution.
+  constexpr int64_t N = 96;
+  constexpr int64_t M = 4;
+  for (ConflictPolicy Conflict : {ConflictPolicy::WAW, ConflictPolicy::RAW})
+    for (CommitOrderPolicy Order :
+         {CommitOrderPolicy::InOrder, CommitOrderPolicy::OutOfOrder}) {
+      SCOPED_TRACE(std::string(conflictPolicyName(Conflict)) +
+                   commitOrderPolicyName(Order));
+      std::vector<int64_t> Counters(M, 0);
+      double Sum = 0.0;
+      LoopSpec Spec;
+      Spec.NumIterations = N;
+      Spec.Reductions.push_back({"sum", &Sum, ScalarKind::F64});
+      Spec.Body = [&Counters](TxnContext &Ctx, int64_t I) {
+        int64_t *Cell = &Counters[static_cast<size_t>(I % M)];
+        Ctx.store(Cell, Ctx.load(Cell) + 1);
+        Ctx.redUpdateF(0, ReduceOp::Plus, static_cast<double>(I));
+      };
+      ExecutorConfig Config;
+      Config.NumWorkers = 3;
+      Config.Params.Conflict = Conflict;
+      Config.Params.CommitOrder = Order;
+      Config.Params.ChunkFactor = 1;
+      Config.Params.Reductions.push_back({0, ReduceOp::Plus});
+      Config.Transport = TransportKind::Ring;
+      PipelineExecutor Exec(Config);
+      const RunResult R = Exec.run(Spec);
+      ASSERT_TRUE(R.succeeded()) << R.Detail;
+      EXPECT_GT(R.Stats.NumRetries, 0u) << "catch-up never engaged";
+      EXPECT_GT(R.Stats.ChildReuses, 0u) << "no resident child was reused";
+      EXPECT_EQ(Counters, std::vector<int64_t>(M, N / M));
+      EXPECT_EQ(Sum, static_cast<double>(N * (N - 1) / 2));
+    }
+}
+
+TEST(TransportTest, StaleWorkCommandIsDroppedWhole) {
+  // A command addressed to a dead predecessor (another attempt tag) must
+  // be consumed with its whole catch-up, so the next command — the one
+  // for this child — arrives intact.
+  int Fds[2];
+  ASSERT_EQ(::pipe(Fds), 0);
+  const auto Send = [&Fds](uint8_t Tag, int64_t Chunk, uint64_t CatchUpBytes,
+                           const std::vector<uint8_t> &CatchUp) {
+    WireNextCmd Cmd{};
+    Cmd.Chunk = Chunk;
+    Cmd.First = Chunk;
+    Cmd.Last = Chunk + 1;
+    Cmd.CatchUpBytes = CatchUpBytes;
+    Cmd.Tag = Tag;
+    std::vector<uint8_t> Msg(sizeof(Cmd));
+    std::memcpy(Msg.data(), &Cmd, sizeof(Cmd));
+    Msg.insert(Msg.end(), CatchUp.begin(), CatchUp.end());
+    ASSERT_EQ(::write(Fds[1], Msg.data(), Msg.size()),
+              static_cast<ssize_t>(Msg.size()));
+  };
+  const std::vector<uint8_t> Stale(300, 0xaa);
+  std::vector<uint8_t> Fresh(40);
+  std::iota(Fresh.begin(), Fresh.end(), uint8_t{1});
+  Send(5, 10, Stale.size(), Stale);
+  Send(7, 11, Fresh.size(), Fresh);
+
+  WireNextCmd Cmd;
+  std::vector<uint8_t> CatchUp;
+  ASSERT_EQ(readWorkCommand(Fds[0], 7, Cmd, CatchUp), WorkCmdStatus::Ok);
+  EXPECT_EQ(Cmd.Chunk, 11);
+  EXPECT_EQ(Cmd.Tag, 7);
+  EXPECT_EQ(CatchUp, Fresh);
+
+  // An oversized claim is refused before any payload is read or allocated.
+  Send(7, 12, MaxCatchUpBytes + 1, {});
+  EXPECT_EQ(readWorkCommand(Fds[0], 7, Cmd, CatchUp),
+            WorkCmdStatus::Malformed);
+  ::close(Fds[1]);
+  EXPECT_EQ(readWorkCommand(Fds[0], 7, Cmd, CatchUp), WorkCmdStatus::Closed);
+  ::close(Fds[0]);
+}
+
+TEST(TransportTest, CommitRecordsReplayInOrderAndRejectTruncation) {
+  int64_t Cell = 0;
+  double Sum = 1.0;
+  LoopSpec Spec;
+  Spec.Reductions.push_back({"sum", &Sum, ScalarKind::F64});
+  ExecutorConfig Config;
+  std::vector<uint8_t> Records;
+  for (int64_t V : {5, 9}) {
+    ChildReport Rep;
+    Rep.Log.record(&Cell, &V, sizeof(V));
+    Rep.Slots.resize(1);
+    Rep.Slots[0].Active = true;
+    Rep.Slots[0].Touched = true;
+    Rep.Slots[0].Op = ReduceOp::Plus;
+    Rep.Slots[0].Acc = RedValue::ofF64(static_cast<double>(V));
+    appendCommitRecord(Records, /*Worker=*/1, Rep);
+  }
+  ASSERT_TRUE(replayCommitRecords(Spec, Config, Records.data(),
+                                  Records.size()));
+  EXPECT_EQ(Cell, 9) << "records replay in commit order";
+  EXPECT_EQ(Sum, 15.0);
+
+  // Cut into the second record's log, into its header, and into the
+  // first record's header.
+  for (size_t Cut : {size_t{1}, Records.size() / 2 - 3, Records.size() - 3})
+    EXPECT_FALSE(replayCommitRecords(Spec, Config, Records.data(),
+                                     Records.size() - Cut))
+        << "a record cut " << Cut << " bytes short must be rejected";
+  EXPECT_TRUE(replayCommitRecords(Spec, Config, nullptr, 0));
 }
 
 TEST(TransportTest, TemplateRefreshHonorsCommitBudget) {
