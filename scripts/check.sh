@@ -76,7 +76,8 @@
 # ALTER_FAULTS plan driven end to end with ALTER_TRANSPORT=ring, and a
 # validation pass over the bench JSON asserting the ring transport copies
 # orders of magnitude fewer wire bytes than the pipe and actually reaches
-# the fork-free steady state (child_reuses > 0 on the pipelined engine).
+# the fork-free steady state (child_reuses > 0 on the pipelined engine),
+# plus the cross-engine equivalence suite on ALTER_TRANSPORT=pipe.
 
 set -euo pipefail
 
@@ -256,6 +257,11 @@ pool_stage() { # pool_stage <build-dir>
     --gtest_brief=1
   "$DIR/tests/robustness_test" \
     --gtest_filter='PoolFaultMatrixTest.*:PoolLifetimeTest.*' --gtest_brief=1
+
+  echo "== pool smoke: ForkJoin vs Lockstep bit-identity on the pipe transport ($DIR) =="
+  # ctest drives CrossEngineTest on the default ring transport; this run
+  # covers the cold-fork path of the shared dispatch core.
+  ALTER_TRANSPORT=pipe "$DIR/tests/cross_engine_test" --gtest_brief=1
 
   echo "== pool smoke: ring-corruption env plan on ALTER_TRANSPORT=ring ($DIR) =="
   # A torn ring record (truncate), a bit-flipped one, and a poisoned

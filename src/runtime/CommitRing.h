@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A single-producer/single-consumer byte ring in MAP_SHARED anonymous
-/// memory, carrying one worker slot's framed ALTER4 commit records from a
+/// memory, carrying one worker slot's framed commit records from a
 /// forked child to the parent without crossing a kernel pipe. The mapping
 /// is created by the parent before the worker-pool template forks, so the
 /// template and every re-forked child inherit the same physical pages; a
@@ -18,7 +18,7 @@
 /// followed by a power-of-two data area. Head is advanced only by the
 /// producer (child), Tail only by the consumer (parent); both are
 /// std::atomic<uint64_t> with acquire/release ordering, which is all SPSC
-/// needs. Records have no framing of their own — the ALTER4 frame
+/// needs. Records have no framing of their own — the commit frame
 /// (magic | length | CRC32) already delimits and protects them, so the
 /// parent can detect a complete record (wireFrameLooksComplete) and reject
 /// a torn or corrupted one through the same checked decode path as the

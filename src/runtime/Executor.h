@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The executor interface and shared configuration. Three engines implement
+/// The executor interface and shared configuration. Five engines implement
 /// it:
 ///
 ///  - SequentialExecutor: reference execution (and dependence probing).
@@ -13,10 +13,18 @@
 ///    full transaction protocol with a modeled parallel clock (DESIGN.md
 ///    §2's substitution for multicore hardware).
 ///  - ForkJoinExecutor: the paper's process-based fork–join engine using
-///    real fork() isolation and pipe-shipped commits.
+///    real fork() isolation; it retires each round through the same
+///    barrier step as LockstepExecutor (runtime/Round.h).
+///  - PipelineExecutor: the continuous-feed process engine — no rounds,
+///    each child's report validates against the commits since its
+///    snapshot. Both process engines run on DispatchCore.
+///  - StagePipelineExecutor: the PS-DSWP stage pipeline (one sequential
+///    stage in the parent, resident replica children for the other).
 ///
-/// All engines are deterministic: output depends only on (program input,
-/// NumWorkers, chunk factor, runtime parameters) — paper §4.3.
+/// The lock-step engines (Lockstep, ForkJoin) are deterministic: output
+/// depends only on (program input, NumWorkers, chunk factor, runtime
+/// parameters) — paper §4.3. The pipelined engines reach an outcome
+/// equivalent to a serial execution in their reported CommitOrder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -202,10 +210,10 @@ struct ExecutorConfig {
 
   /// Metrics collection for this run (defaults to the ALTER_METRICS-derived
   /// process setting). When on, children record per-chunk latency/size
-  /// histograms and ship them in the ALTER5 METRICS wire section, the
+  /// histograms and ship them in the commit frame's METRICS section, the
   /// parent records validate/commit latencies and merges everything into
   /// RunResult::Metrics, and the timeline sampler below runs. When off,
-  /// children emit the byte-identical ALTER4 frames of previous releases.
+  /// that section is empty.
   bool Metrics = globalMetricsEnabled();
 
   /// Minimum trace-clock ns between timeline samples. Sampling piggybacks

@@ -7,6 +7,7 @@
 #include "runtime/LockstepExecutor.h"
 
 #include "runtime/ConflictDetector.h"
+#include "runtime/Round.h"
 #include "runtime/TraceSink.h"
 #include "support/Format.h"
 #include "support/Timer.h"
@@ -66,16 +67,16 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
     // Step 2a: workers pick up the next chunks in program order.
     const unsigned RoundSize =
         static_cast<unsigned>(std::min<int64_t>(P, Pending.size()));
-    std::vector<int64_t> RoundChunks(Pending.begin(),
-                                     Pending.begin() + RoundSize);
+    std::vector<RoundTxn> Round(RoundSize);
+    for (unsigned W = 0; W != RoundSize; ++W)
+      Round[W].Chunk = Pending[W];
     Pending.erase(Pending.begin(), Pending.begin() + RoundSize);
 
     // Step 2b: execute in isolation, tracking read/write sets.
-    std::vector<TxnCost> Costs(RoundSize);
     for (unsigned W = 0; W != RoundSize; ++W) {
       TxnContext &Ctx = *Contexts[W];
       Ctx.beginTxn();
-      const int64_t First = RoundChunks[W] * Cf;
+      const int64_t First = Round[W].Chunk * Cf;
       const int64_t Last =
           std::min<int64_t>(First + Cf, Spec.NumIterations);
       const uint64_t TraceT0 = Sink.events() ? traceNowNs() : 0;
@@ -85,31 +86,25 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
       // Unwind the direct writes so the next round-mate sees the committed
       // snapshot (the paper's per-process isolation, step 2b).
       Ctx.suspendTxn();
-      Costs[W].WorkNs = nowNs() - T0;
-      Costs[W].BytesTouched = Ctx.memTrafficBytes();
+      Round[W].Cost.WorkNs = nowNs() - T0;
+      Round[W].Cost.BytesTouched = Ctx.memTrafficBytes();
+      Round[W].Cost.CommitBytes = Ctx.writeLog().dataBytes();
       if (Sink.events())
         Sink.event(TraceEventKind::ChunkExec, /*Worker=*/W + 1,
-                   RoundChunks[W], TraceT0, traceNowNs() - TraceT0,
+                   Round[W].Chunk, TraceT0, traceNowNs() - TraceT0,
                    /*Arg0=*/Ctx.readSet().sizeWords(),
                    /*Arg1=*/Ctx.writeSet().sizeWords());
       if (Ctx.limitExceeded()) {
         Result.Status = RunStatus::Crash;
         Result.Detail = strprintf(
             "transaction for chunk %lld exceeded the access-set memory cap",
-            static_cast<long long>(RoundChunks[W]));
+            static_cast<long long>(Round[W].Chunk));
         Result.Stats.RealTimeNs = nowNs() - RealStart;
         Sink.finish(Result);
         return Result;
       }
-    }
-
-    // Step 2c: validate and commit one after another in deterministic
-    // (ascending program) order.
-    Detector.resetRound();
-    const uint64_t CheckWordsBase = Detector.wordsChecked();
-    bool InOrderBroken = false;
-    for (unsigned W = 0; W != RoundSize; ++W) {
-      TxnContext &Ctx = *Contexts[W];
+      Round[W].Reads = &Ctx.readSet();
+      Round[W].Writes = &Ctx.writeSet();
       ++Result.Stats.NumTransactions;
       Result.Stats.ReadSetWords.add(
           static_cast<double>(Ctx.readSet().sizeWords()));
@@ -119,63 +114,24 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
       Result.Stats.InstrWriteCalls += Ctx.instrWriteCalls();
       Result.Stats.BytesRead += Ctx.bytesRead();
       Result.Stats.BytesWritten += Ctx.bytesWritten();
-
-      const uint64_t WordsBefore = Detector.wordsChecked();
-      const uint64_t ValT0 = Sink.events() ? traceNowNs() : 0;
-      // Preserve the short-circuit: a broken in-order prefix fails the
-      // chunk without running a conflict check.
-      bool Failed = InOrderBroken;
-      if (!Failed)
-        Failed = Detector.hasConflict(Ctx.readSet(), Ctx.writeSet());
-      const uintptr_t Witness =
-          InOrderBroken ? 0 : Detector.lastConflictWord();
-      Costs[W].CheckWords = Detector.wordsChecked() - WordsBefore;
-      if (Sink.events())
-        Sink.event(TraceEventKind::Validate, /*Worker=*/0, RoundChunks[W],
-                   ValT0, traceNowNs() - ValT0, /*Arg0=*/Failed ? 1 : 0,
-                   /*Arg1=*/Witness);
-      if (Failed) {
-        ++Result.Stats.NumRetries;
-        if (Sink.counters())
-          Sink.conflict(RoundChunks[W], Witness);
-        if (Sink.events())
-          Sink.event(TraceEventKind::Retry, /*Worker=*/0, RoundChunks[W],
-                     traceNowNs());
-        Ctx.abortTxn();
-        if (Config.Params.CommitOrder == CommitOrderPolicy::InOrder)
-          InOrderBroken = true;
-        // Re-queue in program order: retried chunks precede younger ones.
-        Pending.push_front(RoundChunks[W]);
-        continue;
-      }
-      ++Result.Stats.NumCommitted;
-      Costs[W].Committed = true;
-      Costs[W].CommitBytes = Ctx.writeLog().dataBytes();
-      Detector.recordCommit(Ctx.writeSet());
-      Ctx.commitTxn();
-      Result.CommitOrder.push_back(RoundChunks[W]);
-      if (Sink.events())
-        Sink.event(TraceEventKind::Commit, /*Worker=*/0, RoundChunks[W],
-                   traceNowNs(), 0,
-                   /*Arg0=*/Ctx.writeLog().dataBytes());
-    }
-    (void)CheckWordsBase;
-    // Failed chunks were pushed to the front in ascending order of W, which
-    // reverses them; restore ascending order.
-    {
-      unsigned Retried = 0;
-      for (unsigned W = 0; W != RoundSize; ++W)
-        if (!Costs[W].Committed)
-          ++Retried;
-      if (Retried > 1)
-        std::reverse(Pending.begin(), Pending.begin() + Retried);
     }
 
-    // Step 2d: advance the modeled parallel clock past the barrier.
-    Result.Stats.SimTimeNs += Config.Costs->roundNs(Costs, P);
-    if (Sink.events())
-      Sink.event(TraceEventKind::RoundBarrier, /*Worker=*/0, /*Chunk=*/-1,
-                 traceNowNs(), 0, /*Arg0=*/Result.Stats.NumRounds);
+    // Step 2c: validate and commit one after another in deterministic
+    // (ascending program) order; step 2d: advance the modeled parallel
+    // clock past the barrier.
+    retireRound(Round, Detector, Sink, Config, Result, Pending,
+                [&](unsigned W) {
+                  TxnContext &Ctx = *Contexts[W];
+                  Ctx.commitTxn();
+                  Result.CommitOrder.push_back(Round[W].Chunk);
+                  if (Sink.events())
+                    Sink.event(TraceEventKind::Commit, /*Worker=*/0,
+                               Round[W].Chunk, traceNowNs(), 0,
+                               /*Arg0=*/Ctx.writeLog().dataBytes());
+                });
+    for (unsigned W = 0; W != RoundSize; ++W)
+      if (!Round[W].Cost.Committed)
+        Contexts[W]->abortTxn();
 
     if (DeadlineSimNs != 0 &&
         AccumulatedSimNs + Result.Stats.SimTimeNs > DeadlineSimNs) {

@@ -40,9 +40,14 @@
 ///    theorems promise. A starvation guard drains the pipeline and runs a
 ///    repeatedly-conflicting chunk solo, guaranteeing progress.
 ///
-/// A child that dies of a signal, exits abnormally, or trips a resource cap
-/// surfaces as RunStatus::Crash; remaining in-flight children are killed
-/// and reaped before returning.
+/// Launching, reaping, decoding and commit application are the fork
+/// engines' shared mechanism (DispatchCore); this engine is the
+/// continuous-feed policy on top of it: epoch validation, the InOrder
+/// buffer, the starvation guard, and resident-child catch-up. A child that
+/// dies of a signal or exits abnormally is retried until its chunk exhausts
+/// the fault budget, and one that trips a resource cap ends the run; either
+/// way the run surfaces as RunStatus::Crash, with every remaining
+/// in-flight child killed and reaped before returning.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -39,9 +39,7 @@
 #include <vector>
 
 #include <poll.h>
-#include <sys/resource.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/prctl.h>
@@ -53,7 +51,7 @@ namespace {
 
 //===----------------------------------------------------------------------===
 // STGQ records: the parent -> replica dispatch (and, for ParFirst plans, the
-// replica -> parent token report appended after the ALTER4 commit frame).
+// replica -> parent token report appended after the commit frame).
 // Framed exactly like the commit wire — magic | payload length | CRC32 — so
 // a corrupted queue record is REJECTED by the consumer, never trusted.
 //===----------------------------------------------------------------------===
@@ -155,34 +153,9 @@ bool decodeStageCmd(const uint8_t *Bytes, size_t Size, StageCmd &Cmd,
 // Replica child side
 //===----------------------------------------------------------------------===
 
-/// Local copy of the kernel-enforced per-child caps (the TxnWire original
-/// is file-local there). Best-effort, matching that behavior.
-void applyStageRlimits(const ExecutorConfig &Config) {
-  if (Config.ChildCpuSeconds != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildCpuSeconds);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildCpuSeconds + 1);
-    (void)::setrlimit(RLIMIT_CPU, &R);
-  }
-  if (Config.ChildAddressSpaceBytes != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    (void)::setrlimit(RLIMIT_AS, &R);
-  }
-}
-
-void stageSleepNs(uint64_t Ns) {
-  timespec Ts;
-  Ts.tv_sec = static_cast<time_t>(Ns / 1000000000ULL);
-  Ts.tv_nsec = static_cast<long>(Ns % 1000000000ULL);
-  while (::nanosleep(&Ts, &Ts) != 0 && errno == EINTR)
-    ;
-}
-
 /// Executes one replica chunk: the plan's replicated stage, transactionally,
-/// then ships the framed ALTER4 commit message (and, for ParFirst, the STGQ
-/// token report) into \p OutRing with doorbells through \p Bell.
+/// then ships the framed commit message (and, for ParFirst, the STGQ token
+/// report) into \p OutRing with doorbells through \p Bell.
 template <typename BellFn>
 void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
                    const ExecutorConfig &Config, unsigned Worker,
@@ -229,21 +202,7 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
 
   std::vector<uint8_t> Message =
       encodeCommitFrame(Ctx, Config, Worker, Cmd.Chunk, WorkNs, Trace);
-  if (Cmd.Fault.Armed) {
-    switch (Cmd.Fault.Kind) {
-    case FaultKind::PipeTruncate:
-      faultTruncateWire(Message, Cmd.Fault.Seed, Cmd.Fault.Chunk);
-      break;
-    case FaultKind::BitFlip:
-      faultBitFlipWire(Message, Cmd.Fault.Seed, Cmd.Fault.Chunk);
-      break;
-    case FaultKind::Stall:
-      stageSleepNs(Cmd.Fault.StallNs);
-      break;
-    default:
-      break; // parent-side kinds were consumed before dispatch
-    }
-  }
+  applyFrameFault(Message, Cmd.Fault);
   OutRing.pushAll(Message.data(), Message.size(),
                   [&] { Bell(RingDoorbellData); });
   if (Spec.Stage.Order == StageOrder::ParFirst) {
@@ -272,7 +231,7 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
   // core and re-run parent atexit handlers from the fork image.
   markForkedChild();
   ::signal(SIGPIPE, SIG_IGN);
-  applyStageRlimits(Config);
+  applyChildRlimits(Config);
 
   const auto Bell = [&](uint8_t Kind) {
     const uint8_t B =
@@ -859,14 +818,14 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
                            : "stage replica terminated abnormally");
   };
 
-  // Tries to cut one complete report (ALTER4 frame + ParFirst token frame)
+  // Tries to cut one complete report (commit frame + ParFirst token frame)
   // from worker \p W's drained bytes. Returns false when more bytes are
   // needed; rejections go through chunkFault.
   auto completeWorker = [&](unsigned W) -> bool {
     StageWorker &SW = Workers[W];
     if (!wireFrameLooksComplete(SW.Buf.data(), SW.Buf.size()))
       return false;
-    // Slice the exact ALTER4 frame: the decoder demands an exact-length
+    // Slice the exact commit frame: the decoder demands an exact-length
     // buffer. A corrupt magic poisons the length field, so hand the whole
     // buffer over and let the decode reject it.
     size_t FrameLen = SW.Buf.size();

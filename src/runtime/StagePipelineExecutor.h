@@ -11,7 +11,7 @@
 /// children execute the parallel stage. Inter-stage tokens travel through
 /// per-replica CommitRing queues as CRC-framed records with attempt-tagged
 /// doorbells; replica chunks validate and commit through the unchanged
-/// ConflictDetector / TxnWire (ALTER4) path, and chunks retire strictly in
+/// ConflictDetector / TxnWire commit-frame path, and chunks retire strictly in
 /// order at the frontier.
 ///
 /// Unlike chunked speculation, the stages are NOT speculative against each

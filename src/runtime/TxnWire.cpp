@@ -100,9 +100,6 @@ private:
   bool Failed = false;
 };
 
-constexpr uint64_t MessageMagicV3 = 0x33414c544552ULL; // "ALTER3"
-constexpr uint64_t MessageMagicV4 = 0x34414c544552ULL; // "ALTER4"
-constexpr uint64_t MessageMagicV5 = 0x35414c544552ULL; // "ALTER5"
 constexpr size_t FrameHeaderBytes = 3 * sizeof(uint64_t);
 
 /// Fixed wire size of one TRACE-section event: 6 u64 slots (StartNs, DurNs,
@@ -119,10 +116,12 @@ void writeAllToPipe(int Fd, const void *Data, size_t Size) {
     _exit(11); // cannot report further; parent sees an abnormal exit
 }
 
-/// Applies the kernel-enforced per-child caps. Best-effort: lowering a
-/// limit cannot fail for an unprivileged process, and a cap that cannot be
-/// applied leaves the parent deadline as the (slower) backstop.
-void applyChildRlimits(const ExecutorConfig &Config) {
+} // namespace
+
+void alter::applyChildRlimits(const ExecutorConfig &Config) {
+  // Best-effort: lowering a limit cannot fail for an unprivileged process,
+  // and a cap that cannot be applied leaves the parent deadline as the
+  // (slower) backstop.
   if (Config.ChildCpuSeconds != 0) {
     rlimit R;
     R.rlim_cur = static_cast<rlim_t>(Config.ChildCpuSeconds);
@@ -137,15 +136,29 @@ void applyChildRlimits(const ExecutorConfig &Config) {
   }
 }
 
-void sleepNs(uint64_t Ns) {
-  timespec Ts;
-  Ts.tv_sec = static_cast<time_t>(Ns / 1000000000ULL);
-  Ts.tv_nsec = static_cast<long>(Ns % 1000000000ULL);
-  while (::nanosleep(&Ts, &Ts) != 0 && errno == EINTR)
-    ;
+void alter::applyFrameFault(std::vector<uint8_t> &Frame,
+                            const ArmedFault &Fault) {
+  if (!Fault.Armed)
+    return;
+  switch (Fault.Kind) {
+  case FaultKind::PipeTruncate:
+    faultTruncateWire(Frame, Fault.Seed, Fault.Chunk);
+    break;
+  case FaultKind::BitFlip:
+    faultBitFlipWire(Frame, Fault.Seed, Fault.Chunk);
+    break;
+  case FaultKind::Stall: {
+    timespec Ts;
+    Ts.tv_sec = static_cast<time_t>(Fault.StallNs / 1000000000ULL);
+    Ts.tv_nsec = static_cast<long>(Fault.StallNs % 1000000000ULL);
+    while (::nanosleep(&Ts, &Ts) != 0 && errno == EINTR)
+      ;
+    break;
+  }
+  default:
+    break; // parent-side kinds are consumed before dispatch
+  }
 }
-
-} // namespace
 
 uint32_t alter::wireCrc32(const uint8_t *Data, size_t Size) {
   static uint32_t Table[256];
@@ -266,7 +279,7 @@ namespace {
 
 /// Child-side core shared by the pipe and ring transports: applies the
 /// rlimit caps, executes the chunk transactionally, serializes the framed
-/// ALTER4 message, and applies any armed wire-corruption or stall fault.
+/// message, and applies any armed wire-corruption or stall fault.
 /// The crash/kill faults raise inside, so this returns only on the report
 /// path. The assembled (possibly corrupted) message is ready to ship
 /// verbatim over either transport.
@@ -313,21 +326,7 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
 
   std::vector<uint8_t> Message =
       encodeCommitFrame(Ctx, Config, Worker, Chunk, WorkNs, Trace, Metrics);
-  if (Fault.Armed) {
-    switch (Fault.Kind) {
-    case FaultKind::PipeTruncate:
-      faultTruncateWire(Message, Fault.Seed, Fault.Chunk);
-      break;
-    case FaultKind::BitFlip:
-      faultBitFlipWire(Message, Fault.Seed, Fault.Chunk);
-      break;
-    case FaultKind::Stall:
-      sleepNs(Fault.StallNs);
-      break;
-    default:
-      break; // parent-side kinds handled before fork
-    }
-  }
+  applyFrameFault(Message, Fault);
   return Message;
 }
 
@@ -367,8 +366,8 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
   // The METRICS blob must be serialized before the CommitAttempt event so
   // the event's wire-size prediction is exact, and the recordings must land
   // before the blob so this frame carries its own serialize latency and
-  // sizes. WireFrameBytes deliberately excludes the optional trace/metrics
-  // sections — the registry cannot contain its own size.
+  // sizes. WireFrameBytes deliberately excludes the trace/metrics sections
+  // — the registry cannot contain its own size.
   std::vector<uint8_t> MetricsBlob;
   if (Metrics) {
     Metrics->record(HistogramId::SerializeNs, nowNs() - SerT0);
@@ -381,8 +380,7 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
     Metrics->serialize(MetricsBlob);
     Metrics->reset(); // each frame ships deltas since the previous one
   }
-  const uint64_t MetricsSectionBytes =
-      Metrics ? sizeof(uint64_t) + MetricsBlob.size() : 0;
+  const uint64_t MetricsSectionBytes = sizeof(uint64_t) + MetricsBlob.size();
 
   if (Trace.events()) {
     Trace.record(TraceEventKind::Serialize, Worker, Chunk, traceNowNs(), 0,
@@ -421,8 +419,8 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
   W.u64(Config.Allocator ? Config.Allocator->bumpOffset(Worker) : 0);
   W.u64(RawBytes);
   W.raw(Body.bytes().data(), Body.bytes().size());
-  // TRACE section: count, then fixed-size events. Always present in an
-  // ALTER4 frame; the count is simply 0 below TraceLevel::Events.
+  // TRACE section: count, then fixed-size events. Always present; the
+  // count is simply 0 below TraceLevel::Events.
   W.u64(Trace.buffer().size());
   for (const TraceEvent &E : Trace.buffer()) {
     W.u64(E.StartNs);
@@ -434,16 +432,15 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
           (static_cast<uint64_t>(E.Kind) << 32));
   }
 
-  // METRICS section (ALTER5 only): blob length, then the sparse registry.
-  if (Metrics) {
-    W.u64(MetricsBlob.size());
-    W.raw(MetricsBlob.data(), MetricsBlob.size());
-  }
+  // METRICS section: blob length (0 with metrics off), then the sparse
+  // registry.
+  W.u64(MetricsBlob.size());
+  W.raw(MetricsBlob.data(), MetricsBlob.size());
 
   // Frame the payload: magic | payload length | CRC32. The parent verifies
   // all three before trusting a byte of the payload.
   ByteWriter Framed;
-  Framed.u64(Metrics ? MessageMagicV5 : MessageMagicV4);
+  Framed.u64(CommitFrameMagic);
   Framed.u64(W.bytes().size());
   Framed.u64(wireCrc32(W.bytes().data(), W.bytes().size()));
   Framed.raw(W.bytes().data(), W.bytes().size());
@@ -638,8 +635,7 @@ bool alter::wireFrameLooksComplete(const uint8_t *Bytes, size_t Size) {
     return false;
   uint64_t Magic, PayloadLen;
   std::memcpy(&Magic, Bytes, sizeof(Magic));
-  if (Magic != MessageMagicV3 && Magic != MessageMagicV4 &&
-      Magic != MessageMagicV5)
+  if (Magic != CommitFrameMagic)
     return true; // corrupt header: length untrustworthy, let decode reject
   std::memcpy(&PayloadLen, Bytes + sizeof(uint64_t), sizeof(PayloadLen));
   // Overflow-safe: compare payload bytes present, not header + length.
@@ -655,9 +651,7 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     return false;
   }
   ByteReader R(Bytes.data(), Bytes.size());
-  const uint64_t Magic = R.u64();
-  if (Magic != MessageMagicV3 && Magic != MessageMagicV4 &&
-      Magic != MessageMagicV5) {
+  if (R.u64() != CommitFrameMagic) {
     Error = "bad message magic";
     return false;
   }
@@ -733,22 +727,11 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     Error = "message length inconsistent with contents";
     return false;
   }
-  if (Magic == MessageMagicV3) {
-    // V3 frames end at the reduction slots.
-    if (!R.exhausted()) {
-      Error = "message length inconsistent with contents";
-      return false;
-    }
-    return true;
-  }
 
-  // V4/V5: the TRACE section. Bound the allocation by the physical bytes
-  // remaining; a V4 frame must end with it (consume exactly), a V5 frame
-  // is followed by the METRICS section, which consumes the rest.
+  // The TRACE section. Bound the allocation by the physical bytes
+  // remaining; the METRICS section after it consumes the rest.
   const uint64_t NumEvents = R.u64();
-  if (R.failed() || NumEvents > R.remaining() / TraceEventWireBytes ||
-      (Magic == MessageMagicV4 &&
-       NumEvents * TraceEventWireBytes != R.remaining())) {
+  if (R.failed() || NumEvents > R.remaining() / TraceEventWireBytes) {
     Error = "corrupt trace section";
     return false;
   }
@@ -770,25 +753,20 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     E.Kind = static_cast<TraceEventKind>(Kind);
     Rep.Trace.push_back(E);
   }
-  if (Magic == MessageMagicV4) {
-    if (R.failed() || !R.exhausted()) {
-      Error = "message length inconsistent with contents";
-      return false;
-    }
-    return true;
-  }
 
-  // V5: the METRICS section — blob length, then the sparse registry, which
-  // must consume the remaining bytes exactly. The blob's internal
-  // consistency (ids in range, bucket totals matching counts) is checked
-  // by the registry decoder; any violation rejects the whole frame.
+  // The METRICS section — blob length, then the sparse registry, which
+  // must consume the remaining bytes exactly; an empty blob means metrics
+  // were off. The blob's internal consistency (ids in range, bucket totals
+  // matching counts) is checked by the registry decoder; any violation
+  // rejects the whole frame.
   const uint64_t MetricsBytes = R.u64();
   if (R.failed() || MetricsBytes != R.remaining()) {
     Error = "corrupt metrics section";
     return false;
   }
   const uint8_t *Blob = R.raw(static_cast<size_t>(MetricsBytes));
-  if (!MetricsRegistry::deserialize(Blob, static_cast<size_t>(MetricsBytes),
+  if (MetricsBytes != 0 &&
+      !MetricsRegistry::deserialize(Blob, static_cast<size_t>(MetricsBytes),
                                     Rep.Metrics)) {
     Error = "corrupt metrics blob";
     return false;

@@ -32,19 +32,17 @@
 ///    structural inconsistencies instead of aborting;
 ///  - pipe I/O retries on EINTR and treats hard errors as truncation.
 ///
-/// Versioning: with metrics off children emit "ALTER4" frames, which
-/// append an optional TRACE section after the reduction slots — a u64
-/// event count followed by that many fixed-size (6 x u64) TraceEvents
-/// recorded inside the child (chunk start/exec, serialize, commit
-/// attempt). With metrics on (ExecutorConfig::Metrics) they emit "ALTER5"
-/// frames, which append one more section after TRACE: METRICS, a u64 blob
-/// length followed by the child's sparse MetricsRegistry wire form
-/// (per-chunk latency/size histograms, take-and-reset per frame). Counts
-/// and lengths are validated against the physical bytes remaining before
-/// any allocation, and the decoder still accepts "ALTER4" and "ALTER3"
-/// frames (each of which must end at its last section), so a parent with
-/// this decoder understands all three formats — and a metrics-off run is
-/// byte-identical to the previous release.
+/// One format, one magic (CommitFrameMagic): parent and children are forks
+/// of one binary and frames never persist, so there is nothing to stay
+/// compatible with. After the reduction slots every frame carries two
+/// sections: TRACE, a u64 event count followed by that many fixed-size
+/// (6 x u64) TraceEvents recorded inside the child (chunk start/exec,
+/// serialize, commit attempt; the count is 0 below TraceLevel::Events),
+/// and METRICS, a u64 blob length followed by the child's sparse
+/// MetricsRegistry wire form (per-chunk latency/size histograms,
+/// take-and-reset per frame; the length is 0 with metrics off). Counts and
+/// lengths are validated against the physical bytes remaining before any
+/// allocation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,13 +83,27 @@ struct ChildReport {
   WriteLog Log;
   std::vector<TxnContext::RedSlotState> Slots;
   /// Child-side trace events from the message's TRACE section (empty below
-  /// TraceLevel::Events or for ALTER3 frames).
+  /// TraceLevel::Events).
   std::vector<TraceEvent> Trace;
-  /// Child-side metrics from the message's METRICS section (empty for
-  /// ALTER3/ALTER4 frames, i.e. whenever the run has metrics off). The
-  /// parent merges it into RunResult::Metrics.
+  /// Child-side metrics from the message's METRICS section (empty whenever
+  /// the run has metrics off). The parent merges it into
+  /// RunResult::Metrics.
   MetricsRegistry Metrics;
 };
+
+/// The first u64 of every commit frame ("ALTER5", little-endian).
+constexpr uint64_t CommitFrameMagic = 0x35414c544552ULL;
+
+/// Child side: applies the kernel-enforced per-child caps from \p Config
+/// (RLIMIT_CPU, RLIMIT_AS). Shared by every forked chunk child: the fork
+/// engines' and the stage engine's replicas.
+void applyChildRlimits(const ExecutorConfig &Config);
+
+/// Child side: applies an armed wire fault to \p Frame just before it
+/// ships — truncation, a bit flip, or a stall. Every other kind is a no-op
+/// here (crash and kill faults strike during execution, parent-side kinds
+/// before dispatch).
+void applyFrameFault(std::vector<uint8_t> &Frame, const ArmedFault &Fault);
 
 /// Child side: executes iterations [\p FirstIter, \p LastIter) of chunk
 /// \p Chunk of \p Spec transactionally as \p Worker, writes the framed
@@ -169,7 +181,7 @@ bool replayCommitRecords(const LoopSpec &Spec, const ExecutorConfig &Config,
                          const uint8_t *Data, size_t Size);
 
 /// Ring-transport variant of runWireChild: same transactional execution
-/// and byte-identical ALTER4 frame, but the message is published into
+/// and the same frame, but the message is published into
 /// \p Ring (shared with the parent) instead of a pipe, with a
 /// (RingDoorbellData | \p DoorbellTag) byte written to \p DoorbellFd after
 /// every accepted piece so the parent's poll loop wakes to drain, and a
@@ -196,12 +208,11 @@ bool replayCommitRecords(const LoopSpec &Spec, const ExecutorConfig &Config,
 /// block behind runWireChild, exposed so other transactional children (the
 /// stage-pipeline workers) can ship through the identical validate/commit
 /// path. Records the Serialize/CommitAttempt trace events into \p Trace
-/// before encoding the TRACE section. With \p Metrics null the frame is
-/// the byte-identical ALTER4 format of previous releases; with a registry
-/// the frame is ALTER5 and carries the registry (after recording this
-/// frame's serialize latency and sizes into it) in the METRICS section,
-/// then RESETS it — each frame ships the deltas since the previous one, so
-/// the parent-side merge across frames double-counts nothing.
+/// before encoding the TRACE section. With \p Metrics null the METRICS
+/// section is empty; with a registry it carries the registry (after
+/// recording this frame's serialize latency and sizes into it), then
+/// RESETS it — each frame ships the deltas since the previous one, so the
+/// parent-side merge across frames double-counts nothing.
 std::vector<uint8_t> encodeCommitFrame(TxnContext &Ctx,
                                        const ExecutorConfig &Config,
                                        unsigned Worker, int64_t Chunk,

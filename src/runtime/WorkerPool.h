@@ -15,7 +15,7 @@
 /// process whose memory is kept equal to COMMITTED state by streaming
 /// every commit to it (write log, reduction slots, arena cursors) over a
 /// control pipe, in commit order. Per-chunk children are then re-forked
-/// FROM THE TEMPLATE on command and publish their ALTER4 records into
+/// FROM THE TEMPLATE on command and publish their commit frames into
 /// their slot's CommitRing; only 1-byte doorbells cross pipes.
 ///
 /// Control protocol (parent -> template, framed commands, FIFO):

@@ -8,7 +8,7 @@
 /// Allocation-free metrics for the speculative runtime: named counters,
 /// gauges, and log-bucketed (HDR-style) latency/size histograms that merge
 /// across processes. Children record per-chunk distributions and ship the
-/// registry in the optional METRICS wire section (ALTER5); the parent
+/// registry in the commit frame's METRICS section; the parent
 /// merges child registries like trace events, adds its own validate/commit
 /// latencies, and exposes the result on RunResult.
 ///

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <sys/wait.h>
@@ -36,23 +37,17 @@ std::vector<uint8_t> patternBytes(size_t N, uint8_t Seed) {
   return Out;
 }
 
-/// A minimal well-formed frame header (ALTER4 magic, PayloadLen, CRC32)
-/// followed by PayloadLen payload bytes. The CRC is real, so the only
-/// reason the full decode would reject it is structural (which these tests
-/// don't reach — they stop at frame completion).
+/// A minimal well-formed frame header (magic, PayloadLen, CRC32) followed
+/// by PayloadLen payload bytes. The CRC is real, so the only reason the
+/// full decode would reject it is structural (which these tests don't
+/// reach — they stop at frame completion).
 std::vector<uint8_t> framedRecord(uint64_t PayloadLen) {
-  const uint64_t Magic = 0x34414c544552ULL; // "ALTER4"
-  std::vector<uint8_t> Payload(static_cast<size_t>(PayloadLen), 0x5a);
-  const uint64_t Crc = wireCrc32(Payload.data(), Payload.size());
-  std::vector<uint8_t> Out;
-  const auto PutU64 = [&Out](uint64_t V) {
-    const uint8_t *P = reinterpret_cast<const uint8_t *>(&V);
-    Out.insert(Out.end(), P, P + sizeof(V));
-  };
-  PutU64(Magic);
-  PutU64(PayloadLen);
-  PutU64(Crc);
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
+  const std::vector<uint8_t> Payload(static_cast<size_t>(PayloadLen), 0x5a);
+  const uint64_t Header[3] = {CommitFrameMagic, PayloadLen,
+                              wireCrc32(Payload.data(), Payload.size())};
+  std::vector<uint8_t> Out(sizeof(Header) + Payload.size());
+  std::memcpy(Out.data(), Header, sizeof(Header));
+  std::copy(Payload.begin(), Payload.end(), Out.begin() + sizeof(Header));
   return Out;
 }
 

@@ -190,8 +190,7 @@ TEST(MetricsRegistryTest, SerializeDeserializeRoundTrips) {
 namespace {
 
 /// Executes a small disjoint-stores chunk transactionally and encodes its
-/// commit frame, with or without a child metrics registry (ALTER5 vs
-/// ALTER4).
+/// commit frame, with or without a child metrics registry.
 std::vector<uint8_t> encodeTestFrame(const LoopSpec &Spec,
                                      const ExecutorConfig &Config,
                                      std::vector<int64_t> &Data,
@@ -216,7 +215,7 @@ uint64_t frameMagic(const std::vector<uint8_t> &Frame) {
 
 } // namespace
 
-TEST(CommitFrameVersionTest, Alter4AndAlter5BothRoundTrip) {
+TEST(CommitFrameTest, RoundTripsWithAndWithoutMetrics) {
   std::vector<int64_t> Data(16, 0);
   LoopSpec Spec;
   Spec.NumIterations = 16;
@@ -226,56 +225,60 @@ TEST(CommitFrameVersionTest, Alter4AndAlter5BothRoundTrip) {
   ExecutorConfig Config;
   Config.NumWorkers = 1;
 
-  // Metrics off: the ALTER4 frame of previous releases, byte-identical
-  // across encodes (the registry must not perturb the metrics-off path).
-  const std::vector<uint8_t> V4 = encodeTestFrame(Spec, Config, Data, nullptr);
-  const std::vector<uint8_t> V4Again =
+  // Without a registry: the one frame format with an empty METRICS
+  // section.
+  const std::vector<uint8_t> Plain =
       encodeTestFrame(Spec, Config, Data, nullptr);
-  EXPECT_EQ(V4, V4Again);
-  EXPECT_EQ(frameMagic(V4), 0x34414c544552ULL); // "ALTER4" little-endian
+  EXPECT_EQ(frameMagic(Plain), CommitFrameMagic);
+  ChildReport RepPlain;
+  std::string Error;
+  ASSERT_TRUE(decodeChildReport(Plain, Spec, Config.Params, RepPlain, Error))
+      << Error;
+  EXPECT_TRUE(RepPlain.Metrics.empty());
 
-  // Metrics on: the ALTER5 frame carries the registry in its METRICS
-  // section and resets it (per-frame deltas).
+  // With a registry: the same format carries it in the METRICS section
+  // and resets it (per-frame deltas).
   MetricsRegistry Reg;
   Reg.record(HistogramId::ChunkExecNs, 1234);
   Reg.addCounter(CounterId::ChildChunks);
-  const std::vector<uint8_t> V5 = encodeTestFrame(Spec, Config, Data, &Reg);
-  EXPECT_EQ(frameMagic(V5), 0x35414c544552ULL); // "ALTER5" little-endian
-  EXPECT_GT(V5.size(), V4.size());
+  const std::vector<uint8_t> WithMetrics =
+      encodeTestFrame(Spec, Config, Data, &Reg);
+  EXPECT_EQ(frameMagic(WithMetrics), CommitFrameMagic);
+  EXPECT_GT(WithMetrics.size(), Plain.size());
   EXPECT_TRUE(Reg.empty()) << "encode must take-and-reset the registry";
-
-  // Both decode through the one parent-side decoder; the V4 report has an
-  // empty registry, the V5 report carries the child's.
-  ChildReport Rep4, Rep5;
-  std::string Error;
-  ASSERT_TRUE(decodeChildReport(V4, Spec, Config.Params, Rep4, Error))
+  ChildReport Rep;
+  ASSERT_TRUE(decodeChildReport(WithMetrics, Spec, Config.Params, Rep, Error))
       << Error;
-  EXPECT_TRUE(Rep4.Metrics.empty());
-  ASSERT_TRUE(decodeChildReport(V5, Spec, Config.Params, Rep5, Error))
-      << Error;
-  EXPECT_EQ(Rep5.Metrics.counter(CounterId::ChildChunks), 1u);
-  EXPECT_EQ(Rep5.Metrics.counter(CounterId::ChildFrames), 1u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::ChunkExecNs).Count, 1u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::ChunkExecNs).Sum, 1234u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::SerializeNs).Count, 1u);
-  EXPECT_EQ(Rep5.Metrics.histogram(HistogramId::WriteLogBytes).Count, 1u);
-  // WireFrameBytes excludes the optional sections (the registry cannot
-  // contain its own size): header + fixed fields + body only.
+  EXPECT_EQ(Rep.Metrics.counter(CounterId::ChildChunks), 1u);
+  EXPECT_EQ(Rep.Metrics.counter(CounterId::ChildFrames), 1u);
+  EXPECT_EQ(Rep.Metrics.histogram(HistogramId::ChunkExecNs).Count, 1u);
+  EXPECT_EQ(Rep.Metrics.histogram(HistogramId::ChunkExecNs).Sum, 1234u);
+  EXPECT_EQ(Rep.Metrics.histogram(HistogramId::SerializeNs).Count, 1u);
+  EXPECT_EQ(Rep.Metrics.histogram(HistogramId::WriteLogBytes).Count, 1u);
+  // WireFrameBytes excludes the trace and metrics sections (the registry
+  // cannot contain its own size): header + fixed fields + body only.
   const LatencyHistogram &FrameH =
-      Rep5.Metrics.histogram(HistogramId::WireFrameBytes);
+      Rep.Metrics.histogram(HistogramId::WireFrameBytes);
   EXPECT_EQ(FrameH.Count, 1u);
-  EXPECT_LT(FrameH.Max, V5.size());
+  EXPECT_LT(FrameH.Max, WithMetrics.size());
 
   // The two reports agree on everything the commit path consumes.
-  EXPECT_EQ(Rep4.WorkNs, Rep5.WorkNs);
-  EXPECT_EQ(Rep4.BytesWritten, Rep5.BytesWritten);
-  EXPECT_EQ(Rep4.Writes.sizeWords(), Rep5.Writes.sizeWords());
-  EXPECT_EQ(Rep4.Log.numEntries(), Rep5.Log.numEntries());
+  EXPECT_EQ(RepPlain.WorkNs, Rep.WorkNs);
+  EXPECT_EQ(RepPlain.BytesWritten, Rep.BytesWritten);
+  EXPECT_EQ(RepPlain.Writes.sizeWords(), Rep.Writes.sizeWords());
+  EXPECT_EQ(RepPlain.Log.numEntries(), Rep.Log.numEntries());
 
-  // A truncated ALTER5 message is a rejected frame, not a crash.
-  std::vector<uint8_t> Truncated(V5.begin(), V5.end() - 1);
+  // A truncated message is a rejected frame, not a crash.
+  std::vector<uint8_t> Truncated(WithMetrics.begin(), WithMetrics.end() - 1);
   ChildReport RepT;
   EXPECT_FALSE(decodeChildReport(Truncated, Spec, Config.Params, RepT, Error));
+
+  // The retired ALTER4 magic is no longer a frame.
+  std::vector<uint8_t> OldMagic = Plain;
+  const uint64_t Alter4 = 0x34414c544552ULL; // "ALTER4" little-endian
+  std::memcpy(OldMagic.data(), &Alter4, sizeof(Alter4));
+  EXPECT_FALSE(decodeChildReport(OldMagic, Spec, Config.Params, RepT, Error));
+  EXPECT_EQ(Error, "bad message magic");
 }
 
 TEST(WriteLogCompactTest, SequentialStoresCompressBelowRaw) {

@@ -102,8 +102,10 @@ TEST(FailureInjectionTest, BodyCrashSurfacesThroughTheSandbox) {
         Spec.NumIterations = 4;
         Spec.Body = [](TxnContext &, int64_t I) {
           if (I == 3) {
-            volatile int *Bad = reinterpret_cast<int *>(0x40);
-            *Bad = 1;
+            // Through a volatile address, so the compiler cannot see (and
+            // warn about) the constant bad pointer.
+            volatile uintptr_t BadAddr = 0x40;
+            *reinterpret_cast<volatile int *>(BadAddr) = 1;
           }
         };
         ExecutorConfig Config;
@@ -642,9 +644,10 @@ TEST(PoolFaultMatrixTest, WireFaultsHealIdenticallyOnBothTransports) {
         EXPECT_FALSE(R.Stats.Recovered);
         EXPECT_EQ(FaultPlan::global().pendingCount(), 0u)
             << "the fault must actually have struck";
-        if (Transport == TransportKind::Ring)
+        if (Transport == TransportKind::Ring) {
           EXPECT_GT(R.Stats.WarmForks, 0u)
               << "the fault must have struck the WARM path";
+        }
       }
     }
   }
@@ -867,8 +870,9 @@ TEST(DegradationLadderTest, LadderTransitionsReplayDeterministically) {
           FirstBisect = I;
         EXPECT_GT(I, FirstSalvage);
       }
-      if (Kind == TraceEventKind::Quarantine)
+      if (Kind == TraceEventKind::Quarantine) {
         EXPECT_GT(I, FirstBisect);
+      }
     }
   }
   FaultPlan::global().clear();
@@ -1034,6 +1038,9 @@ TEST(ShutdownTest, SignalStormInterruptsChunkedEnginesWithoutOrphans) {
       EXPECT_EQ(R.Stats.RecoveredIterations, 0u)
           << "the ladder must not finish an interrupted loop";
       EXPECT_EQ(R.Stats.QuarantinedIterations, 0u);
+      // An operator signal is neither a failed fork nor a resource fault.
+      EXPECT_EQ(R.Stats.NumForkFailures, 0u);
+      EXPECT_EQ(R.Stats.ResourceFaults, 0u);
       EXPECT_TRUE(shutdownRequested());
       EXPECT_EQ(liveChildrenOfSelf(), "") << "no child may be orphaned";
       // Committed chunks are real commits: their memory is sequential.

@@ -721,7 +721,9 @@ TEST(RecoveryTraceTest, FullTailFallbackStillEmitsARecoveryEvent) {
       runRecoveringChainUnderStickyKill(/*EnableSalvage=*/false);
   ASSERT_TRUE(R.Stats.Recovered);
   ASSERT_EQ(countKind(R.TraceEvents, TraceEventKind::Recovery), 1u);
-  for (const TraceEvent &E : R.TraceEvents)
-    if (E.Kind == TraceEventKind::Recovery)
+  for (const TraceEvent &E : R.TraceEvents) {
+    if (E.Kind == TraceEventKind::Recovery) {
       EXPECT_EQ(E.Arg0, R.Stats.RecoveredIterations);
+    }
+  }
 }
