@@ -10,6 +10,7 @@
 #        scripts/check.sh --chaos [build-dir]
 #        scripts/check.sh --metrics [build-dir]
 #        scripts/check.sh --durability [build-dir]
+#        scripts/check.sh --tsan [build-dir]
 #
 # Configures, builds, runs the full ctest suite, then smoke-runs the
 # straggler micro-benchmark (--quick, with --fault so the recovery path is
@@ -58,6 +59,12 @@
 # memory errors in the fork/pipe/recovery paths surface in CI rather than
 # as flaky wire rejects.
 #
+# With --tsan the sequence additionally builds a separate ThreadSanitizer
+# tree (-g -fsanitize=thread) and runs the in-process suites that drive
+# the threaded lock-step engine: runtime, policy matrix, fuzz loop,
+# cross-engine, trace, memory, and the lock-step cases of the workload
+# suite. Any race report fails the run; there is no suppression file.
+#
 # With --trace the sequence additionally smoke-tests the telemetry layer:
 # one untraced and one ALTER_TRACE=events run of the straggler benchmark,
 # asserting the Chrome trace is well-formed JSON and that full event
@@ -91,6 +98,7 @@ STAGE=0
 CHAOS=0
 METRICS=0
 DURABILITY=0
+TSAN=0
 while [[ "${1:-}" == --* ]]; do
   case "$1" in
   --sanitize) SANITIZE=1 ;;
@@ -101,6 +109,7 @@ while [[ "${1:-}" == --* ]]; do
   --chaos) CHAOS=1 ;;
   --metrics) METRICS=1 ;;
   --durability) DURABILITY=1 ;;
+  --tsan) TSAN=1 ;;
   *)
     echo "check.sh: unknown flag $1" >&2
     exit 2
@@ -540,6 +549,34 @@ EOF
   echo "journal cleanup OK: no leaked files under /tmp"
 }
 
+tsan_stage() { # tsan_stage <build-dir>
+  local DIR="$1"
+  local TSAN_FLAGS="-fsanitize=thread -g"
+
+  echo "== configure ($DIR, ThreadSanitizer) =="
+  cmake -B "$DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
+
+  local SUITES=(runtime_test policy_matrix_test fuzz_loop_test
+    cross_engine_test trace_test memory_test)
+  echo "== build ($DIR, ThreadSanitizer) =="
+  cmake --build "$DIR" -j --target "${SUITES[@]}" workload_test
+
+  # halt_on_error makes the first report fail the suite at once.
+  export TSAN_OPTIONS="halt_on_error=1"
+  local T
+  for T in "${SUITES[@]}"; do
+    echo "== tsan: $T =="
+    "$DIR/tests/$T" --gtest_brief=1
+  done
+  echo "== tsan: workload_test lock-step cases =="
+  # Every case that runs the lock-step engine: the paper-annotation sweeps
+  # and the per-workload semantic tests (the rest are sequential only).
+  "$DIR/tests/workload_test" --gtest_brief=1 \
+    --gtest_filter='Paper/AllWorkloads.PaperAnnotation*:*Test.*'
+  unset TSAN_OPTIONS
+}
+
 run_stage "$BUILD_DIR"
 baseline_stage "$BUILD_DIR"
 
@@ -569,6 +606,10 @@ fi
 
 if [[ "$DURABILITY" == 1 ]]; then
   durability_stage "$BUILD_DIR"
+fi
+
+if [[ "$TSAN" == 1 ]]; then
+  tsan_stage "$BUILD_DIR-tsan"
 fi
 
 if [[ "$SANITIZE" == 1 ]]; then

@@ -87,7 +87,7 @@ void *AlterAllocator::allocate(unsigned Worker, size_t Size) {
     const unsigned Class = sizeClassFor(Size);
     if (void *Reused = A.FreeLists[Class]) {
       std::memcpy(&A.FreeLists[Class], Reused, sizeof(void *));
-      ++FreeListHits;
+      ++A.FreeListHits;
       return Reused;
     }
     const size_t Bytes = sizeClassBytes(Class);
@@ -162,4 +162,11 @@ unsigned AlterAllocator::addressWorker(const void *Ptr) const {
 
 size_t AlterAllocator::bytesAllocated(unsigned Worker) const {
   return arena(Worker).Bump;
+}
+
+uint64_t AlterAllocator::freeListHits() const {
+  uint64_t Hits = 0;
+  for (const Arena &A : Arenas)
+    Hits += A.FreeListHits;
+  return Hits;
 }

@@ -94,16 +94,23 @@ public:
   /// Total bytes handed out (before reuse) from \p Worker's arena.
   size_t bytesAllocated(unsigned Worker) const;
 
-  /// Number of allocate() calls served from a free list (reuse hits).
-  uint64_t freeListHits() const { return FreeListHits; }
+  /// Number of allocate() calls served from a free list (reuse hits),
+  /// summed over the arenas. Each arena counts its own hits, so workers on
+  /// different threads never write one counter; call this while no worker
+  /// allocates.
+  uint64_t freeListHits() const;
 
 private:
-  struct Arena {
+  /// One worker's arena. Cache-line aligned: workers on different threads
+  /// bump neighboring arenas concurrently.
+  struct alignas(64) Arena {
     char *Base = nullptr;
     size_t Bump = 0;
     /// Free list heads per size class; each free block's first word links
     /// to the next.
     std::vector<void *> FreeLists;
+    /// allocate() calls this arena served from a free list.
+    uint64_t FreeListHits = 0;
   };
 
   static unsigned sizeClassFor(size_t Size);
@@ -117,7 +124,6 @@ private:
   size_t ArenaBytes = 0;
   unsigned Workers = 0;
   std::vector<Arena> Arenas;
-  uint64_t FreeListHits = 0;
 };
 
 } // namespace alter

@@ -9,9 +9,10 @@
 /// it:
 ///
 ///  - SequentialExecutor: reference execution (and dependence probing).
-///  - LockstepExecutor: in-process deterministic engine running ALTER's
-///    full transaction protocol with a modeled parallel clock (DESIGN.md
-///    §2's substitution for multicore hardware).
+///  - LockstepExecutor: the in-process engine. It runs each round's chunks
+///    on threads in buffered-write contexts and retires the round on the
+///    calling thread, and it also reports a modeled parallel clock
+///    (CostModel, DESIGN.md §2) for sweeps wider than the host.
 ///  - ForkJoinExecutor: the paper's process-based fork–join engine using
 ///    real fork() isolation; it retires each round through the same
 ///    barrier step as LockstepExecutor (runtime/Round.h).
@@ -257,15 +258,18 @@ public:
   virtual ChildRusage release() { return ChildRusage(); }
 };
 
-/// The fork-based process engines selectable by the recovery driver and the
-/// workload harness.
+/// The engines RecoveringLoopRunner and the workload harness choose from.
 enum class ParallelEngine {
-  ForkJoin, ///< round-barrier engine (ForkJoinExecutor)
-  Pipeline, ///< continuous-feed engine (PipelineExecutor)
+  ForkJoin, ///< round-barrier fork engine (ForkJoinExecutor)
+  Pipeline, ///< continuous-feed fork engine (PipelineExecutor)
+  /// Threaded rounds in process (LockstepExecutor). Only for loops that
+  /// need nothing a process gives (containment, a journal, fault plans):
+  /// RecoveringLoopRunner still runs its ladder on the Pipeline engine.
+  Threaded,
 };
 
-/// Constructs a fresh instance of the chosen fork engine. The degradation
-/// ladder uses this to spin up solo executors from the committed snapshot;
+/// Constructs a fresh instance of the chosen engine. The degradation ladder
+/// uses this to spin up solo executors from the committed snapshot;
 /// defined in LoopRunner.cpp.
 std::unique_ptr<Executor> makeParallelEngine(ParallelEngine Engine,
                                              const ExecutorConfig &Config);

@@ -8,6 +8,7 @@
 
 #include "runtime/CommitJournal.h"
 #include "runtime/ForkJoinExecutor.h"
+#include "runtime/LockstepExecutor.h"
 #include "runtime/PipelineExecutor.h"
 #include "runtime/ShutdownSupervisor.h"
 #include "runtime/StagePipelineExecutor.h"
@@ -29,6 +30,8 @@ std::unique_ptr<Executor> alter::makeParallelEngine(ParallelEngine Engine,
     return std::make_unique<ForkJoinExecutor>(Config);
   case ParallelEngine::Pipeline:
     return std::make_unique<PipelineExecutor>(Config);
+  case ParallelEngine::Threaded:
+    return std::make_unique<LockstepExecutor>(Config);
   }
   ALTER_UNREACHABLE("covered switch");
 }
@@ -462,7 +465,10 @@ void RecoveringLoopRunner::runLadder(const LoopSpec &Spec,
 
 RunResult RecoveringLoopRunner::runFreshEngine(const ExecutorConfig &SubConfig,
                                                const LoopSpec &Sub) {
-  const std::unique_ptr<Executor> Exec = makeParallelEngine(Engine, SubConfig);
+  // The ladder contains faults, so its sub-runs always fork.
+  const std::unique_ptr<Executor> Exec = makeParallelEngine(
+      Engine == ParallelEngine::Threaded ? ParallelEngine::Pipeline : Engine,
+      SubConfig);
   RunResult R = Exec->run(Sub);
   R.Stats.addChildUsage(Exec->release());
   return R;

@@ -106,8 +106,9 @@ private:
 };
 
 /// Driver that guarantees completion through a graceful-degradation
-/// ladder. The inner loop runs under one of the fork engines; when
-/// speculation fails unrecoverably — a contained Crash after the engine's
+/// ladder. The inner loop runs under the chosen ParallelEngine (threaded
+/// rounds, or one of the fork engines); the ladder's sub-runs always fork
+/// (Pipeline for a Threaded primary). When speculation fails unrecoverably — a contained Crash after the engine's
 /// own per-chunk retries, or a mid-run deadline Timeout — the runner does
 /// NOT immediately abandon parallelism for the whole uncommitted tail.
 /// Instead it walks down a ladder, paying for exactly as much sequential

@@ -103,7 +103,8 @@ RunProfile RunResult::computeProfile() const {
     case TraceEventKind::PollWake:
       // Arg1 carries the number of chunks in flight at poll time: a wake
       // with nothing in flight is the dispatcher stalling (fork failures,
-      // empty-slot backoff); with children running the parent is
+      // empty-slot backoff); with children (or the threaded engine's
+      // workers, dispatch to barrier release) running the parent is
       // productively blocked on their progress.
       if (E.Arg1 == 0)
         P.DispatchStallNs += E.DurNs;

@@ -204,14 +204,14 @@ void TxnContext::instrumentWrite(void *Addr, size_t Size) {
   ALTER_UNREACHABLE("covered switch");
 }
 
-void TxnContext::acquireObject(void *Addr, size_t Size) {
+void *TxnContext::acquireObject(void *Addr, size_t Size) {
   switch (Mode) {
   case ContextMode::Passthrough:
-    return;
+    return Addr;
   case ContextMode::DepProbe:
     CurReads.insertRange(Addr, Size);
     CurWrites.insertRange(Addr, Size);
-    return;
+    return Addr;
   case ContextMode::Transactional:
     if (TrackReads) {
       ++InstrReadCalls;
@@ -224,13 +224,40 @@ void TxnContext::acquireObject(void *Addr, size_t Size) {
     checkSetLimits();
     BytesRead += Size;
     BytesWritten += Size;
-    assert(!BufferedWrites &&
-           "acquireObject's raw-pointer access contract is incompatible "
-           "with buffered writes");
-    Log.recordUndo(Addr, Size);
-    return;
+    if (!BufferedWrites) {
+      Log.recordUndo(Addr, Size);
+      return Addr;
+    }
+    // Committed memory must stay untouched: hand out a private copy of the
+    // transaction's view of the object (re-acquiring returns the same one).
+    for (size_t I = 0; I != NumAcquired; ++I)
+      if (Acquired[I].Addr == Addr && Acquired[I].Size == Size)
+        return Acquired[I].Bytes.get();
+    if (NumAcquired == Acquired.size())
+      Acquired.emplace_back();
+    AcquiredCopy &Copy = Acquired[NumAcquired++];
+    if (Copy.Capacity < Size) {
+      Copy.Bytes = std::make_unique_for_overwrite<std::byte[]>(Size);
+      Copy.Capacity = Size;
+    }
+    Copy.Addr = Addr;
+    Copy.Size = Size;
+    std::memcpy(Copy.Bytes.get(), Addr, Size);
+    Log.overlayRange(Addr, Size, Copy.Bytes.get());
+    return Copy.Bytes.get();
   }
   ALTER_UNREACHABLE("covered switch");
+}
+
+void TxnContext::growScratch(size_t Bytes) {
+  Scratch = std::make_unique_for_overwrite<std::byte[]>(Bytes);
+  ScratchBytes = Bytes;
+}
+
+void TxnContext::logAcquiredObjects() {
+  for (size_t I = 0; I != NumAcquired; ++I)
+    Log.record(Acquired[I].Addr, Acquired[I].Bytes.get(), Acquired[I].Size);
+  NumAcquired = 0;
 }
 
 void TxnContext::checkSetLimits() {
@@ -328,6 +355,7 @@ void TxnContext::beginTxn() {
   InstrWriteCalls = 0;
   BytesRead = 0;
   BytesWritten = 0;
+  NumAcquired = 0;
   for (RedSlotState &S : RedSlots) {
     S.Touched = false;
     S.Acc = RedValue();
@@ -339,16 +367,22 @@ void TxnContext::beginTxn() {
 void TxnContext::suspendTxn() {
   assert(Mode == ContextMode::Transactional &&
          "suspendTxn is only meaningful transactionally");
-  if (BufferedWrites)
-    return; // memory was never touched; the log already holds redo data
+  if (BufferedWrites) {
+    // Memory was never touched; the log already holds redo data.
+    logAcquiredObjects();
+    return;
+  }
   Log.swapWithMemory();
 }
 
 void TxnContext::captureRedo() {
   assert(Mode == ContextMode::Transactional &&
          "captureRedo is only meaningful transactionally");
-  if (BufferedWrites)
-    return; // the buffered log IS the redo log
+  if (BufferedWrites) {
+    // The buffered log IS the redo log.
+    logAcquiredObjects();
+    return;
+  }
   Log.captureRedo();
 }
 

@@ -47,8 +47,10 @@
 #include "runtime/ReductionOps.h"
 #include "runtime/RuntimeParams.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -175,6 +177,22 @@ public:
     writeRangeBytes(Addr, Src, Count * sizeof(T));
   }
 
+  /// Uninstrumented load that still sees this transaction's own writes:
+  /// for locations whose read the body has already instrumented (e.g.
+  /// through instrumentRead). Undo-logged contexts write in place, so this
+  /// is a raw read; a buffered context consults its write log first, like
+  /// load().
+  template <typename T> T peek(const T *Addr) const {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "instrumented accesses require trivially copyable types");
+    T Value;
+    if (BufferedWrites && Log.mayContain(Addr, sizeof(T)) &&
+        Log.lookup(Addr, &Value, sizeof(T)))
+      return Value;
+    std::memcpy(&Value, Addr, sizeof(T));
+    return Value;
+  }
+
   /// Adds [Addr, Addr+Size) to the read set without moving data. Exposed
   /// for collection classes that manage their own storage.
   void instrumentRead(const void *Addr, size_t Size);
@@ -183,13 +201,32 @@ public:
   void instrumentWrite(void *Addr, size_t Size);
 
   /// Allocation-granularity access (§4.1): instruments the whole object
-  /// [Addr, Addr+Size) as read AND written, and undo-logs it so the
-  /// transaction may subsequently access the object through raw pointers —
-  /// one instrumentation for any number of accesses, the exact cost profile
-  /// of the paper's object-level instrumentation. Only sound when the
-  /// object belongs to this iteration (e.g. a row transform): the whole
-  /// range joins the write set.
-  void acquireObject(void *Addr, size_t Size);
+  /// [Addr, Addr+Size) as read AND written and returns where the
+  /// transaction may then access it through raw pointers — one
+  /// instrumentation for any number of accesses, the exact cost profile of
+  /// the paper's object-level instrumentation. An undo-logged context
+  /// returns \p Addr itself (the object is undo-logged and written in
+  /// place); a buffered context returns a worker-private copy, the thread
+  /// analog of a copy-on-write page, and logs the copy's final bytes at
+  /// suspend. Only sound when the object belongs to this iteration (e.g. a
+  /// row transform): the whole range joins the write set.
+  void *acquireObject(void *Addr, size_t Size);
+
+  /// Worker-private scratch of \p Count elements for a body's
+  /// iteration-local buffers (a snapshot of a row, a stencil
+  /// neighborhood). The buffer belongs to this context and outlives its
+  /// transactions, like the write log, so a body keeps no mutable scratch
+  /// in shared workload state and concurrent workers never share one. It is
+  /// not instrumented; its contents are unspecified on return, and the
+  /// pointer is valid until the next scratch() call.
+  template <typename T> T *scratch(size_t Count) {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "scratch holds plain data at the default new alignment");
+    if (Count * sizeof(T) > ScratchBytes)
+      growScratch(Count * sizeof(T));
+    return reinterpret_cast<T *>(Scratch.get());
+  }
 
   /// Reports \p Bytes of genuine DRAM traffic for this iteration (data the
   /// body streams without reuse: a dense matrix row, a CSR row, a stencil
@@ -259,13 +296,15 @@ public:
 
   /// Routes every subsequent write into the log as a buffered redo value
   /// instead of undo-log-then-write-in-place; loads get read-your-own-writes
-  /// through the log overlay. Fork-shipped replicas (the stage pipeline's
-  /// parallel-stage children) run this way: their writes exist only to be
-  /// serialized onto the commit wire, so buffering skips the undo snapshot,
-  /// the page-dirtying store (the child's COW image stays clean), and the
-  /// whole captureRedo pass — the log already IS the redo log. Incompatible
-  /// with acquireObject/instrumentWrite (raw-pointer writes would bypass
-  /// the buffer); such bodies must not run in a buffered context.
+  /// through the log overlay. Committed memory is never touched before
+  /// commitTxn, so the threaded lock-step engine's workers run this way
+  /// side by side, and so do fork-shipped replicas (the stage pipeline's
+  /// parallel-stage children), whose writes exist only to be serialized
+  /// onto the commit wire: buffering skips the undo snapshot, the
+  /// page-dirtying store (the child's COW image stays clean), and the whole
+  /// captureRedo pass — the log already IS the redo log. acquireObject
+  /// hands out private copies here; instrumentWrite's raw-pointer writes
+  /// would bypass the buffer, so bodies using it must not run buffered.
   void enableBufferedWrites() { BufferedWrites = true; }
   bool bufferedWrites() const { return BufferedWrites; }
 
@@ -274,8 +313,8 @@ public:
 
   /// Ends the execution phase: restores memory to the committed snapshot
   /// (the transaction's writes unwind) while the log flips to redo data.
-  /// The lock-step executor calls this after the body finishes so the next
-  /// round-mate executes against clean state.
+  /// A buffered context never touched memory; it only logs its acquired
+  /// objects' private copies.
   void suspendTxn();
 
   /// Fork-join child variant of suspendTxn: the log captures the final
@@ -347,6 +386,8 @@ private:
   void writeRangeBytes(void *Addr, const void *Src, size_t Size);
   void checkSetLimits();
   void redUpdate(unsigned Slot, ReduceOp SourceOp, const RedValue &Operand);
+  void growScratch(size_t Bytes);
+  void logAcquiredObjects();
 
   ContextMode Mode;
   const RuntimeParams *Params;
@@ -365,6 +406,20 @@ private:
   std::vector<RedSlotState> RedSlots;
   std::vector<std::pair<void *, size_t>> DeferredFrees;
   ArenaMark TxnArenaMark;
+
+  /// A buffered context's private copy of one acquired object. Copies keep
+  /// their capacity across transactions; the first NumAcquired are live.
+  struct AcquiredCopy {
+    void *Addr = nullptr;
+    size_t Size = 0;
+    size_t Capacity = 0;
+    std::unique_ptr<std::byte[]> Bytes;
+  };
+  std::vector<AcquiredCopy> Acquired;
+  size_t NumAcquired = 0;
+
+  std::unique_ptr<std::byte[]> Scratch;
+  size_t ScratchBytes = 0;
 
   // DepProbe state.
   AccessSet PriorReads;

@@ -29,6 +29,16 @@ uint64_t alter::cpuNowNs() {
   return nowNs();
 }
 
+uint64_t alter::threadCpuNowNs() {
+#ifdef CLOCK_THREAD_CPUTIME_ID
+  timespec Ts;
+  if (::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts) == 0)
+    return static_cast<uint64_t>(Ts.tv_sec) * 1000000000ULL +
+           static_cast<uint64_t>(Ts.tv_nsec);
+#endif
+  return nowNs();
+}
+
 void Timer::start() {
   assert(!Running && "Timer::start called while already running");
   Running = true;

@@ -29,6 +29,13 @@ uint64_t nowNs();
 /// measured section would cost running alone.
 uint64_t cpuNowNs();
 
+/// Returns the calling thread's consumed CPU time in nanoseconds (falling
+/// back to nowNs() where the clock is unavailable). The threaded lock-step
+/// engine feeds its modeled clock with this per chunk, so the model still
+/// reports a chunk's stand-alone cost when more workers than cores share
+/// the host.
+uint64_t threadCpuNowNs();
+
 /// Accumulating stopwatch. start()/stop() may be called repeatedly; the
 /// elapsed time across all completed intervals accumulates.
 class Timer {

@@ -140,9 +140,11 @@ const char *alter::traceEventKindName(TraceEventKind Kind) {
 
 namespace {
 
-/// Deterministic clock state. Plain (non-atomic) on purpose: the executors
-/// are single-threaded parents, and forked children inherit a COW copy —
-/// exactly the semantics the determinism guarantee describes.
+/// Deterministic clock state. Plain (non-atomic) on purpose: only the
+/// executor's own thread reads it (the threaded lock-step engine's workers
+/// time chunks with nowNs() and the caller stamps them via traceStampNs),
+/// and forked children inherit a COW copy — exactly the semantics the
+/// determinism guarantee describes.
 struct DetClock {
   bool Armed = false;
   uint64_t Value = 0;
@@ -163,6 +165,10 @@ uint64_t alter::traceNowNs() {
     return nowNs();
   Clock.Value += DetClockTickNs;
   return Clock.Value;
+}
+
+uint64_t alter::traceStampNs(uint64_t RealNs) {
+  return detClock().Armed ? traceNowNs() : RealNs;
 }
 
 void alter::setDeterministicTraceClock(uint64_t Seed) {

@@ -80,7 +80,9 @@ enum class TraceEventKind : uint8_t {
   CommitAttempt, ///< message written to the commit pipe; Arg0 = wire bytes
   // Parent-side (executor event loop).
   Fork,           ///< child forked for a chunk; Arg0 = worker slot
-  PollWake,       ///< poll() returned; Dur = wait, Arg0 = ready fds
+  PollWake,       ///< poll() returned, or the threaded lock-step engine's
+                  ///< round barrier released; Dur = wait, Arg0 = ready
+                  ///< fds (workers), Arg1 = chunks in flight
   Validate,       ///< conflict check ran; Arg0 = 1 on conflict,
                   ///< Arg1 = witness word key (0 when none)
   Commit,         ///< chunk retired into committed state
@@ -193,6 +195,13 @@ private:
 /// on (seed, events recorded before fork, events in the chunk) — identical
 /// seeded runs produce byte-identical traces.
 uint64_t traceNowNs();
+
+/// The trace timestamp of an instant read earlier with nowNs(), for events
+/// measured where the trace clock must not be touched (a worker thread of
+/// the threaded lock-step engine): \p RealNs itself under the real clock,
+/// the next tick under the deterministic one, so seeded runs stay
+/// byte-stable. Call it on the thread that owns the trace clock.
+uint64_t traceStampNs(uint64_t RealNs);
 
 /// Arms the deterministic trace clock at \p Seed (tick = 1000 ns/event).
 void setDeterministicTraceClock(uint64_t Seed);

@@ -40,17 +40,18 @@ void FftWorkload::transformLine(TxnContext &Ctx, Complex *Base,
                                 int64_t Stride) {
   const int64_t N = Dim;
   Ctx.noteMemoryTraffic(static_cast<uint64_t>(N) * sizeof(Complex));
-  auto At = [&](int64_t I) { return Base + I * Stride; };
 
   // A contiguous row is one allocation-granularity object: acquire it once
-  // and run the whole transform through raw pointers (§4.1). A strided
-  // column has no such object, so every element access is instrumented —
-  // the "many copy constructors" regime the paper blames for FFT's
-  // slowdown.
+  // and run the whole transform through raw pointers (§4.1) into wherever
+  // the context placed it. A strided column has no such object, so every
+  // element access is instrumented — the "many copy constructors" regime
+  // the paper blames for FFT's slowdown.
   const bool WholeObject = Stride == 1;
   if (WholeObject)
-    Ctx.acquireObject(Base, static_cast<size_t>(N) * sizeof(Complex));
-  else
+    Base = static_cast<Complex *>(
+        Ctx.acquireObject(Base, static_cast<size_t>(N) * sizeof(Complex)));
+  auto At = [&](int64_t I) { return Base + I * Stride; };
+  if (!WholeObject)
     for (int64_t I = 0; I != N; ++I)
       Ctx.instrumentRead(At(I), sizeof(Complex));
 
@@ -75,19 +76,23 @@ void FftWorkload::transformLine(TxnContext &Ctx, Complex *Base,
       }
     }
   }
-  // Butterfly stages. Reads are dominated by the up-front instrumentation
-  // (§4.1) and go straight to memory, where the transaction's own direct
-  // writes are visible. Row stores run raw inside the acquired object;
-  // column stores pass through the context element by element — each
-  // complex temporary's copy lands in the write log, the per-access burden
-  // the paper blames for FFT's slowdown.
+  // Butterfly stages. Reads are covered by the up-front instrumentation
+  // (§4.1): row reads go straight to the acquired object, column reads
+  // peek, uninstrumented, at the transaction's own view of memory. Row
+  // stores run raw inside the acquired object; column stores pass through
+  // the context element by element — each complex temporary's copy lands
+  // in the write log, the per-access burden the paper blames for FFT's
+  // slowdown.
+  auto Read = [&](int64_t I) {
+    return WholeObject ? *At(I) : Ctx.peek(At(I));
+  };
   for (int64_t Len = 2; Len <= N; Len <<= 1) {
     const int64_t Step = N / Len;
     for (int64_t I = 0; I < N; I += Len) {
       for (int64_t K = 0; K != Len / 2; ++K) {
         const Complex W = Twiddle[static_cast<size_t>(K * Step)];
-        const Complex U = *At(I + K);
-        const Complex V = *At(I + K + Len / 2);
+        const Complex U = Read(I + K);
+        const Complex V = Read(I + K + Len / 2);
         const Complex T = {V.Re * W.Re - V.Im * W.Im,
                            V.Re * W.Im + V.Im * W.Re};
         const Complex Hi = {U.Re + T.Re, U.Im + T.Im};

@@ -24,8 +24,6 @@ void FloydWorkload::setUp(size_t Index) {
   N = Index == 0 ? 160 : 288;
   Xoshiro256StarStar Rng(0xF107D + static_cast<uint64_t>(N));
   Path.assign(static_cast<size_t>(N) * static_cast<size_t>(N), Infinite);
-  RowKScratch.assign(static_cast<size_t>(N), 0.0);
-  RowIScratch.assign(static_cast<size_t>(N), 0.0);
   for (int64_t I = 0; I != N; ++I)
     Path[static_cast<size_t>(I * N + I)] = 0.0;
   // Sparse random digraph: ~12 out-edges per node, non-negative weights.
@@ -50,11 +48,14 @@ void FloydWorkload::run(LoopRunner &Runner) {
     Spec.NumIterations = N;
     Spec.Body = [this, K](TxnContext &Ctx, int64_t I) {
       // Row k and row i are arrays indexed by induction variables: one
-      // range instrumentation each (§4.1).
+      // range instrumentation each (§4.1), snapshotted into the worker's
+      // scratch.
+      double *RowKScratch = Ctx.scratch<double>(2 * static_cast<size_t>(N));
+      double *RowIScratch = RowKScratch + N;
       Ctx.readRange(&Path[static_cast<size_t>(K * N)],
-                    static_cast<size_t>(N), RowKScratch.data());
+                    static_cast<size_t>(N), RowKScratch);
       Ctx.readRange(&Path[static_cast<size_t>(I * N)],
-                    static_cast<size_t>(N), RowIScratch.data());
+                    static_cast<size_t>(N), RowIScratch);
       // Row k stays cache-resident for the whole sweep; row i streams in
       // and back out, and the matrix is small enough that roughly one
       // row's worth of DRAM traffic per iteration is the honest charge.

@@ -61,8 +61,6 @@ public:
 private:
   int64_t N = 0;
   std::vector<double> Path;
-  std::vector<double> RowKScratch; // snapshot of row k per iteration
-  std::vector<double> RowIScratch;
 };
 
 } // namespace alter

@@ -38,7 +38,6 @@ void GaussSeidelWorkload::buildSystem(int64_t Size, int64_t NonzerosPerRow) {
   Xoshiro256StarStar Rng(0x65AD5 + static_cast<uint64_t>(Size));
   B.assign(static_cast<size_t>(N), 0.0);
   X.assign(static_cast<size_t>(N), 0.0);
-  XScratch.assign(static_cast<size_t>(N), 0.0);
   for (double &V : B)
     V = Rng.nextDoubleIn(-1.0, 1.0);
 
@@ -153,8 +152,10 @@ void GaussSeidelWorkload::run(LoopRunner &Runner) {
   if (!Sparse) {
     Spec.Body = [this](TxnContext &Ctx, int64_t I) {
       // scalarProduct reads all of XVector (Fig. 1): one range
-      // instrumentation, stale under snapshot isolation.
-      Ctx.readRange(X.data(), static_cast<size_t>(N), XScratch.data());
+      // instrumentation, stale under snapshot isolation, snapshotted into
+      // the worker's scratch.
+      double *XScratch = Ctx.scratch<double>(static_cast<size_t>(N));
+      Ctx.readRange(X.data(), static_cast<size_t>(N), XScratch);
       // The matrix row streams from DRAM (the x snapshot stays cached);
       // this is what makes GSdense memory-bound (§7.2).
       Ctx.noteMemoryTraffic(static_cast<uint64_t>(N) * sizeof(double));

@@ -91,7 +91,6 @@ private:
 
   std::vector<double> B;
   std::vector<double> X;
-  std::vector<double> XScratch; // dense whole-vector snapshot per iteration
 
   double Eps = 1e-8;
   int MaxTrips = 400;

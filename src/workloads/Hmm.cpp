@@ -52,7 +52,6 @@ void HmmWorkload::setUp(size_t Index) {
   AlphaPrev.assign(static_cast<size_t>(NumStates),
                    1.0 / static_cast<double>(NumStates));
   AlphaNext.assign(static_cast<size_t>(NumStates), 0.0);
-  AlphaScratch.assign(static_cast<size_t>(NumStates), 0.0);
   LogLik = 0.0;
 }
 
@@ -67,8 +66,10 @@ void HmmWorkload::run(LoopRunner &Runner) {
     Spec.Body = [this, Obs](TxnContext &Ctx, int64_t S) {
       // The previous row was committed before this loop started; its read
       // is not loop-carried. One range instrumentation covers it.
+      double *AlphaScratch =
+          Ctx.scratch<double>(static_cast<size_t>(NumStates));
       Ctx.readRange(AlphaPrev.data(), static_cast<size_t>(NumStates),
-                    AlphaScratch.data());
+                    AlphaScratch);
       Ctx.noteMemoryTraffic(static_cast<uint64_t>(NumStates) *
                             sizeof(double));
       double Sum = 0.0;

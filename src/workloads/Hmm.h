@@ -64,7 +64,6 @@ private:
   std::vector<int32_t> Observations;
   std::vector<double> AlphaPrev;
   std::vector<double> AlphaNext;
-  std::vector<double> AlphaScratch;
   double LogLik = 0.0;
 };
 

@@ -100,8 +100,7 @@ void KmeansWorkload::run(LoopRunner &Runner) {
   Spec.Name = "kmeans.main";
   Spec.NumIterations = NumPoints;
   Spec.Reductions.push_back({"delta", &Delta, ScalarKind::F64});
-  std::vector<double> Accum(static_cast<size_t>(NumFeatures));
-  Spec.Body = [this, &Accum](TxnContext &Ctx, int64_t I) {
+  Spec.Body = [this](TxnContext &Ctx, int64_t I) {
     // common_findNearestPoint: Features and Clusters are read-only during
     // the loop (centers update between sweeps), so the search is plain
     // computation.
@@ -138,10 +137,11 @@ void KmeansWorkload::run(LoopRunner &Runner) {
     Ctx.store(&NewCentersLen[static_cast<size_t>(Index)], Len + 1);
     double *Row = &NewCenters[static_cast<size_t>(Index) *
                               static_cast<size_t>(NumFeatures)];
-    Ctx.readRange(Row, static_cast<size_t>(NumFeatures), Accum.data());
+    double *Accum = Ctx.scratch<double>(static_cast<size_t>(NumFeatures));
+    Ctx.readRange(Row, static_cast<size_t>(NumFeatures), Accum);
     for (int64_t F = 0; F != NumFeatures; ++F)
-      Accum[static_cast<size_t>(F)] += static_cast<double>(Point[F]);
-    Ctx.writeRange(Row, Accum.data(), static_cast<size_t>(NumFeatures));
+      Accum[F] += static_cast<double>(Point[F]);
+    Ctx.writeRange(Row, Accum, static_cast<size_t>(NumFeatures));
   };
 
   // while (delta/npoints > threshold) { delta = 0; <annotated for> ;

@@ -27,7 +27,6 @@ void LabyrinthWorkload::setUp(size_t Index) {
 
   Grid.clear();
   Grid.resize(static_cast<size_t>(Cells), -1);
-  GridScratch.assign(static_cast<size_t>(Cells), -1);
 
   Xoshiro256StarStar Rng(0x1AB5 + static_cast<uint64_t>(NumPaths));
   Endpoints.clear();
@@ -72,21 +71,22 @@ void LabyrinthWorkload::run(LoopRunner &Runner) {
   std::fill(Routed.begin(), Routed.end(), 0);
   const int64_t Cells = DimX * DimY * DimZ;
 
-  // BFS scratch shared across (serially executed) transactions.
-  std::vector<int32_t> Parent(static_cast<size_t>(Cells));
-
   LoopSpec Spec;
   Spec.Name = "labyrinth.route";
   Spec.NumIterations = static_cast<int64_t>(Endpoints.size());
-  Spec.Body = [this, Cells, &Parent](TxnContext &Ctx, int64_t P) {
+  Spec.Body = [this, Cells](TxnContext &Ctx, int64_t P) {
     const auto [Src, Dst] = Endpoints[static_cast<size_t>(P)];
+    // The worker's scratch holds the grid snapshot and the BFS parents.
+    int32_t *GridScratch =
+        Ctx.scratch<int32_t>(2 * static_cast<size_t>(Cells));
+    int32_t *Parent = GridScratch + Cells;
     // Lee expansion reads the whole grid occupancy: instrumented as one
     // range (allocation granularity), which is what makes read-tracking
     // policies explode on this benchmark.
-    Grid.readAll(Ctx, GridScratch.data());
+    Grid.readAll(Ctx, GridScratch);
     Ctx.noteMemoryTraffic(Grid.size() * sizeof(int32_t));
 
-    std::fill(Parent.begin(), Parent.end(), -1);
+    std::fill(Parent, Parent + Cells, -1);
     std::deque<int64_t> Queue;
     Queue.push_back(Src);
     Parent[static_cast<size_t>(Src)] = static_cast<int32_t>(Src);

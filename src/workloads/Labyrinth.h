@@ -64,7 +64,6 @@ private:
   AlterVector<int32_t> Grid; ///< -1 free, otherwise owning path id
   std::vector<std::pair<int64_t, int64_t>> Endpoints; ///< (src, dst) cells
   std::vector<int32_t> Routed; ///< per path: 1 if routed
-  std::vector<int32_t> GridScratch;
   /// Routed paths appended to a shared list through a shared cursor, as in
   /// STAMP's global path list — every pair of concurrently routed paths
   /// conflicts here, the benchmark's second conflict source.

@@ -45,16 +45,16 @@ void Sg3dWorkload::run(LoopRunner &Runner) {
   Converged = false;
   const int64_t Interior = Dim - 2;
 
-  // Scratch for the 9 neighboring pencils of the current (i, j) pencil.
-  std::vector<double> Pencils(9 * static_cast<size_t>(Dim));
-
   LoopSpec Spec;
   Spec.Name = "sg3d.pencil";
   Spec.NumIterations = Interior * Interior;
   Spec.Reductions.push_back({"err", &Err, ScalarKind::F64});
-  Spec.Body = [this, Interior, &Pencils](TxnContext &Ctx, int64_t Flat) {
+  Spec.Body = [this, Interior](TxnContext &Ctx, int64_t Flat) {
     const int64_t I = 1 + Flat / Interior;
     const int64_t J = 1 + Flat % Interior;
+    // The worker's scratch holds the 9 neighboring pencils of the current
+    // (i, j) pencil.
+    double *Pencils = Ctx.scratch<double>(9 * static_cast<size_t>(Dim));
     // Snapshot the 3x3 pencil neighborhood (9 range instrumentations).
     for (int64_t DI = -1; DI <= 1; ++DI)
       for (int64_t DJ = -1; DJ <= 1; ++DJ) {

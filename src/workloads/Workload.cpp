@@ -10,6 +10,7 @@
 #include "runtime/ForkJoinExecutor.h"
 #include "runtime/LockstepExecutor.h"
 #include "runtime/PipelineExecutor.h"
+#include "support/FaultInjection.h"
 #include "support/Timer.h"
 
 using namespace alter;
@@ -31,6 +32,21 @@ CommitJournal *resolveJournal(CommitJournal *Journal, const Workload &W,
   Id.ChunkFactor = Params.ChunkFactor;
   Id.Schedule = schedulePolicyName(Policy);
   return maybeEnvJournal(Id);
+}
+
+/// The engine runScheduled gives chunked invocations: threads only for a
+/// certified annotation (Table 3) whose run needs no process — a crash on
+/// a thread takes the whole process down, and the journal and fault plans
+/// act in forked children.
+ParallelEngine scheduledEngine(const Workload &W, const RuntimeParams &Params,
+                               const CommitJournal *Journal) {
+  const std::optional<Annotation> Paper = W.paperAnnotation();
+  if (!Paper || Journal || FaultPlan::global().enabled())
+    return ParallelEngine::Pipeline;
+  RuntimeParams Certified = W.resolveAnnotation(*Paper);
+  Certified.ChunkFactor = Params.ChunkFactor;
+  return Params == Certified ? ParallelEngine::Threaded
+                             : ParallelEngine::Pipeline;
 }
 
 } // namespace
@@ -130,7 +146,8 @@ RunResult Workload::runScheduled(SchedulePolicy Policy,
   Config.Allocator = allocator();
   Config.Schedule = Policy;
   Config.Journal = resolveJournal(Journal, *this, Params, Policy);
-  RecoveringLoopRunner Runner(ParallelEngine::Pipeline, Config);
+  RecoveringLoopRunner Runner(scheduledEngine(*this, Params, Config.Journal),
+                              Config);
   run(Runner);
   Runner.release();
   return Runner.result();

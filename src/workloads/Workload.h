@@ -139,8 +139,12 @@ public:
   /// Runs behind the schedule-aware recovery driver with an explicit
   /// SchedulePolicy: Auto lets the CostModel planner pick chunked vs staged
   /// per loop (recorded in RunResult::ScheduleUsed), the other values force
-  /// a schedule. Chunked sub-runs use the pipelined engine. \p Journal as
-  /// in runRecovering.
+  /// a schedule. Chunked invocations run on threads (ParallelEngine::
+  /// Threaded) when \p Params realize the paper annotation the §5
+  /// inference certifies, at any chunk factor, and the run needs nothing
+  /// only a process gives — no journal and no armed FaultPlan; otherwise
+  /// they run on the pipelined fork engine. Staged picks and the ladder's
+  /// sub-runs always fork. \p Journal as in runRecovering.
   RunResult runScheduled(SchedulePolicy Policy, const RuntimeParams &Params,
                          unsigned NumWorkers, uint64_t SeqBaselineNs = 0,
                          TxnLimits Limits = TxnLimits(),

@@ -400,7 +400,15 @@ TEST(FaultPlanTest, WireCorruptionIsDeterministic) {
 namespace {
 
 const char *engineName(ParallelEngine Engine) {
-  return Engine == ParallelEngine::ForkJoin ? "forkjoin" : "pipeline";
+  switch (Engine) {
+  case ParallelEngine::ForkJoin:
+    return "forkjoin";
+  case ParallelEngine::Pipeline:
+    return "pipeline";
+  case ParallelEngine::Threaded:
+    return "threaded";
+  }
+  return "unknown";
 }
 
 /// Runs a disjoint-writes loop (6 chunks of 4 iterations, 2 workers) under
@@ -1079,7 +1087,8 @@ TEST(ShutdownTest, RealSigtermReturnsInterruptedOnEveryEngine) {
   // chunks committed and zero children left behind.
   FaultPlan::global().clear();
   for (ParallelEngine Engine :
-       {ParallelEngine::ForkJoin, ParallelEngine::Pipeline}) {
+       {ParallelEngine::ForkJoin, ParallelEngine::Pipeline,
+        ParallelEngine::Threaded}) {
     SCOPED_TRACE(engineName(Engine));
     clearShutdownRequest();
     ensureShutdownSupervisorInstalled();

@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "runtime/CommitJournal.h"
+#include "support/FaultInjection.h"
 #include "workloads/AggloClust.h"
 #include "workloads/BarnesHut.h"
 #include "workloads/GaussSeidel.h"
@@ -24,6 +26,13 @@
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <iterator>
+#include <memory>
+#include <string>
 
 using namespace alter;
 
@@ -39,6 +48,13 @@ bool paperSaysLoopCarried(const std::string &Name) {
 }
 
 class AllWorkloads : public ::testing::TestWithParam<std::string> {};
+
+/// Threads of this process (entries of /proc/self/task).
+size_t threadsOfSelf() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
 
 } // namespace
 
@@ -283,6 +299,60 @@ TEST(KmeansTest, MoreClustersMeansFewerConflicts) {
   }
   EXPECT_LT(Rates[1], Rates[0])
       << "512 clusters must conflict less than 256";
+}
+
+TEST(KmeansTest, ScheduledRunsUseThreadsOnlyForTheCertifiedAnnotation) {
+  // runScheduled sends a chunked loop to threads only when its params
+  // realize the paper annotation (at any chunk factor) and the run needs
+  // nothing only a process gives. An armed fault plan, a journal, or any
+  // other params send it to the fork engine.
+  KmeansWorkload W;
+  W.setUp(0);
+  ASSERT_TRUE(W.runSequential().succeeded());
+  const std::vector<double> Reference = W.outputSignature();
+  const RuntimeParams Paper = W.resolveAnnotation(*W.paperAnnotation());
+  const auto Forks = [&](const RuntimeParams &Params,
+                         CommitJournal *Journal = nullptr) {
+    W.setUp(0);
+    const size_t Threads = threadsOfSelf();
+    const RunResult R =
+        W.runScheduled(SchedulePolicy::Auto, Params, /*NumWorkers=*/3,
+                       /*SeqBaselineNs=*/0, TxnLimits(), Journal);
+    EXPECT_TRUE(R.succeeded()) << R.Detail;
+    EXPECT_TRUE(W.validate(Reference));
+    EXPECT_EQ(threadsOfSelf(), Threads)
+        << "no helper thread outlives its runner";
+    return R.Stats.WarmForks + R.Stats.ColdForks;
+  };
+  FaultPlan::global().clear();
+  EXPECT_EQ(Forks(Paper), 0u);
+  RuntimeParams Coarse = Paper;
+  Coarse.ChunkFactor = 4 * Paper.ChunkFactor;
+  EXPECT_EQ(Forks(Coarse), 0u) << "any chunk factor stays certified";
+
+  Annotation OutOfOrder = *W.paperAnnotation();
+  OutOfOrder.Policy = ParallelPolicy::OutOfOrder;
+  EXPECT_GT(Forks(W.resolveAnnotation(OutOfOrder)), 0u)
+      << "an annotation the inference did not certify must fork";
+
+  // A fault armed against a chunk the loop never reaches strikes nothing,
+  // but fault plans act in forked children.
+  FaultPlan::global().arm(FaultKind::ChildCrash, /*Chunk=*/1 << 30);
+  EXPECT_GT(Forks(Paper), 0u) << "an armed fault plan must fork";
+  FaultPlan::global().clear();
+
+  const std::string Path =
+      "/tmp/alter_routing_" + std::to_string(::getpid()) + ".alterj";
+  ::unlink(Path.c_str());
+  JournalIdentity Id;
+  Id.Workload = W.name();
+  std::string Error;
+  std::unique_ptr<CommitJournal> Journal =
+      CommitJournal::open(Path, Id, CommitJournal::Options(), &Error);
+  ASSERT_TRUE(Journal) << Error;
+  EXPECT_GT(Forks(Paper, Journal.get()), 0u) << "a journal must fork";
+  Journal.reset();
+  ::unlink(Path.c_str());
 }
 
 TEST(LabyrinthTest, AllPoliciesConflictHeavily) {
