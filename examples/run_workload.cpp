@@ -25,6 +25,9 @@
 ///     --cf N                  chunk factor (default: the loop's tuned one)
 ///     --input K               input index (default 0)
 ///
+/// N and K must be whole decimal numbers, and N at least 1; anything else
+/// prints the usage and exits with status 2.
+///
 /// The printed speedup is real: the wall-clock time of the whole sequential
 /// algorithm over that of the ALTER call, both timed with nowNs(). The
 /// cost model's clock (RunStats::SimTimeNs) is printed beside it as
@@ -45,6 +48,9 @@
 #include "support/Trace.h"
 #include "workloads/Workload.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,6 +71,18 @@ namespace {
     std::fprintf(stderr, " %s", Name.c_str());
   std::fprintf(stderr, "\n");
   std::exit(2);
+}
+
+/// Parses \p Text as a whole decimal number in [\p Min, INT_MAX], or
+/// prints the usage and exits.
+int parseNumber(const char *Argv0, const char *Text, long Min) {
+  char *End = nullptr;
+  errno = 0;
+  const long Value = std::strtol(Text, &End, 10);
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])) || *End != '\0' ||
+      errno == ERANGE || Value < Min || Value > INT_MAX)
+    usage(Argv0);
+  return static_cast<int>(Value);
 }
 
 } // namespace
@@ -97,11 +115,11 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--schedule")
       ScheduleText = Next();
     else if (Arg == "--workers")
-      Workers = static_cast<unsigned>(std::atoi(Next()));
+      Workers = static_cast<unsigned>(parseNumber(Argv[0], Next(), 1));
     else if (Arg == "--cf")
-      Cf = std::atoi(Next());
+      Cf = parseNumber(Argv[0], Next(), 1);
     else if (Arg == "--input")
-      Input = static_cast<size_t>(std::atoi(Next()));
+      Input = static_cast<size_t>(parseNumber(Argv[0], Next(), 0));
     else
       usage(Argv[0]);
   }

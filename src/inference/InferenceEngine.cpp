@@ -6,6 +6,7 @@
 
 #include "inference/InferenceEngine.h"
 
+#include "runtime/Executor.h"
 #include "support/Error.h"
 #include "support/Subprocess.h"
 
@@ -62,6 +63,17 @@ RuntimeParams Candidate::lower(const Workload &W, int ChunkFactor) const {
 
 namespace {
 
+/// Candidate runs use the paper's test input and 4 workers.
+constexpr size_t TestInput = 0;
+constexpr unsigned CandidateWorkers = 4;
+
+/// Fixed chunk factor during candidate evaluation (§5).
+constexpr int CandidateChunkFactor = 16;
+
+/// Modeled machine-memory cap on per-transaction access-set footprint
+/// (reproduces the paper's AggloClust out-of-memory crash).
+constexpr size_t CandidateAccessSetBytes = 160 << 10;
+
 /// Wire format of the child's report (all little-endian u64/f64 slots).
 struct WireReport {
   uint64_t Outcome;
@@ -79,13 +91,11 @@ struct WireReport {
 /// Runs the candidate end to end inside the child process and emits a
 /// WireReport. Never returns.
 [[noreturn]] void runCandidateChild(const std::string &Name,
-                                    const Candidate &Cand,
-                                    const InferenceConfig &Config,
-                                    int WriteFd) {
+                                    const Candidate &Cand, int WriteFd) {
   // Reference execution on a private instance: deterministic setup means
   // the child's reference equals the parent's (§4.3 — one run per test).
   std::unique_ptr<Workload> Ref = makeWorkload(Name);
-  Ref->setUp(Config.InputIndex);
+  Ref->setUp(TestInput);
   const RunResult SeqResult = Ref->runSequential();
   const std::vector<double> Reference = Ref->outputSignature();
 
@@ -95,7 +105,7 @@ struct WireReport {
   uint64_t BaselineNs = SeqResult.Stats.RealTimeNs;
   for (int Rep = 0; Rep != 2; ++Rep) {
     std::unique_ptr<Workload> Again = makeWorkload(Name);
-    Again->setUp(Config.InputIndex);
+    Again->setUp(TestInput);
     BaselineNs =
         std::min(BaselineNs, Again->runSequential().Stats.RealTimeNs);
   }
@@ -108,13 +118,12 @@ struct WireReport {
   // minimum strips additive measurement noise that would otherwise flip
   // borderline classifications run to run.
   TxnLimits Limits;
-  Limits.MaxAccessSetBytes = Config.MaxAccessSetBytes;
+  Limits.MaxAccessSetBytes = CandidateAccessSetBytes;
   auto RunCandidate = [&](RunResult &Out, bool &Valid) {
     std::unique_ptr<Workload> W = makeWorkload(Name);
-    W->setUp(Config.InputIndex);
-    const RuntimeParams Params =
-        Cand.lower(*W, Config.InferenceChunkFactor);
-    Out = W->runLockstep(Params, Config.NumWorkers, BaselineNs * 3, Limits);
+    W->setUp(TestInput);
+    const RuntimeParams Params = Cand.lower(*W, CandidateChunkFactor);
+    Out = W->runLockstep(Params, CandidateWorkers, BaselineNs * 3, Limits);
     Valid = W->validate(Reference);
   };
   RunResult R;
@@ -124,8 +133,7 @@ struct WireReport {
   if (R.Status == RunStatus::Success) {
     const double Ratio = static_cast<double>(MinSimNs) /
                          static_cast<double>(std::max<uint64_t>(BaselineNs, 1));
-    if (Ratio > 0.6 * Config.TimeoutFactor &&
-        Ratio < 1.4 * Config.TimeoutFactor) {
+    if (Ratio > 0.6 * DeadlineFactor && Ratio < 1.4 * DeadlineFactor) {
       for (int Rep = 0; Rep != 2; ++Rep) {
         RunResult Again;
         bool AgainValid = false;
@@ -135,12 +143,11 @@ struct WireReport {
       }
     }
   }
-  InferenceOutcome Outcome =
-      classifyRun(R, OutputValid, Config.HighConflictRate);
+  InferenceOutcome Outcome = classifyRun(R, OutputValid);
   // Post-hoc 10x rule on the stabilized time.
   if (R.Status == RunStatus::Success &&
       static_cast<double>(MinSimNs) >
-          Config.TimeoutFactor * static_cast<double>(BaselineNs))
+          DeadlineFactor * static_cast<double>(BaselineNs))
     Outcome = InferenceOutcome::Timeout;
 
   WireReport Wire;
@@ -166,7 +173,7 @@ CandidateReport InferenceEngine::evaluateCandidate(const std::string &Name,
   CandidateReport Report;
   Report.Cand = Cand;
   const SubprocessResult Sandbox = runInSandbox(
-      [&](int WriteFd) { runCandidateChild(Name, Cand, Config, WriteFd); },
+      [&](int WriteFd) { runCandidateChild(Name, Cand, WriteFd); },
       Config.SandboxTimeoutSec);
 
   if (Sandbox.SpawnFailed) {
@@ -210,7 +217,7 @@ InferenceEngine::inferForWorkload(const std::string &Name) const {
   // Dependence check "in join()" — safe, so run in-process.
   {
     std::unique_ptr<Workload> W = makeWorkload(Name);
-    W->setUp(Config.InputIndex);
+    W->setUp(TestInput);
     Result.LoopCarriedDep = W->probeDependences().AnyLoopCarried;
   }
 

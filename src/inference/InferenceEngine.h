@@ -56,22 +56,13 @@ struct Candidate {
   RuntimeParams lower(const Workload &W, int ChunkFactor) const;
 };
 
-/// Engine configuration (defaults follow the paper).
+/// Engine configuration. The §5 procedure itself is fixed: candidates run
+/// on the test input (input 0) with 4 workers at chunk factor 16, and are
+/// classified by the 10x timeout rule (DeadlineFactor) and the 0.5
+/// high-conflict rule.
 struct InferenceConfig {
-  unsigned NumWorkers = 4;
-  /// Fixed chunk factor during candidate evaluation (§5).
-  int InferenceChunkFactor = 16;
-  /// Timeout rule: modeled time > TimeoutFactor x sequential.
-  double TimeoutFactor = 10.0;
-  /// High-conflict rule: failed commits / attempts > this.
-  double HighConflictRate = 0.5;
-  /// Modeled machine-memory cap on per-transaction access-set footprint
-  /// (reproduces the paper's AggloClust out-of-memory crash).
-  size_t MaxAccessSetBytes = 160 << 10;
   /// Hard wall-clock limit for one sandboxed evaluation.
   unsigned SandboxTimeoutSec = 120;
-  /// Which workload input to evaluate on (0 = the test input).
-  size_t InputIndex = 0;
 };
 
 /// Result of evaluating one candidate.
@@ -124,9 +115,6 @@ public:
   /// Evaluates a single candidate in a sandbox.
   CandidateReport evaluateCandidate(const std::string &Name,
                                     const Candidate &Cand) const;
-
-  /// The configuration in force.
-  const InferenceConfig &config() const { return Config; }
 
 private:
   InferenceConfig Config;

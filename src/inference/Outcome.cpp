@@ -10,6 +10,13 @@
 
 using namespace alter;
 
+namespace {
+
+/// §5's high-conflict rule: failed commits / attempts above this.
+constexpr double HighConflictThreshold = 0.5;
+
+} // namespace
+
 const char *alter::inferenceOutcomeName(InferenceOutcome Outcome) {
   switch (Outcome) {
   case InferenceOutcome::Success:
@@ -28,8 +35,8 @@ const char *alter::inferenceOutcomeName(InferenceOutcome Outcome) {
   ALTER_UNREACHABLE("covered switch");
 }
 
-InferenceOutcome alter::classifyRun(const RunResult &Result, bool OutputValid,
-                                    double HighConflictRate) {
+InferenceOutcome alter::classifyRun(const RunResult &Result,
+                                    bool OutputValid) {
   // Infrastructure faults the runtime observed (and contained) this run.
   // A crash/timeout with these nonzero is not evidence against the
   // annotation; neither is a "success" that only completed because the
@@ -53,7 +60,7 @@ InferenceOutcome alter::classifyRun(const RunResult &Result, bool OutputValid,
   }
   if (Result.Stats.Recovered && EnvFaults != 0)
     return InferenceOutcome::EnvFault;
-  if (Result.Stats.retryRate() > HighConflictRate)
+  if (Result.Stats.retryRate() > HighConflictThreshold)
     return InferenceOutcome::HighConflicts;
   if (!OutputValid)
     return InferenceOutcome::OutputMismatch;

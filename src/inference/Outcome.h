@@ -48,10 +48,9 @@ enum class InferenceOutcome {
 const char *inferenceOutcomeName(InferenceOutcome Outcome);
 
 /// Applies the §5 classification rules to a completed run.
-/// \p OutputValid is the program-specific validation verdict;
-/// \p HighConflictRate is the failed-commit threshold (paper: 0.5).
-InferenceOutcome classifyRun(const RunResult &Result, bool OutputValid,
-                             double HighConflictRate = 0.5);
+/// \p OutputValid is the program-specific validation verdict; a run whose
+/// failed-commit fraction exceeds 0.5 has high conflicts.
+InferenceOutcome classifyRun(const RunResult &Result, bool OutputValid);
 
 } // namespace alter
 

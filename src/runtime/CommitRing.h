@@ -67,7 +67,7 @@ constexpr uint8_t RingDoorbellAbnormal = 0xc0;
 /// point at the same MAP_SHARED pages).
 class CommitRing {
 public:
-  /// Default per-slot capacity (ExecutorConfig::RingBytesPerSlot).
+  /// Per-slot capacity of the fork engines' rings.
   static constexpr size_t DefaultCapacity = 1 << 20;
 
   /// Maps a ring with at least \p CapacityBytes of data area (rounded up

@@ -19,6 +19,15 @@
 
 using namespace alter;
 
+namespace {
+
+/// Minimum trace-clock ns between timeline samples. Sampling piggybacks on
+/// the dispatch points (poll wakeups, round barriers), so this is a floor,
+/// not a period; under the seeded trace clock it is deterministic.
+constexpr uint64_t TimelineSampleFloorNs = 1'000'000;
+
+} // namespace
+
 DispatchCore::DispatchCore(const char *Engine, const LoopSpec &Spec,
                            const ExecutorConfig &Config, ParkedChild &Parked,
                            bool AllowReuse)
@@ -269,7 +278,7 @@ void DispatchCore::sample(bool Force) {
   if (!Config.Metrics)
     return;
   const uint64_t Now = traceNowNs();
-  if (!Force && Sampled && Now - LastSampleNs < Config.MetricsSampleIntervalNs)
+  if (!Force && Sampled && Now - LastSampleNs < TimelineSampleFloorNs)
     return;
   Sampled = true;
   LastSampleNs = Now;
@@ -328,7 +337,6 @@ RunResult DispatchCore::finish(RunStatus Status, std::string Detail) {
   Result.Stats.BloomSkips = Detector.bloomSkips();
   Result.Stats.BloomFalsePositives = Detector.bloomFalsePositives();
   if (Pool) {
-    Result.Stats.TemplateRefreshes = Pool->templateRefreshes();
     Result.Stats.PoolFaults = Pool->poolFaults();
     Result.Stats.ChildReuses = Pool->childReuses();
     if (!Pool->valid()) {

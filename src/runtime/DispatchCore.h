@@ -104,8 +104,8 @@ public:
   /// counted it and recorded its write set with the detector.
   void commit(ChildReport &Rep, int64_t Chunk, unsigned Slot);
 
-  /// Appends a timeline sample when metrics are on, at most one per
-  /// MetricsSampleIntervalNs unless \p Force.
+  /// Appends a timeline sample when metrics are on, at most one per trace-
+  /// clock millisecond unless \p Force.
   void sample(bool Force);
 
   /// Emits the Interrupt event and returns the Interrupted run's detail.

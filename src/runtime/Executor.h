@@ -32,7 +32,6 @@
 #ifndef ALTER_RUNTIME_EXECUTOR_H
 #define ALTER_RUNTIME_EXECUTOR_H
 
-#include "runtime/CostModel.h"
 #include "runtime/LoopSpec.h"
 #include "runtime/RunResult.h"
 #include "runtime/RuntimeParams.h"
@@ -92,6 +91,11 @@ const char *schedulePolicyName(SchedulePolicy Policy);
 /// anything else.
 bool parseSchedulePolicy(const std::string &Text, SchedulePolicy &Policy);
 
+/// The paper's timeout rule (§5): a run taking more than this multiple of
+/// the sequential execution time is a Timeout. The engines' deadlines, the
+/// loop runners' outer deadline and inference's classification all use it.
+constexpr double DeadlineFactor = 10.0;
+
 /// Configuration shared by the parallel executors.
 struct ExecutorConfig {
   /// Number of worker processes N (paper §4.1's fork–join width).
@@ -104,10 +108,9 @@ struct ExecutorConfig {
   TxnLimits Limits;
 
   /// Deadline handling: a run whose accumulated (modeled) time exceeds
-  /// TimeoutFactor × SeqBaselineNs is flagged Timeout, mirroring the
-  /// paper's 10× rule. SeqBaselineNs == 0 disables the rule.
+  /// DeadlineFactor × SeqBaselineNs is flagged Timeout. SeqBaselineNs == 0
+  /// disables the rule.
   uint64_t SeqBaselineNs = 0;
-  double TimeoutFactor = 10.0;
 
   /// Schedule selection for the schedule-aware runner. Engines driven
   /// directly ignore it; RecoveringLoopRunner consults it before choosing
@@ -122,82 +125,11 @@ struct ExecutorConfig {
   /// the Crash promptly.
   unsigned ChunkFaultRetryLimit = 2;
 
-  //===--------------------------------------------------------------------===
-  // Degradation-ladder supervision budgets (RecoveringLoopRunner)
-  //===--------------------------------------------------------------------===
-
-  /// Master switch for the ladder. Off: any unrecoverable Crash/Timeout
-  /// drops every uncommitted iteration straight to the full-tail
-  /// sequential fallback (the pre-ladder behavior).
-  bool EnableSalvage = true;
-
-  /// Tier 1: how many solo speculative re-executions of the indicted chunk
-  /// to attempt before bisecting it.
-  unsigned SalvageAttempts = 2;
-
-  /// Tier 2: maximum recursive halvings of a failing range. Ranges still
-  /// failing at the depth limit (or at single-iteration width) are
-  /// quarantined.
-  unsigned BisectionDepthLimit = 16;
-
-  /// Base wait before the second and later tier-1 attempts; attempt A
-  /// sleeps (base << (A - 2)) plus a deterministic jitter in [0, base)
-  /// seeded by (SalvageSeed, chunk, attempt) — replays of the same plan
-  /// back off identically.
-  uint64_t SalvageBackoffNs = 200'000; // 0.2ms
-
-  /// Seed for the deterministic backoff jitter.
-  uint64_t SalvageSeed = 0x53414c56; // "SALV"
-
-  //===--------------------------------------------------------------------===
-  // Steady-state transport (WorkerPool + CommitRing)
-  //===--------------------------------------------------------------------===
-
   /// Commit transport for the fork engines. Ring runs chunks from the warm
   /// worker pool and ships commits through shared-memory rings; Pipe is
   /// the fork-per-chunk fallback. Defaults to the ALTER_TRANSPORT-derived
   /// process default at config construction.
   TransportKind Transport = globalTransportKind();
-
-  /// Data capacity of each worker slot's commit ring (rounded up to a
-  /// power of two). Messages larger than the ring still ship — the child
-  /// publishes in pieces under backpressure — this only sizes the fast
-  /// path.
-  size_t RingBytesPerSlot = 1 << 20;
-
-  /// Retire and respawn the warm template after this many commits have
-  /// been streamed to it (0 = never refresh). A refresh re-snapshots the
-  /// template from the parent wholesale, bounding drift if incremental
-  /// commit replay ever diverges; it waits for a moment with no warm child
-  /// in flight, so the old template can still reap its children.
-  unsigned TemplateRefreshCommits = 0;
-
-  /// Fork-free steady state (pipeline engine only): after a slot's chunk
-  /// commits, dispatch the next chunk to the SAME resident child over the
-  /// slot's work pipe instead of re-forking. Until the run fails a
-  /// validation the child keeps its snapshot plus its own committed
-  /// writes, so validating its reads against every commit since that
-  /// snapshot (the slot keeps its SnapshotSeq) stays sound; it merely
-  /// aborts more often as the snapshot ages. This caps consecutive reuses
-  /// per child in such runs, so the snapshot lag — and the conflict-epoch
-  /// history the detector must retain — stays bounded. After a failed
-  /// validation each redispatch catches the child up to committed state
-  /// (WorkerPool), its snapshot is fresh, and the cap no longer applies.
-  /// 0 disables reuse (every chunk re-forks from the warm template). The
-  /// round-based ForkJoin engine never reuses: its round-local validation
-  /// cannot see commits older than the round.
-  unsigned MaxChildReuse = 64;
-
-  /// Kernel-enforced caps applied inside each forked chunk via setrlimit:
-  /// CPU seconds (RLIMIT_CPU — a busy-spinning child is killed by SIGXCPU
-  /// without waiting for the parent deadline) and address space bytes
-  /// (RLIMIT_AS — a child with runaway allocation fails its allocations
-  /// instead of triggering the host OOM killer). Zero disables a cap.
-  uint64_t ChildCpuSeconds = 0;
-  uint64_t ChildAddressSpaceBytes = 0;
-
-  /// Cost model for the simulated parallel clock (Lockstep engine).
-  const CostModel *Costs = nullptr;
 
   /// Allocator used for in-loop allocations; may be null when the loop
   /// never allocates.
@@ -213,15 +145,9 @@ struct ExecutorConfig {
   /// process setting). When on, children record per-chunk latency/size
   /// histograms and ship them in the commit frame's METRICS section, the
   /// parent records validate/commit latencies and merges everything into
-  /// RunResult::Metrics, and the timeline sampler below runs. When off,
+  /// RunResult::Metrics, and the fork engines sample a timeline. When off,
   /// that section is empty.
   bool Metrics = globalMetricsEnabled();
-
-  /// Minimum trace-clock ns between timeline samples. Sampling piggybacks
-  /// on existing dispatch points (poll wakeups, round barriers) — no
-  /// threads — so this is a floor, not a period. Deterministic under the
-  /// seeded trace clock.
-  uint64_t MetricsSampleIntervalNs = 1'000'000;
 
   /// Optional crash-consistent commit journal (runtime/CommitJournal.h).
   /// When set, every engine appends a frame per committed chunk before

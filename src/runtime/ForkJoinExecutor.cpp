@@ -31,8 +31,8 @@ constexpr uint64_t MinStallGraceNs = 250'000'000; // 250ms
 ForkJoinExecutor::ForkJoinExecutor(ExecutorConfig Config)
     : Config(std::move(Config)) {
   assert(this->Config.NumWorkers >= 1 && "need at least one worker");
-  if (!this->Config.Costs)
-    this->Config.Costs = &CostModel::calibrated();
+  // Calibrate the modeled clock here, outside every timed run().
+  CostModel::calibrated();
 }
 
 ChildRusage ForkJoinExecutor::release() {
@@ -63,7 +63,7 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
   // serialize, hence the NumWorkers factor on the budget.
   uint64_t RealDeadline = 0;
   if (Config.SeqBaselineNs != 0) {
-    const double BudgetNs = Config.TimeoutFactor *
+    const double BudgetNs = DeadlineFactor *
                             static_cast<double>(Config.SeqBaselineNs) *
                             static_cast<double>(P);
     RealDeadline = Core.RealStart + std::max(static_cast<uint64_t>(BudgetNs),

@@ -178,8 +178,8 @@ private:
 LockstepExecutor::LockstepExecutor(ExecutorConfig Config)
     : Config(std::move(Config)) {
   assert(this->Config.NumWorkers >= 1 && "need at least one worker");
-  if (!this->Config.Costs)
-    this->Config.Costs = &CostModel::calibrated();
+  // Calibrate the modeled clock here, outside every timed run().
+  CostModel::calibrated();
 }
 
 LockstepExecutor::~LockstepExecutor() = default;
@@ -238,7 +238,7 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
   const uint64_t DeadlineSimNs =
       Config.SeqBaselineNs == 0
           ? 0
-          : static_cast<uint64_t>(Config.TimeoutFactor *
+          : static_cast<uint64_t>(DeadlineFactor *
                                   static_cast<double>(Config.SeqBaselineNs));
 
   const auto Finish = [&](RunStatus Status, std::string Detail) {

@@ -7,6 +7,7 @@
 #include "runtime/LoopRunner.h"
 
 #include "runtime/CommitJournal.h"
+#include "runtime/CostModel.h"
 #include "runtime/ForkJoinExecutor.h"
 #include "runtime/LockstepExecutor.h"
 #include "runtime/PipelineExecutor.h"
@@ -22,6 +23,23 @@
 #include <vector>
 
 using namespace alter;
+
+namespace {
+
+/// Ladder tier 1: solo speculative re-executions of the indicted chunk
+/// before it is bisected.
+constexpr unsigned SoloAttempts = 2;
+
+/// Ladder tier 2: recursive halvings of a failing range. A range still
+/// failing at this depth is quarantined.
+constexpr unsigned MaxBisectionDepth = 16;
+
+/// Tier-1 backoff: the second attempt first waits BackoffBaseNs plus a
+/// jitter in [0, BackoffBaseNs) seeded by (BackoffSeed, chunk, attempt).
+constexpr uint64_t BackoffBaseNs = 200'000;  // 0.2ms
+constexpr uint64_t BackoffSeed = 0x53414c56; // "SALV"
+
+} // namespace
 
 std::unique_ptr<Executor> alter::makeParallelEngine(ParallelEngine Engine,
                                                     const ExecutorConfig &Config) {
@@ -65,7 +83,7 @@ bool ExecutorLoopRunner::runInner(const LoopSpec &Spec) {
     return false;
   if (SeqBaselineNs != 0 &&
       static_cast<double>(Accumulated.Stats.SimTimeNs) >
-          TimeoutFactor * static_cast<double>(SeqBaselineNs)) {
+          DeadlineFactor * static_cast<double>(SeqBaselineNs)) {
     Accumulated.Status = RunStatus::Timeout;
     Accumulated.Detail =
         "accumulated modeled time exceeded the 10x-sequential deadline";
@@ -79,14 +97,9 @@ void ExecutorLoopRunner::release() {
 }
 
 RecoveringLoopRunner::RecoveringLoopRunner(ParallelEngine Engine,
-                                           ExecutorConfig Config,
-                                           AlterAllocator *Allocator)
-    : Engine(Engine), Config(std::move(Config)) {
-  if (Allocator)
-    this->Config.Allocator = Allocator;
-  this->Allocator = this->Config.Allocator;
-  Primary = makeParallelEngine(Engine, this->Config);
-}
+                                           ExecutorConfig Config)
+    : Engine(Engine), Config(std::move(Config)),
+      Primary(makeParallelEngine(Engine, this->Config)) {}
 
 void RecoveringLoopRunner::release() {
   Accumulated.Stats.addChildUsage(Primary->release());
@@ -116,7 +129,7 @@ bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
   }
   if (Config.Schedule == SchedulePolicy::Sequential) {
     // Chosen, not degraded-to: run the reference engine outright.
-    SequentialExecutor Seq(Allocator);
+    SequentialExecutor Seq(Config.Allocator);
     Accumulated.ScheduleUsed = ScheduleKind::Sequential;
     if (J)
       J->beginInvocation(Spec.Name, Spec.NumIterations,
@@ -192,7 +205,7 @@ bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
   drainJournalStats();
   if (Config.SeqBaselineNs != 0 && !SequentialMode &&
       static_cast<double>(Accumulated.Stats.SimTimeNs) >
-          Config.TimeoutFactor * static_cast<double>(Config.SeqBaselineNs)) {
+          DeadlineFactor * static_cast<double>(Config.SeqBaselineNs)) {
     // Completion stays guaranteed, but the time budget is spent: later
     // invocations go straight to sequential execution.
     SequentialMode = true;
@@ -267,7 +280,7 @@ bool RecoveringLoopRunner::planPicksStaged(const LoopSpec &Spec) {
   // capacity), matching both engines' pooled contexts.
   {
     TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
-                   Allocator, /*Worker=*/0u, Config.Limits);
+                   Config.Allocator, /*Worker=*/0u, Config.Limits);
     for (int64_t First = 0; First < K; First += Cf) {
       const int64_t Last = std::min<int64_t>(First + Cf, K);
       Ctx.beginTxn();
@@ -292,10 +305,10 @@ bool RecoveringLoopRunner::planPicksStaged(const LoopSpec &Spec) {
   // half never touched memory.
   {
     TxnContext SeqCtx(ContextMode::Transactional, &Config.Params, &Spec,
-                      Allocator, /*Worker=*/0u, Config.Limits);
+                      Config.Allocator, /*Worker=*/0u, Config.Limits);
     SeqCtx.disableConflictTracking();
     TxnContext ParCtx(ContextMode::Transactional, &ParParams, &Spec,
-                      Allocator, /*Worker=*/0u, Config.Limits);
+                      Config.Allocator, /*Worker=*/0u, Config.Limits);
     ParCtx.enableBufferedWrites();
     TxnContext &FirstCtx =
         Spec.Stage.Order == StageOrder::SeqFirst ? SeqCtx : ParCtx;
@@ -348,10 +361,8 @@ bool RecoveringLoopRunner::planPicksStaged(const LoopSpec &Spec) {
   Profile.CheckWordsPerIter =
       static_cast<double>(CheckWords) / static_cast<double>(K);
 
-  const CostModel &Model =
-      Config.Costs ? *Config.Costs : CostModel::calibrated();
   const ScheduleEstimate E =
-      Model.estimateSchedules(Profile, Config.NumWorkers);
+      CostModel::calibrated().estimateSchedules(Profile, Config.NumWorkers);
   traceLadderEvent(TraceEventKind::SchedulePick, /*Chunk=*/-1,
                    /*Arg0=*/E.ChunkedNs, /*Arg1=*/E.StagedNs);
   return E.stagedWins();
@@ -361,7 +372,7 @@ bool RecoveringLoopRunner::budgetExpired() const {
   if (Config.SeqBaselineNs == 0)
     return false;
   return static_cast<double>(Accumulated.Stats.RealTimeNs) >
-         Config.TimeoutFactor * static_cast<double>(Config.SeqBaselineNs);
+         DeadlineFactor * static_cast<double>(Config.SeqBaselineNs);
 }
 
 namespace {
@@ -418,11 +429,11 @@ void RecoveringLoopRunner::runLadder(const LoopSpec &Spec,
   int64_t RoundsLeft = 2 * NumChunks + 4;
 
   while (!Remaining.empty()) {
-    if (!Config.EnableSalvage || Indicted < 0 ||
+    if (Indicted < 0 ||
         !std::binary_search(Remaining.begin(), Remaining.end(), Indicted) ||
         --RoundsLeft <= 0 || budgetExpired()) {
       // Ladder floor: the failure has no single culpable chunk (Timeout),
-      // salvage is off, or the budget is spent — finish sequentially.
+      // or the budget is spent — finish sequentially.
       fullTailSequential(Spec, Remaining, Cf);
       return;
     }
@@ -529,7 +540,7 @@ void RecoveringLoopRunner::resolveChunk(const LoopSpec &Spec, int64_t Chunk,
   const int64_t Last = std::min<int64_t>(First + Cf, Spec.NumIterations);
   // Tier 1: the indicted chunk alone, speculatively, on a fresh solo
   // engine — a transient fault heals here without any sequential work.
-  for (unsigned Attempt = 1; Attempt <= Config.SalvageAttempts; ++Attempt) {
+  for (unsigned Attempt = 1; Attempt <= SoloAttempts; ++Attempt) {
     if (budgetExpired())
       break;
     backoff(Chunk, Attempt);
@@ -547,7 +558,7 @@ void RecoveringLoopRunner::resolveChunk(const LoopSpec &Spec, int64_t Chunk,
 void RecoveringLoopRunner::bisect(const LoopSpec &Spec, int64_t Chunk,
                                   int64_t First, int64_t Last,
                                   unsigned Depth) {
-  if (Last - First <= 1 || Depth >= Config.BisectionDepthLimit ||
+  if (Last - First <= 1 || Depth >= MaxBisectionDepth ||
       budgetExpired()) {
     quarantineRange(Spec, Chunk, First, Last);
     return;
@@ -608,16 +619,14 @@ bool RecoveringLoopRunner::runRangeSolo(const LoopSpec &Spec, int64_t Chunk,
 }
 
 void RecoveringLoopRunner::backoff(int64_t Chunk, unsigned Attempt) {
-  if (Attempt < 2 || Config.SalvageBackoffNs == 0)
+  if (Attempt < 2)
     return;
-  const uint64_t Base = Config.SalvageBackoffNs
-                        << std::min(Attempt - 2u, 20u);
   // Jitter is a pure function of (seed, chunk, attempt): same-seed replays
   // back off identically, keeping whole-run traces deterministic.
-  SplitMix64 Rng(Config.SalvageSeed ^
+  SplitMix64 Rng(BackoffSeed ^
                  (static_cast<uint64_t>(Chunk) * 0x9e3779b97f4a7c15ULL) ^
                  Attempt);
-  const uint64_t WaitNs = Base + Rng.next() % Config.SalvageBackoffNs;
+  const uint64_t WaitNs = BackoffBaseNs + Rng.next() % BackoffBaseNs;
   struct timespec Ts;
   Ts.tv_sec = static_cast<time_t>(WaitNs / 1000000000ULL);
   Ts.tv_nsec = static_cast<long>(WaitNs % 1000000000ULL);
@@ -637,7 +646,7 @@ void RecoveringLoopRunner::quarantineRange(const LoopSpec &Spec,
   // and with no runtime parameters reduction updates execute as their
   // direct read-modify-write — sequential semantics.
   TxnContext Ctx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
-                 Allocator, /*Worker=*/0);
+                 Config.Allocator, /*Worker=*/0);
   const bool TraceEvents = Config.Trace >= TraceLevel::Events;
   const uint64_t TraceT0 = TraceEvents ? traceNowNs() : 0;
   const uint64_t Start = nowNs();
@@ -668,7 +677,7 @@ void RecoveringLoopRunner::fullTailSequential(
   if (N == 0 || Chunks.empty())
     return;
   TxnContext Ctx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
-                 Allocator, /*Worker=*/0);
+                 Config.Allocator, /*Worker=*/0);
   const bool TraceEvents = Config.Trace >= TraceLevel::Events;
   const uint64_t TraceT0 = TraceEvents ? traceNowNs() : 0;
   const uint64_t Start = nowNs();
@@ -720,7 +729,7 @@ bool RecoveringLoopRunner::resumeRecovered(const LoopSpec &Spec,
   // hold pre-restart virtual addresses (see CommitJournal.h).
   {
     TxnContext Ctx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
-                   Allocator, /*Worker=*/0);
+                   Config.Allocator, /*Worker=*/0);
     const uint64_t Start = nowNs();
     for (const JournalFrame &F : Rec.Commits) {
       const int64_t Last = std::min<int64_t>(F.LastIter, N);
@@ -774,7 +783,7 @@ bool RecoveringLoopRunner::resumeRecovered(const LoopSpec &Spec,
   // in parallel below.
   std::vector<int64_t> Remaining;
   TxnContext GapCtx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
-                    Allocator, /*Worker=*/0);
+                    Config.Allocator, /*Worker=*/0);
   const uint64_t GapStart = nowNs();
   uint64_t GapIters = 0;
   for (int64_t C = 0; C != NumChunks; ++C) {
@@ -837,7 +846,7 @@ void RecoveringLoopRunner::completeRemaining(const LoopSpec &Spec,
   // resolves one indicted chunk, but termination must not depend on that.
   int64_t RoundsLeft = 2 * static_cast<int64_t>(Remaining.size()) + 4;
   while (!Remaining.empty()) {
-    if (!Config.EnableSalvage || --RoundsLeft <= 0 || budgetExpired()) {
+    if (--RoundsLeft <= 0 || budgetExpired()) {
       fullTailSequential(Spec, Remaining, Cf);
       return;
     }

@@ -90,10 +90,8 @@ class ExecutorLoopRunner : public LoopRunner {
 public:
   /// \p SeqBaselineNs is the measured sequential time of the whole
   /// algorithm; 0 disables the deadline.
-  ExecutorLoopRunner(Executor &Exec, uint64_t SeqBaselineNs = 0,
-                     double TimeoutFactor = 10.0)
-      : Exec(Exec), SeqBaselineNs(SeqBaselineNs),
-        TimeoutFactor(TimeoutFactor) {}
+  explicit ExecutorLoopRunner(Executor &Exec, uint64_t SeqBaselineNs = 0)
+      : Exec(Exec), SeqBaselineNs(SeqBaselineNs) {}
 
   bool runInner(const LoopSpec &Spec) override;
 
@@ -102,7 +100,6 @@ public:
 private:
   Executor &Exec;
   uint64_t SeqBaselineNs;
-  double TimeoutFactor;
 };
 
 /// Driver that guarantees completion through a graceful-degradation
@@ -116,20 +113,19 @@ private:
 ///
 ///  - Tier 1 (salvage): the chunk the engine indicted (RunResult::
 ///    FailedChunk) is re-executed alone, speculatively, on a fresh solo
-///    executor forked from the committed snapshot — up to
-///    ExecutorConfig::SalvageAttempts times with deterministic exponential
-///    backoff. A transient fault heals here and the healthy tail re-runs
-///    in parallel.
+///    executor forked from the committed snapshot — up to twice, with a
+///    deterministic backoff before the second attempt. A transient fault
+///    heals here and the healthy tail re-runs in parallel.
 ///  - Tier 2 (bisection): a chunk that keeps failing solo is split
 ///    recursively; healthy halves commit speculatively, only the failing
-///    fragment keeps shrinking (bounded by BisectionDepthLimit).
+///    fragment keeps shrinking (at most 16 halvings deep).
 ///  - Tier 3 (quarantine): fragments that fail at single-iteration width
 ///    (or at the depth limit) are executed sequentially against committed
 ///    memory. Stats.QuarantinedIterations is bounded by the poisoned
 ///    chunk's size — never by the tail.
 ///
-/// Only when the ladder cannot run — salvage disabled, no indicted chunk
-/// (e.g. Timeout), or the real-time budget already spent — does the runner
+/// Only when the ladder cannot run — no indicted chunk (e.g. Timeout), or
+/// the real-time budget already spent — does the runner
 /// fall back to sequential re-execution of every uncommitted chunk
 /// (Stats.RecoveredIterations), the pre-ladder behavior.
 ///
@@ -153,18 +149,16 @@ private:
 /// logged bytes).
 class RecoveringLoopRunner : public LoopRunner {
 public:
-  /// \p Config carries the engine configuration, the outer deadline
-  /// (SeqBaselineNs / TimeoutFactor), and the ladder's supervision
-  /// budgets. \p Allocator overrides Config.Allocator when non-null.
-  RecoveringLoopRunner(ParallelEngine Engine, ExecutorConfig Config,
-                       AlterAllocator *Allocator = nullptr);
+  /// \p Config carries the engine configuration and the outer deadline
+  /// (SeqBaselineNs).
+  RecoveringLoopRunner(ParallelEngine Engine, ExecutorConfig Config);
 
   bool runInner(const LoopSpec &Spec) override;
 
   void release() override;
 
 private:
-  /// True once accumulated real time exceeds TimeoutFactor x
+  /// True once accumulated real time exceeds DeadlineFactor x
   /// SeqBaselineNs: salvage must stop paying for speculation retries.
   bool budgetExpired() const;
 
@@ -211,7 +205,8 @@ private:
   bool runRangeSolo(const LoopSpec &Spec, int64_t Chunk, int64_t First,
                     int64_t Last);
 
-  /// Deterministic exponential backoff before tier-1 attempt \p Attempt.
+  /// Deterministic backoff before tier-1 attempt \p Attempt (none before
+  /// the first).
   void backoff(int64_t Chunk, unsigned Attempt);
 
   /// Tier 3: executes [First, Last) sequentially against committed memory.
@@ -246,7 +241,6 @@ private:
 
   ParallelEngine Engine;
   ExecutorConfig Config;
-  AlterAllocator *Allocator;
   /// The engine instance used for whole-loop invocations (it holds the
   /// last invocation's retired template until release()); ladder sub-runs
   /// construct fresh engines so their width/retry settings stay private.

@@ -6,6 +6,7 @@
 
 #include "runtime/PipelineExecutor.h"
 
+#include "runtime/CostModel.h"
 #include "runtime/DispatchCore.h"
 #include "runtime/ShutdownSupervisor.h"
 #include "support/FaultInjection.h"
@@ -61,8 +62,9 @@ struct BufferedReport {
 PipelineExecutor::PipelineExecutor(ExecutorConfig Config)
     : Config(std::move(Config)) {
   assert(this->Config.NumWorkers >= 1 && "need at least one worker");
-  if (!this->Config.Costs)
-    this->Config.Costs = &CostModel::calibrated();
+  // Calibrate the cost model here, outside every timed run(): the schedule
+  // planner that drives this engine prices loops with it.
+  CostModel::calibrated();
 }
 
 ChildRusage PipelineExecutor::release() {
@@ -85,7 +87,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   const uint64_t DeadlineNs =
       Config.SeqBaselineNs == 0
           ? 0
-          : static_cast<uint64_t>(Config.TimeoutFactor *
+          : static_cast<uint64_t>(DeadlineFactor *
                                   static_cast<double>(Config.SeqBaselineNs));
 
   // Pending chunks, kept sorted ascending at all times: initial chunks are
@@ -157,8 +159,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     // dates from its snapshot (plus its own committed writes), so the
     // slot keeps its SnapshotSeq and the chunk validates against every
     // commit since then — older snapshot, more abort exposure, same
-    // soundness. (This also pins epoch pruning below that seq; the
-    // MaxChildReuse chain cap bounds how far it can lag.)
+    // soundness. (This also pins epoch pruning below that seq; the pool's
+    // reuse chain cap bounds how far it can lag.)
     if (!Ch.Reused || CatchUp)
       S.SnapshotSeq = Detector.commitSeq();
     // Ring children stay resident after completion, so their snapshot

@@ -68,11 +68,12 @@ bool alter::retireRound(std::vector<RoundTxn> &Round,
   }
   Pending.insert(Pending.begin(), Retried.begin(), Retried.end());
 
-  std::vector<TxnCost> Costs;
-  Costs.reserve(Round.size());
+  std::vector<TxnCost> RoundCosts;
+  RoundCosts.reserve(Round.size());
   for (const RoundTxn &T : Round)
-    Costs.push_back(T.Cost);
-  Result.Stats.SimTimeNs += Config.Costs->roundNs(Costs, Config.NumWorkers);
+    RoundCosts.push_back(T.Cost);
+  Result.Stats.SimTimeNs +=
+      CostModel::calibrated().roundNs(RoundCosts, Config.NumWorkers);
   if (Sink.events())
     Sink.event(TraceEventKind::RoundBarrier, /*Worker=*/0, /*Chunk=*/-1,
                traceNowNs(), 0, /*Arg0=*/Result.Stats.NumRounds);

@@ -17,6 +17,7 @@
 #define ALTER_RUNTIME_ROUND_H
 
 #include "runtime/ConflictDetector.h"
+#include "runtime/CostModel.h"
 #include "runtime/Executor.h"
 #include "runtime/TraceSink.h"
 

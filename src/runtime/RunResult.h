@@ -80,9 +80,11 @@ struct RunStats {
   /// Data movement performed by the loop bodies, for the bandwidth model.
   uint64_t BytesRead = 0;
   uint64_t BytesWritten = 0;
-  /// Modeled parallel wall-clock (lock-step cost model), and the modeled
-  /// single-worker wall-clock of the same execution for self-relative
-  /// comparisons.
+  /// The clock the 10x deadline and the figures use. The round engines
+  /// (Lockstep, ForkJoin) and the stage engine store a modeled parallel
+  /// time here (CostModel); the pipeline and sequential engines store real
+  /// time, and RecoveringLoopRunner adds the real time of its schedule
+  /// probe and ladder tiers.
   uint64_t SimTimeNs = 0;
   /// Real host time spent executing.
   uint64_t RealTimeNs = 0;
@@ -125,7 +127,8 @@ struct RunStats {
   /// (the fork-free steady state; pipeline engine, Ring transport).
   /// Counted inside WarmForks — a reuse is the warmest possible path.
   uint64_t ChildReuses = 0;
-  /// Template retire/respawn cycles (TemplateRefreshCommits).
+  /// Scheduled template respawns. No engine schedules one, so this stays
+  /// 0; the benchmark ledger (perfbench) and bench JSON still report it.
   uint64_t TemplateRefreshes = 0;
   /// Pool infrastructure faults absorbed without failing any chunk:
   /// template spawn failures, a dead template discovered on use, and

@@ -18,6 +18,7 @@
 #include "runtime/CommitJournal.h"
 #include "runtime/CommitRing.h"
 #include "runtime/ConflictDetector.h"
+#include "runtime/CostModel.h"
 #include "runtime/ShutdownSupervisor.h"
 #include "runtime/TraceSink.h"
 #include "runtime/TxnWire.h"
@@ -231,7 +232,6 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
   // core and re-run parent atexit handlers from the fork image.
   markForkedChild();
   ::signal(SIGPIPE, SIG_IGN);
-  applyChildRlimits(Config);
 
   const auto Bell = [&](uint8_t Kind) {
     const uint8_t B =
@@ -347,10 +347,9 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   const uint64_t DeadlineNs =
       Config.SeqBaselineNs == 0
           ? 0
-          : static_cast<uint64_t>(Config.TimeoutFactor *
+          : static_cast<uint64_t>(DeadlineFactor *
                                   static_cast<double>(Config.SeqBaselineNs));
-  const CostModel &Model =
-      Config.Costs ? *Config.Costs : CostModel::calibrated();
+  const CostModel &Model = CostModel::calibrated();
 
   // The stages promise disjointness, so validation is a safety net, not a
   // speculation policy. REPLICAS track under FULL regardless of the loop's
@@ -565,8 +564,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     }
     const bool InjectMmap =
         FaultPlan::global().takeSetup(FaultKind::MmapFail, W).Armed;
-    SW.InRing = std::make_unique<CommitRing>(Config.RingBytesPerSlot);
-    SW.OutRing = std::make_unique<CommitRing>(Config.RingBytesPerSlot);
+    SW.InRing = std::make_unique<CommitRing>();
+    SW.OutRing = std::make_unique<CommitRing>();
     if (InjectMmap || !SW.InRing->valid() || !SW.OutRing->valid()) {
       ::close(WorkP[0]);
       ::close(WorkP[1]);

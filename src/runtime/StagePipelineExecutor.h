@@ -32,13 +32,12 @@
 /// (ChunkFaultRetryLimit), so sticky faults degrade through the ladder
 /// exactly like a chunked child.
 ///
-/// Clocks: the protocol executes for real, but this host is a single CPU,
-/// so — like the Lockstep engine — Stats.SimTimeNs is a modeled pipeline
-/// makespan built from per-chunk measured stage times (sequential lane,
-/// replica lanes, dispatch and commit costs from the CostModel), while
-/// Stats.RealTimeNs stays real. The 10x-sequential deadline applies to the
-/// modeled clock, with a real-time no-progress backstop so a hung replica
-/// still times out.
+/// Clocks: the protocol executes for real, and Stats.RealTimeNs is its real
+/// time. Stats.SimTimeNs — like the Lockstep engine's — is a modeled
+/// pipeline makespan built from per-chunk measured stage times (sequential
+/// lane, replica lanes, dispatch and commit costs from the CostModel). The
+/// 10x-sequential deadline applies to the modeled clock, with a real-time
+/// no-progress backstop so a hung replica still times out.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -84,11 +84,13 @@ public:
   // Scalar and range access
   //===--------------------------------------------------------------------===
 
-  /// Instrumented load of a shared location. A raw memory read: the
-  /// transaction writes directly to its (logically private) view and its
-  /// own stores are therefore visible — the in-process analog of a child
-  /// process reading its COW pages in the paper's runtime. Cost matches
-  /// the real system: untracked reads (StaleReads) are free.
+  /// Instrumented load of a shared location, recorded in the read set when
+  /// the policy tracks reads (untracked StaleReads reads are free, as in
+  /// the paper's runtime). A transaction sees its own stores: undo-logged,
+  /// they are already in memory, so the load is a raw read — the
+  /// in-process analog of a child reading its COW pages; buffered (see
+  /// enableBufferedWrites), they live in the write log, which the load
+  /// consults before falling back to committed memory.
   template <typename T> T load(const T *Addr) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "instrumented accesses require trivially copyable types");
@@ -114,9 +116,11 @@ public:
     return Value;
   }
 
-  /// Instrumented store to a shared location: the overwritten bytes are
-  /// saved to the undo log, then memory is written in place. suspendTxn()
-  /// restores the snapshot at transaction end.
+  /// Instrumented store to a shared location, recorded in the write set
+  /// when the policy tracks writes. Undo-logged, the overwritten bytes are
+  /// saved and memory is written in place, and suspendTxn() restores the
+  /// snapshot at transaction end; buffered (see enableBufferedWrites), the
+  /// value goes only into the write log and memory is not touched.
   template <typename T> void store(T *Addr, const T &Value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "instrumented accesses require trivially copyable types");

@@ -16,7 +16,6 @@
 #include <csignal>
 #include <cstring>
 #include <ctime>
-#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace alter;
@@ -117,24 +116,6 @@ void writeAllToPipe(int Fd, const void *Data, size_t Size) {
 }
 
 } // namespace
-
-void alter::applyChildRlimits(const ExecutorConfig &Config) {
-  // Best-effort: lowering a limit cannot fail for an unprivileged process,
-  // and a cap that cannot be applied leaves the parent deadline as the
-  // (slower) backstop.
-  if (Config.ChildCpuSeconds != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildCpuSeconds);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildCpuSeconds + 1);
-    (void)::setrlimit(RLIMIT_CPU, &R);
-  }
-  if (Config.ChildAddressSpaceBytes != 0) {
-    rlimit R;
-    R.rlim_cur = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    R.rlim_max = static_cast<rlim_t>(Config.ChildAddressSpaceBytes);
-    (void)::setrlimit(RLIMIT_AS, &R);
-  }
-}
 
 void alter::applyFrameFault(std::vector<uint8_t> &Frame,
                             const ArmedFault &Fault) {
@@ -277,9 +258,9 @@ bool alter::deserializeAccessSet(const uint8_t *Data, size_t Size,
 
 namespace {
 
-/// Child-side core shared by the pipe and ring transports: applies the
-/// rlimit caps, executes the chunk transactionally, serializes the framed
-/// message, and applies any armed wire-corruption or stall fault.
+/// Child-side core shared by the pipe and ring transports: executes the
+/// chunk transactionally, serializes the framed message, and applies any
+/// armed wire-corruption or stall fault.
 /// The crash/kill faults raise inside, so this returns only on the report
 /// path. The assembled (possibly corrupted) message is ready to ship
 /// verbatim over either transport.
@@ -290,7 +271,6 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
                                              int64_t LastIter,
                                              const ArmedFault &Fault,
                                              MetricsRegistry *Metrics) {
-  applyChildRlimits(Config);
   if (Fault.Armed && Fault.Kind == FaultKind::ChildCrash)
     ::raise(SIGSEGV); // the injected "buggy chunk" dies before any work
 

@@ -94,11 +94,6 @@ struct ChildReport {
 /// The first u64 of every commit frame ("ALTER5", little-endian).
 constexpr uint64_t CommitFrameMagic = 0x35414c544552ULL;
 
-/// Child side: applies the kernel-enforced per-child caps from \p Config
-/// (RLIMIT_CPU, RLIMIT_AS). Shared by every forked chunk child: the fork
-/// engines' and the stage engine's replicas.
-void applyChildRlimits(const ExecutorConfig &Config);
-
 /// Child side: applies an armed wire fault to \p Frame just before it
 /// ships — truncation, a bit flip, or a stall. Every other kind is a no-op
 /// here (crash and kill faults strike during execution, parent-side kinds
@@ -107,9 +102,8 @@ void applyFrameFault(std::vector<uint8_t> &Frame, const ArmedFault &Fault);
 
 /// Child side: executes iterations [\p FirstIter, \p LastIter) of chunk
 /// \p Chunk of \p Spec transactionally as \p Worker, writes the framed
-/// commit message to \p Fd, and _exit()s. Never returns. Applies the
-/// per-child setrlimit caps from \p Config, and \p Fault (taken from the
-/// FaultPlan by the parent at fork time) when armed. At
+/// commit message to \p Fd, and _exit()s. Never returns. Applies \p Fault
+/// (taken from the FaultPlan by the parent at fork time) when armed. At
 /// TraceLevel::Events the message carries the chunk's lifecycle events in
 /// its TRACE section.
 [[noreturn]] void runWireChild(const LoopSpec &Spec,

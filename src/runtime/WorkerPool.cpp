@@ -45,6 +45,12 @@ enum : uint8_t {
 
 constexpr size_t CmdHeaderBytes = 1 + sizeof(uint64_t);
 
+/// Consecutive redispatches of one resident child before its slot re-forks
+/// from the template, in runs that have not engaged catch-up: bounds how
+/// far the child's snapshot lags, and with it the conflict-epoch history
+/// the detector must retain.
+constexpr unsigned MaxReuseChain = 64;
+
 struct ForkCmd {
   uint64_t Slot;
   uint64_t Attempt;
@@ -139,7 +145,7 @@ void alter::setGlobalTransportKind(TransportKind Kind) {
 WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
                        unsigned NumSlots, bool AllowReuse)
     : Spec(Spec), Config(Config),
-      AllowReuse(AllowReuse && Config.MaxChildReuse != 0), Slots(NumSlots) {
+      AllowReuse(AllowReuse), Slots(NumSlots) {
   ignoreSigpipeOnce();
   for (unsigned SlotIdx = 0; SlotIdx != Slots.size(); ++SlotIdx) {
     SlotState &S = Slots[SlotIdx];
@@ -150,7 +156,7 @@ WorkerPool::WorkerPool(const LoopSpec &Spec, const ExecutorConfig &Config,
     // / pipeexhaust@N, N = slot index) strike the same paths.
     const bool InjectMmap =
         FaultPlan::global().takeSetup(FaultKind::MmapFail, SlotIdx).Armed;
-    S.Ring = std::make_unique<CommitRing>(Config.RingBytesPerSlot);
+    S.Ring = std::make_unique<CommitRing>();
     if (InjectMmap || !S.Ring->valid()) {
       alterLogAlways(LogLevel::Warn, "pool",
                      "event=ring_invalid slot=%u injected=%d", SlotIdx,
@@ -207,17 +213,6 @@ WorkerPool::~WorkerPool() {
     if (S.WorkW >= 0)
       ::close(S.WorkW);
   }
-}
-
-bool WorkerPool::anyInFlight() const {
-  // A slot whose record arrived whole is not in flight even before the
-  // template confirms the reap: its producer has nothing left to publish,
-  // and the OpFork path kills and reaps any technically-live predecessor
-  // before the successor runs.
-  for (const SlotState &S : Slots)
-    if (S.Used && !S.TerminalSeen && !S.RecordDone)
-      return true;
-  return false;
 }
 
 bool WorkerPool::sendAll(const void *Data, size_t Size) {
@@ -285,7 +280,7 @@ void WorkerPool::killTemplateHard() {
       S.WorkR = -1;
       S.WorkW = -1;
     }
-    S.Ring = std::make_unique<CommitRing>(Config.RingBytesPerSlot);
+    S.Ring = std::make_unique<CommitRing>();
     if (!S.Ring->valid()) {
       // The replacement mapping failed (ENOMEM while already degraded):
       // the whole pool retreats to cold forks rather than aborting.
@@ -442,21 +437,6 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
     }
   }
 
-  // Scheduled refresh, now that this slot's true state is known: only at a
-  // moment with no warm child in flight anywhere, so the outgoing template
-  // has no children left to reap. (Checking before the quiesce would see
-  // the previous child's unconsumed terminal doorbell as "in flight" and
-  // starve the schedule.)
-  if (Config.TemplateRefreshCommits != 0 &&
-      CommitsSinceSpawn >= Config.TemplateRefreshCommits && !anyInFlight()) {
-    retireTemplate();
-    ++Refreshes;
-    if (!ensureTemplate()) {
-      ++Faults;
-      return false;
-    }
-  }
-
   // Fork-free steady state: the slot's previous child rang Finish (so it
   // is resident, idle, and will never ring another byte for the old
   // chunk), its chunk committed (so its written-through memory is a
@@ -474,7 +454,7 @@ bool WorkerPool::warmFork(unsigned Slot, int64_t Chunk, int64_t First,
   // child whose missed commits reach back past the history re-forks.
   if (AllowReuse && S.Used && !S.TerminalSeen && S.LastCommitOk &&
       (CatchUp ? S.Snapshot >= HistoryBase
-               : S.ReuseChain < Config.MaxChildReuse)) {
+               : S.ReuseChain < MaxReuseChain)) {
     // Consume any doorbells still queued: the Finish byte itself, when
     // the record was completed by frame inspection before the pipe was
     // drained, and any terminal that raced in (a crash terminal means

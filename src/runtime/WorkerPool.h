@@ -47,8 +47,8 @@
 /// WireNextCmd write: no fork anywhere, by anyone. The child's memory is
 /// its snapshot plus its own committed (written-through) values. Until
 /// the run fails a validation, the executor keeps the slot's old
-/// SnapshotSeq and validation stays sound — the snapshot just ages,
-/// bounded by ExecutorConfig::MaxChildReuse. The pool keeps a bounded
+/// SnapshotSeq and validation stays sound — the snapshot just ages, for
+/// at most 64 consecutive redispatches. The pool keeps a bounded
 /// history of the Apply records it streams to the template. After the
 /// first failed validation (engageCatchUp) a redispatch carries the
 /// records the child missed since its snapshot; the child replays them
@@ -132,7 +132,7 @@ class WorkerPool {
 public:
   /// Allocates the rings, doorbell pipes, and work pipes for \p NumSlots
   /// worker slots. The template itself is forked lazily on the first warm
-  /// fork (and re-forked after a fault or a scheduled refresh).
+  /// fork (and re-forked after a fault).
   /// \p AllowReuse enables the fork-free steady state (child redispatch);
   /// only the pipeline engine may pass true — ForkJoin's round-local
   /// validation cannot see commits older than the current round, which a
@@ -164,8 +164,7 @@ public:
   /// alive and idle, and its previous chunk committed), otherwise forks
   /// from the warm template. Returns false when the pool is unusable
   /// (spawn failed, or the template died) — the caller falls back to a
-  /// cold fork. Handles the scheduled template refresh and counts a pool
-  /// fault on failure.
+  /// cold fork. Counts a pool fault on failure.
   bool warmFork(unsigned Slot, int64_t Chunk, int64_t First, int64_t Last,
                 const ArmedFault &Fault, ChunkChannel &Ch);
 
@@ -201,7 +200,6 @@ public:
   /// pending warm fork degrades to cold; the next one respawns).
   void poisonTemplate();
 
-  uint64_t templateRefreshes() const { return Refreshes; }
   uint64_t poolFaults() const { return Faults; }
   uint64_t childReuses() const { return Reuses; }
 
@@ -250,7 +248,6 @@ private:
   void retireTemplate();
   void killTemplateHard();
   bool sendAll(const void *Data, size_t Size);
-  bool anyInFlight() const;
   [[noreturn]] void templateMain(int ControlFd);
 
   const LoopSpec &Spec;
@@ -269,7 +266,6 @@ private:
   std::deque<std::vector<uint8_t>> History;
   size_t HistoryBytes = 0;
   uint64_t HistoryBase = 0;
-  uint64_t Refreshes = 0;
   uint64_t Faults = 0;
   uint64_t Reuses = 0;
 };

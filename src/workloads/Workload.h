@@ -33,9 +33,6 @@ namespace alter {
 
 class CommitJournal;
 
-// ParallelEngine (the engine selector the recovery driver takes) now lives
-// in runtime/Executor.h, next to the makeParallelEngine factory.
-
 /// Abstract benchmark workload.
 class Workload {
 public:

@@ -16,6 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PropertyTest.h"
+
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -24,15 +26,30 @@ using namespace alter;
 
 namespace {
 
-class CrossEngine : public ::testing::TestWithParam<std::string> {};
+/// Every workload but Labyrinth, for which the paper found no annotation.
+bool hasPaperAnnotation(const std::string &Name) {
+  return makeWorkload(Name)->paperAnnotation().has_value();
+}
+
+/// TLS serializes heavily on most loops; these run it in reasonable time.
+bool isCheapUnderTls(const std::string &Name) {
+  return Name == "barneshut" || Name == "hmm" || Name == "genome";
+}
+
+class CrossEngine : public PropertyTest<std::string> {
+public:
+  static constexpr const char *Suite = "Paper/CrossEngine";
+  static std::vector<std::string> grid() { return allWorkloadNames(); }
+  static std::string name(const std::string &Name) { return Name; }
+};
 
 } // namespace
 
-TEST_P(CrossEngine, ForkJoinMatchesLockstepUnderPaperAnnotation) {
+ALTER_PROPERTY(CrossEngine, ForkJoinMatchesLockstepUnderPaperAnnotation,
+               hasPaperAnnotation) {
   auto W = makeWorkload(GetParam());
   const std::optional<Annotation> A = W->paperAnnotation();
-  if (!A.has_value())
-    GTEST_SKIP() << "no valid annotation (Labyrinth)";
+  ASSERT_TRUE(A.has_value());
 
   // FFT's per-element instrumentation makes fork-shipping every butterfly
   // write log viable but slow; cap the heavier loops to the test input.
@@ -56,13 +73,9 @@ TEST_P(CrossEngine, ForkJoinMatchesLockstepUnderPaperAnnotation) {
       << "identical commit orders";
 }
 
-TEST_P(CrossEngine, ForkJoinMatchesLockstepUnderTls) {
+ALTER_PROPERTY(CrossEngine, ForkJoinMatchesLockstepUnderTls, isCheapUnderTls) {
   // TLS (Theorem 4.3) exercises InOrder cascades across both engines.
-  // Restrict to the cheaper loops: TLS serializes heavily on the rest.
   const std::string Name = GetParam();
-  if (Name != "barneshut" && Name != "hmm" && Name != "genome")
-    GTEST_SKIP() << "kept to the loops where TLS runs in reasonable time";
-
   auto W = makeWorkload(Name);
   W->setUp(0);
   const RuntimeParams Params =
@@ -78,7 +91,3 @@ TEST_P(CrossEngine, ForkJoinMatchesLockstepUnderTls) {
   EXPECT_EQ(W2->outputSignature(), LockstepSig);
   EXPECT_EQ(ForkJoin.Stats.NumRetries, Lockstep.Stats.NumRetries);
 }
-
-INSTANTIATE_TEST_SUITE_P(Paper, CrossEngine,
-                         ::testing::ValuesIn(allWorkloadNames()),
-                         [](const auto &Info) { return Info.param; });

@@ -19,6 +19,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PropertyTest.h"
+
 #include "runtime/LockstepExecutor.h"
 #include "support/Random.h"
 
@@ -134,7 +136,20 @@ std::vector<FuzzParam> fuzzGrid() {
   return Params;
 }
 
-class FuzzLoop : public ::testing::TestWithParam<FuzzParam> {
+bool everywhere(const FuzzParam &) { return true; }
+
+/// Serializability and Theorem 4.3 need read tracking, which snapshot
+/// isolation (WAW) does not do.
+bool tracksReads(const FuzzParam &P) {
+  return P.Conflict != ConflictPolicy::WAW;
+}
+
+class FuzzLoop : public PropertyTest<FuzzParam> {
+public:
+  static constexpr const char *Suite = "Seeds/FuzzLoop";
+  static std::vector<FuzzParam> grid() { return fuzzGrid(); }
+  static std::string name(const FuzzParam &P) { return P.name(); }
+
 protected:
   static constexpr int64_t Iterations = 128;
   static constexpr size_t Cells = 24;
@@ -154,9 +169,7 @@ protected:
 
 } // namespace
 
-TEST_P(FuzzLoop, CommitOrderReplayMatches) {
-  if (GetParam().Conflict == ConflictPolicy::WAW)
-    GTEST_SKIP() << "snapshot isolation does not promise serializability";
+ALTER_PROPERTY(FuzzLoop, CommitOrderReplayMatches, tracksReads) {
   FuzzProgram Parallel(GetParam().Seed, Iterations, Cells);
   LockstepExecutor Exec(config(CommitOrderPolicy::OutOfOrder,
                                /*EnableReduction=*/true));
@@ -171,9 +184,7 @@ TEST_P(FuzzLoop, CommitOrderReplayMatches) {
   EXPECT_EQ(Parallel.state(), Replay.state());
 }
 
-TEST_P(FuzzLoop, TlsMatchesSequential) {
-  if (GetParam().Conflict == ConflictPolicy::WAW)
-    GTEST_SKIP() << "Theorem 4.3 requires read tracking";
+ALTER_PROPERTY(FuzzLoop, TlsMatchesSequential, tracksReads) {
   FuzzProgram Parallel(GetParam().Seed, Iterations, Cells);
   // TLS carries no reductions (Theorem 4.3): the reduction slot stays
   // disabled and its updates run as ordinary conflicting accesses.
@@ -187,7 +198,7 @@ TEST_P(FuzzLoop, TlsMatchesSequential) {
   EXPECT_EQ(Parallel.state(), Seq.state());
 }
 
-TEST_P(FuzzLoop, DeterministicAcrossRuns) {
+ALTER_PROPERTY(FuzzLoop, DeterministicAcrossRuns, everywhere) {
   std::vector<int64_t> First;
   uint64_t FirstRetries = 0;
   for (int Trial = 0; Trial != 2; ++Trial) {
@@ -205,6 +216,3 @@ TEST_P(FuzzLoop, DeterministicAcrossRuns) {
     EXPECT_EQ(R.Stats.NumRetries, FirstRetries);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzLoop, ::testing::ValuesIn(fuzzGrid()),
-                         [](const auto &Info) { return Info.param.name(); });

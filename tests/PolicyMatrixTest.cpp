@@ -26,6 +26,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PropertyTest.h"
+
 #include "runtime/LockstepExecutor.h"
 #include "runtime/TxnContext.h"
 
@@ -100,7 +102,28 @@ struct MixedLoop {
   }
 };
 
-class PolicyMatrix : public ::testing::TestWithParam<MatrixParam> {
+bool everywhere(const MatrixParam &) { return true; }
+
+bool tracksReads(const MatrixParam &P) {
+  return P.Conflict == ConflictPolicy::RAW ||
+         P.Conflict == ConflictPolicy::FULL;
+}
+
+bool isInOrder(const MatrixParam &P) {
+  return P.CommitOrder == CommitOrderPolicy::InOrder;
+}
+
+/// Theorem 4.3's corner: read tracking with in-order commits.
+bool isTlsCorner(const MatrixParam &P) {
+  return tracksReads(P) && isInOrder(P);
+}
+
+class PolicyMatrix : public PropertyTest<MatrixParam> {
+public:
+  static constexpr const char *Suite = "Lattice/PolicyMatrix";
+  static std::vector<MatrixParam> grid() { return allConfigurations(); }
+  static std::string name(const MatrixParam &P) { return P.name(); }
+
 protected:
   ExecutorConfig config() const {
     ExecutorConfig Config;
@@ -115,7 +138,8 @@ protected:
 } // namespace
 
 // P1 + P5: determinism and exactly-once commits.
-TEST_P(PolicyMatrix, DeterministicAndCommitsEachChunkOnce) {
+ALTER_PROPERTY(PolicyMatrix, DeterministicAndCommitsEachChunkOnce,
+               everywhere) {
   std::vector<int64_t> FirstState;
   std::vector<int64_t> FirstOrder;
   uint64_t FirstRetries = 0;
@@ -146,12 +170,10 @@ TEST_P(PolicyMatrix, DeterministicAndCommitsEachChunkOnce) {
   }
 }
 
-// P2: conflict serializability under read-tracking policies.
-TEST_P(PolicyMatrix, ReadTrackingPoliciesAreCommitOrderSerializable) {
-  if (GetParam().Conflict != ConflictPolicy::RAW &&
-      GetParam().Conflict != ConflictPolicy::FULL)
-    GTEST_SKIP() << "serializability is only promised with read tracking";
-
+// P2: conflict serializability under read-tracking policies (the only ones
+// that promise it).
+ALTER_PROPERTY(PolicyMatrix, ReadTrackingPoliciesAreCommitOrderSerializable,
+               tracksReads) {
   MixedLoop Parallel;
   LockstepExecutor Exec(config());
   const RunResult R = Exec.run(Parallel.spec());
@@ -173,9 +195,7 @@ TEST_P(PolicyMatrix, ReadTrackingPoliciesAreCommitOrderSerializable) {
 }
 
 // P4: in-order retirement.
-TEST_P(PolicyMatrix, InOrderRetiresInProgramOrder) {
-  if (GetParam().CommitOrder != CommitOrderPolicy::InOrder)
-    GTEST_SKIP() << "property specific to InOrder";
+ALTER_PROPERTY(PolicyMatrix, InOrderRetiresInProgramOrder, isInOrder) {
   MixedLoop Loop;
   LockstepExecutor Exec(config());
   const RunResult R = Exec.run(Loop.spec());
@@ -185,11 +205,7 @@ TEST_P(PolicyMatrix, InOrderRetiresInProgramOrder) {
 }
 
 // P4b: InOrder + RAW is Theorem 4.3 — sequential semantics.
-TEST_P(PolicyMatrix, TlsPointMatchesSequential) {
-  if (GetParam().CommitOrder != CommitOrderPolicy::InOrder ||
-      (GetParam().Conflict != ConflictPolicy::RAW &&
-       GetParam().Conflict != ConflictPolicy::FULL))
-    GTEST_SKIP() << "property specific to the Theorem 4.3 corner";
+ALTER_PROPERTY(PolicyMatrix, TlsPointMatchesSequential, isTlsCorner) {
   MixedLoop Parallel;
   LockstepExecutor Exec(config());
   ASSERT_TRUE(Exec.run(Parallel.spec()).succeeded());
@@ -204,7 +220,7 @@ TEST_P(PolicyMatrix, TlsPointMatchesSequential) {
 }
 
 // P6: reductions are exact under every configuration.
-TEST_P(PolicyMatrix, PlusReductionIsExactEverywhere) {
+ALTER_PROPERTY(PolicyMatrix, PlusReductionIsExactEverywhere, everywhere) {
   std::vector<double> Values(257);
   for (size_t I = 0; I != Values.size(); ++I)
     Values[I] = static_cast<double>((I * 31) % 97) + 0.25;
@@ -224,10 +240,6 @@ TEST_P(PolicyMatrix, PlusReductionIsExactEverywhere) {
   EXPECT_DOUBLE_EQ(Sum, std::accumulate(Values.begin(), Values.end(), 0.0))
       << "P6: reductions commute with every policy";
 }
-
-INSTANTIATE_TEST_SUITE_P(Lattice, PolicyMatrix,
-                         ::testing::ValuesIn(allConfigurations()),
-                         [](const auto &Info) { return Info.param.name(); });
 
 //===----------------------------------------------------------------------===
 // P3: snapshot isolation — needs commit-round bookkeeping, so it runs as a

@@ -825,23 +825,6 @@ TEST(DegradationLadderTest, StickyIterationFaultIsBisectedToOneIteration) {
   FaultPlan::global().clear();
 }
 
-TEST(DegradationLadderTest, SalvageDisabledFallsBackToTheFullTail) {
-  // EnableSalvage = false restores the pre-ladder floor: every uncommitted
-  // iteration runs sequentially.
-  FaultPlan::global().clear();
-  FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/1, /*Sticky=*/true);
-  const RunResult R = runDisjointLoopRecovering(
-      ParallelEngine::ForkJoin, CommitOrderPolicy::InOrder,
-      /*SeqBaselineNs=*/0,
-      [](ExecutorConfig &Config) { Config.EnableSalvage = false; });
-  EXPECT_TRUE(R.Stats.Recovered);
-  EXPECT_EQ(R.Stats.QuarantinedIterations, 0u);
-  EXPECT_EQ(R.Stats.SalvagedChunks, 0u);
-  EXPECT_GT(R.Stats.RecoveredIterations, 4u)
-      << "with the ladder off, the whole uncommitted tail goes sequential";
-  FaultPlan::global().clear();
-}
-
 TEST(DegradationLadderTest, LadderTransitionsReplayDeterministically) {
   // Two same-seed replays of the same sticky plan must walk the identical
   // salvage -> bisect -> quarantine sequence (the acceptance criterion for
@@ -1195,7 +1178,6 @@ void checkPoolLifetime(ParallelEngine Engine, TransportKind Transport) {
       D.WarmForks = After.WarmForks - Before.WarmForks;
       D.ColdForks = After.ColdForks - Before.ColdForks;
       D.ChildReuses = After.ChildReuses - Before.ChildReuses;
-      D.TemplateRefreshes = After.TemplateRefreshes - Before.TemplateRefreshes;
       D.PoolFaults = After.PoolFaults - Before.PoolFaults;
       D.NumChildCrashes = After.NumChildCrashes - Before.NumChildCrashes;
       D.TransportDowngrades =
@@ -1227,7 +1209,6 @@ void checkPoolLifetime(ParallelEngine Engine, TransportKind Transport) {
     Sum.WarmForks += D.WarmForks;
     Sum.ColdForks += D.ColdForks;
     Sum.ChildReuses += D.ChildReuses;
-    Sum.TemplateRefreshes += D.TemplateRefreshes;
     Sum.PoolFaults += D.PoolFaults;
     const int At = static_cast<int>(Inv);
     // A poisoned template may take one in-flight sibling down with it.
@@ -1237,7 +1218,6 @@ void checkPoolLifetime(ParallelEngine Engine, TransportKind Transport) {
     }
     EXPECT_EQ(D.PoolFaults > 0, Ring && At == PoisonAt);
     EXPECT_EQ(D.TransportDowngrades > 0, Ring && At == MmapFailAt);
-    EXPECT_EQ(D.TemplateRefreshes, 0u) << "refresh is off by default";
     EXPECT_LE(D.ChildReuses, D.WarmForks);
     EXPECT_GE(D.WarmForks + D.ColdForks, Chunks);
     const bool Degraded = At == CrashAt || At == PoisonAt || At == MmapFailAt;
@@ -1252,7 +1232,6 @@ void checkPoolLifetime(ParallelEngine Engine, TransportKind Transport) {
   EXPECT_EQ(Total.WarmForks, Sum.WarmForks);
   EXPECT_EQ(Total.ColdForks, Sum.ColdForks);
   EXPECT_EQ(Total.ChildReuses, Sum.ChildReuses);
-  EXPECT_EQ(Total.TemplateRefreshes, Sum.TemplateRefreshes);
   EXPECT_EQ(Total.PoolFaults, Sum.PoolFaults);
   EXPECT_EQ(Total.WarmForks + Total.ColdForks, ForkEvents);
   EXPECT_EQ(Total.WarmForks, WarmEvents);

@@ -497,16 +497,19 @@ namespace {
 /// A disjoint-writes loop on the warm-pool ring transport with metrics on
 /// and tracing BELOW Events: the timeline sampler is then the only
 /// traceNowNs caller in the parent, so under the seeded deterministic
-/// clock the whole timeline must replay exactly. \p KillChunk >= 0 arms a
-/// one-shot ChildKill on that chunk (contained by the engine's retry).
-RunResult runSampledDisjoint(uint64_t ClockSeed, int64_t KillChunk = -1) {
+/// clock the whole timeline must replay exactly. Two workers run chunks of
+/// 4, so each round covers 8 of the \p N iterations. \p KillChunk >= 0
+/// arms a one-shot ChildKill on that chunk (contained by the engine's
+/// retry).
+RunResult runSampledDisjoint(uint64_t ClockSeed, int64_t KillChunk = -1,
+                             int64_t N = 48) {
   setDeterministicTraceClock(ClockSeed);
   FaultPlan::global().clear();
   if (KillChunk >= 0)
     FaultPlan::global().arm(FaultKind::ChildKill, KillChunk);
-  std::vector<int64_t> Data(48, -1);
+  std::vector<int64_t> Data(static_cast<size_t>(N), -1);
   LoopSpec Spec;
-  Spec.NumIterations = 48;
+  Spec.NumIterations = N;
   Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
     Ctx.store(&Data[static_cast<size_t>(I)], I + 11);
   };
@@ -516,12 +519,11 @@ RunResult runSampledDisjoint(uint64_t ClockSeed, int64_t KillChunk = -1) {
   Config.Trace = TraceLevel::Counters;
   Config.Transport = TransportKind::Ring;
   Config.Metrics = true;
-  Config.MetricsSampleIntervalNs = 1;
   ForkJoinExecutor Exec(Config);
   const RunResult R = Exec.run(Spec);
   FaultPlan::global().clear();
   EXPECT_EQ(R.Status, RunStatus::Success);
-  for (int64_t I = 0; I != 48; ++I)
+  for (int64_t I = 0; I != N; ++I)
     EXPECT_EQ(Data[static_cast<size_t>(I)], I + 11);
   return R;
 }
@@ -547,12 +549,17 @@ void expectTimelinesEqual(const RunResult &A, const RunResult &B) {
 
 TEST(TimelineTest, SamplerIsDeterministicUnderTheWarmPool) {
   ScopedTraceLevel Scope(TraceLevel::Counters);
-  const RunResult A = runSampledDisjoint(11);
-  const RunResult B = runSampledDisjoint(11);
-  ASSERT_FALSE(A.Timeline.empty());
-  // ForkJoin samples at every round barrier plus the forced finish sample.
-  EXPECT_EQ(A.Timeline.size(),
-            static_cast<size_t>(A.Stats.NumRounds) + 1);
+  // ForkJoin offers a sample at every round barrier, and the seeded clock
+  // advances 1 us per read, so 1,100 rounds carry the run past the 1 ms
+  // floor once.
+  const RunResult A = runSampledDisjoint(11, /*KillChunk=*/-1, 8 * 1100);
+  const RunResult B = runSampledDisjoint(11, /*KillChunk=*/-1, 8 * 1100);
+  // The first barrier's sample, one a millisecond later, and the forced
+  // sample at the finish.
+  ASSERT_EQ(A.Timeline.size(), 3u);
+  EXPECT_GE(A.Timeline[1].TimeNs - A.Timeline[0].TimeNs, 1'000'000u)
+      << "samples are at least 1 ms apart on the trace clock";
+  EXPECT_EQ(A.Timeline.back().Committed, A.Stats.NumCommitted);
   EXPECT_EQ(A.Metrics.counter(CounterId::TimelineSamples),
             A.Timeline.size());
   expectTimelinesEqual(A, B);
@@ -669,9 +676,14 @@ TEST(EnvFaultTest, StickyFaultPlanYieldsEnvFaultEndToEnd) {
 
 namespace {
 
-RunResult runRecoveringChainUnderStickyKill(bool EnableSalvage) {
+/// Runs 24 disjoint writes (6 chunks, 2 workers) under the ForkJoin
+/// recovery driver with a sticky \p Kind fault on chunk 1. A Stall sleeps
+/// 600 ms, past the deadline that \p SeqBaselineNs arms.
+RunResult runRecoveringChainUnderStickyFault(FaultKind Kind,
+                                             uint64_t SeqBaselineNs = 0) {
   FaultPlan::global().clear();
-  FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/1, /*Sticky=*/true);
+  FaultPlan::global().arm(Kind, /*Chunk=*/1, /*Sticky=*/true);
+  FaultPlan::global().setStallNs(600'000'000);
   std::vector<int64_t> Data(24, -1);
   LoopSpec Spec;
   Spec.NumIterations = 24;
@@ -682,7 +694,7 @@ RunResult runRecoveringChainUnderStickyKill(bool EnableSalvage) {
   Config.NumWorkers = 2;
   Config.Params.ChunkFactor = 4;
   Config.Trace = TraceLevel::Events;
-  Config.EnableSalvage = EnableSalvage;
+  Config.SeqBaselineNs = SeqBaselineNs;
   RecoveringLoopRunner Runner(ParallelEngine::ForkJoin, Config);
   EXPECT_TRUE(Runner.runInner(Spec));
   FaultPlan::global().clear();
@@ -696,7 +708,7 @@ RunResult runRecoveringChainUnderStickyKill(bool EnableSalvage) {
 TEST(RecoveryTraceTest, LadderEmitsSalvageBisectQuarantineEvents) {
   ScopedTraceLevel Scope(TraceLevel::Events);
   setDeterministicTraceClock(11);
-  const RunResult R = runRecoveringChainUnderStickyKill(/*EnableSalvage=*/true);
+  const RunResult R = runRecoveringChainUnderStickyFault(FaultKind::ChildKill);
   ASSERT_TRUE(R.Stats.Recovered);
   // The sticky chunk fault walks all three tiers; no full-tail fallback.
   EXPECT_EQ(countKind(R.TraceEvents, TraceEventKind::Recovery), 0u);
@@ -715,11 +727,15 @@ TEST(RecoveryTraceTest, LadderEmitsSalvageBisectQuarantineEvents) {
 }
 
 TEST(RecoveryTraceTest, FullTailFallbackStillEmitsARecoveryEvent) {
+  // A stalled chunk trips the engine's deadline: the Timeout indicts no
+  // chunk, so the ladder drops straight to its full-tail floor.
   ScopedTraceLevel Scope(TraceLevel::Events);
   setDeterministicTraceClock(11);
-  const RunResult R =
-      runRecoveringChainUnderStickyKill(/*EnableSalvage=*/false);
+  const RunResult R = runRecoveringChainUnderStickyFault(
+      FaultKind::Stall, /*SeqBaselineNs=*/1'000'000);
   ASSERT_TRUE(R.Stats.Recovered);
+  EXPECT_EQ(R.Stats.QuarantinedIterations, 0u);
+  EXPECT_EQ(R.Stats.SalvagedChunks, 0u);
   ASSERT_EQ(countKind(R.TraceEvents, TraceEventKind::Recovery), 1u);
   for (const TraceEvent &E : R.TraceEvents) {
     if (E.Kind == TraceEventKind::Recovery) {

@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PropertyTest.h"
+
 #include "runtime/CommitJournal.h"
 #include "support/FaultInjection.h"
 #include "workloads/AggloClust.h"
@@ -47,7 +49,19 @@ bool paperSaysLoopCarried(const std::string &Name) {
   return false;
 }
 
-class AllWorkloads : public ::testing::TestWithParam<std::string> {};
+bool everyWorkload(const std::string &) { return true; }
+
+/// Every workload but Labyrinth, for which the paper found no annotation.
+bool hasPaperAnnotation(const std::string &Name) {
+  return makeWorkload(Name)->paperAnnotation().has_value();
+}
+
+class AllWorkloads : public PropertyTest<std::string> {
+public:
+  static constexpr const char *Suite = "Paper/AllWorkloads";
+  static std::vector<std::string> grid() { return allWorkloadNames(); }
+  static std::string name(const std::string &Name) { return Name; }
+};
 
 /// Threads of this process (entries of /proc/self/task).
 size_t threadsOfSelf() {
@@ -58,7 +72,7 @@ size_t threadsOfSelf() {
 
 } // namespace
 
-TEST_P(AllWorkloads, MetadataIsComplete) {
+ALTER_PROPERTY(AllWorkloads, MetadataIsComplete, everyWorkload) {
   auto W = makeWorkload(GetParam());
   EXPECT_EQ(W->name(), GetParam());
   EXPECT_FALSE(W->description().empty());
@@ -69,7 +83,7 @@ TEST_P(AllWorkloads, MetadataIsComplete) {
   EXPECT_GT(W->defaultChunkFactor(), 0);
 }
 
-TEST_P(AllWorkloads, SequentialRunsAreDeterministic) {
+ALTER_PROPERTY(AllWorkloads, SequentialRunsAreDeterministic, everyWorkload) {
   auto W = makeWorkload(GetParam());
   W->setUp(0);
   ASSERT_TRUE(W->runSequential().succeeded());
@@ -82,7 +96,7 @@ TEST_P(AllWorkloads, SequentialRunsAreDeterministic) {
       << "setUp + sequential run must be bit-reproducible";
 }
 
-TEST_P(AllWorkloads, DependenceProbeMatchesPaper) {
+ALTER_PROPERTY(AllWorkloads, DependenceProbeMatchesPaper, everyWorkload) {
   auto W = makeWorkload(GetParam());
   W->setUp(0);
   const DependenceReport Report = W->probeDependences();
@@ -90,11 +104,11 @@ TEST_P(AllWorkloads, DependenceProbeMatchesPaper) {
       << "Table 3 Dep column mismatch for " << GetParam();
 }
 
-TEST_P(AllWorkloads, PaperAnnotationValidatesUnderLockstep) {
+ALTER_PROPERTY(AllWorkloads, PaperAnnotationValidatesUnderLockstep,
+               hasPaperAnnotation) {
   auto W = makeWorkload(GetParam());
   const std::optional<Annotation> A = W->paperAnnotation();
-  if (!A.has_value())
-    GTEST_SKIP() << "the paper found no valid annotation (Labyrinth)";
+  ASSERT_TRUE(A.has_value());
 
   W->setUp(0);
   ASSERT_TRUE(W->runSequential().succeeded());
@@ -108,11 +122,11 @@ TEST_P(AllWorkloads, PaperAnnotationValidatesUnderLockstep) {
       << "output under " << A->str() << " failed validation";
 }
 
-TEST_P(AllWorkloads, PaperAnnotationIsDeterministicAcrossRuns) {
+ALTER_PROPERTY(AllWorkloads, PaperAnnotationIsDeterministicAcrossRuns,
+               hasPaperAnnotation) {
   auto W = makeWorkload(GetParam());
   const std::optional<Annotation> A = W->paperAnnotation();
-  if (!A.has_value())
-    GTEST_SKIP() << "the paper found no valid annotation (Labyrinth)";
+  ASSERT_TRUE(A.has_value());
 
   std::vector<double> First;
   uint64_t FirstRetries = 0;
@@ -132,10 +146,6 @@ TEST_P(AllWorkloads, PaperAnnotationIsDeterministicAcrossRuns) {
         << "the same conflicts must be detected on every run (§4.3)";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Paper, AllWorkloads,
-                         ::testing::ValuesIn(allWorkloadNames()),
-                         [](const auto &Info) { return Info.param; });
 
 //===----------------------------------------------------------------------===
 // Workload-specific semantic claims
