@@ -51,13 +51,16 @@
 /// chunk touches, giving the attribution report a real granule to rank.
 /// --profile and --metrics-json <file> reuse the same representative run
 /// for the critical-path phase profile and the metrics report;
-/// --profile-engine=<forkjoin|pipeline> picks which engine's highest-P run
-/// is the representative (pipeline by default).
+/// --profile-engine=<forkjoin|pipeline|threaded> picks which engine's
+/// highest-P run is the representative (pipeline by default). The threaded
+/// representative is an extra LockstepExecutor run of the same loop at the
+/// highest P, outside the sweep and its JSON records.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "runtime/ForkJoinExecutor.h"
+#include "runtime/LockstepExecutor.h"
 #include "runtime/LoopRunner.h"
 #include "runtime/PipelineExecutor.h"
 #include "support/Error.h"
@@ -315,9 +318,10 @@ int main(int argc, char **argv) {
       Contend = true;
     if (Arg.rfind("--profile-engine=", 0) == 0) {
       ProfileEngine = Arg.substr(17);
-      if (ProfileEngine != "forkjoin" && ProfileEngine != "pipeline")
-        fatalError("--profile-engine must be 'forkjoin' or 'pipeline', got '" +
-                   ProfileEngine + "'");
+      if (ProfileEngine != "forkjoin" && ProfileEngine != "pipeline" &&
+          ProfileEngine != "threaded")
+        fatalError("--profile-engine must be 'forkjoin', 'pipeline' or "
+                   "'threaded', got '" + ProfileEngine + "'");
     }
   }
 
@@ -417,6 +421,13 @@ int main(int argc, char **argv) {
         SalvagePipe4 = SPl;
       }
     }
+  }
+  if (KeepRepresentative && ProfileEngine == "threaded") {
+    ExecutorConfig Config;
+    Config.NumWorkers = Procs.back();
+    Config.Params = Params;
+    LockstepExecutor Threads(Config);
+    measure(Loop, Threads, Procs.back(), Config.Transport, Ref, &Traced);
   }
   Table.printText();
   if (WallFj4 > 0.0)

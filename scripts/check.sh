@@ -37,10 +37,12 @@
 # orphaned children and zero leaked mappings per /proc/self.
 #
 # With --metrics the sequence additionally gates the observability layer:
-# the engine x transport matrix of --profile --metrics-json runs (schema
-# key set must match the committed BENCH_metrics.json, every histogram
-# must satisfy min <= p50 <= p99 <= max, and the critical-path profile
-# must reconcile to 100% +/- 1% of wall clock), plus an A/B overhead run
+# the engine x transport matrix of --profile --metrics-json runs over the
+# two fork engines and the threaded engine (schema key set must match the
+# committed BENCH_metrics.json, every histogram must satisfy
+# min <= p50 <= p99 <= max, counters.parent_commits must equal committed,
+# and the critical-path profile must reconcile to 100% +/- 1% of wall
+# clock), plus an A/B overhead run
 # asserting ALTER_METRICS=1 costs less than 1.10x the metrics-off
 # wall-clock on the sleep-dominated series.
 #
@@ -397,10 +399,12 @@ metrics_stage() { # metrics_stage <build-dir>
   echo "== metrics gate: engine x transport matrix =="
   # Every cell runs the profiled representative with a metrics JSON and is
   # validated against the committed BENCH_metrics.json schema: same key
-  # set, ordered percentiles, and a critical-path profile that accounts
-  # for the whole wall clock.
+  # set, ordered percentiles, one parent commit counted per committed
+  # chunk, and a critical-path profile that accounts for the whole wall
+  # clock. The threaded engine ignores the transport; it runs in both
+  # columns all the same.
   local ENGINE TRANSPORT MJSON
-  for ENGINE in forkjoin pipeline; do
+  for ENGINE in forkjoin pipeline threaded; do
     for TRANSPORT in pipe ring; do
       MJSON="$DIR/metrics.$ENGINE.$TRANSPORT.json"
       echo "-- $ENGINE over $TRANSPORT --"
@@ -428,6 +432,9 @@ assert not missing and not extra, (
     f"baseline if the change is intentional")
 assert cur["schema"] == "alter-metrics-v1", cur["schema"]
 assert cur["status"] == "success", cur["status"]
+assert cur["counters"]["parent_commits"] == cur["committed"], (
+    f"parent_commits {cur['counters']['parent_commits']} != committed "
+    f"{cur['committed']}")
 for name, h in cur["histograms"].items():
     if h["count"] == 0:
         continue

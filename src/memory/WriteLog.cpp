@@ -6,7 +6,6 @@
 
 #include "memory/WriteLog.h"
 
-#include "support/Error.h"
 #include "support/Varint.h"
 
 #include <algorithm>
@@ -236,21 +235,6 @@ size_t WriteLog::serializedSize() const {
          Data.size();
 }
 
-void WriteLog::serializeTo(uint8_t *Buf) const {
-  uint64_t Count = Entries.size();
-  std::memcpy(Buf, &Count, sizeof(Count));
-  Buf += sizeof(Count);
-  for (const Entry &E : Entries) {
-    const uint64_t Addr = E.Addr;
-    std::memcpy(Buf, &Addr, sizeof(Addr));
-    Buf += sizeof(Addr);
-    std::memcpy(Buf, &E.Size, sizeof(E.Size));
-    Buf += sizeof(E.Size);
-  }
-  if (!Data.empty())
-    std::memcpy(Buf, Data.data(), Data.size());
-}
-
 void WriteLog::serializeCompact(std::vector<uint8_t> &Out) const {
   appendVarint(Out, Entries.size());
   uintptr_t PrevAddr = 0;
@@ -261,18 +245,6 @@ void WriteLog::serializeCompact(std::vector<uint8_t> &Out) const {
     PrevAddr = E.Addr;
   }
   Out.insert(Out.end(), Data.begin(), Data.end());
-}
-
-WriteLog WriteLog::deserializeCompact(const uint8_t *Buf, size_t Len) {
-  // Trusted-input path: callers hand this bytes the parent itself wrote
-  // (template replay of an already-validated commit). Corruption here is
-  // parent memory corruption, an invariant violation — untrusted wire
-  // input goes through deserializeCompactChecked and is rejected, never
-  // fatal.
-  WriteLog Log;
-  if (!deserializeCompactChecked(Buf, Len, Log))
-    fatalError("corrupt compact write log");
-  return Log;
 }
 
 bool WriteLog::deserializeCompactChecked(const uint8_t *Buf, size_t Len,
@@ -310,40 +282,4 @@ bool WriteLog::deserializeCompactChecked(const uint8_t *Buf, size_t Len,
   }
   Out = std::move(Log);
   return true;
-}
-
-WriteLog WriteLog::deserialize(const uint8_t *Buf, size_t Len) {
-  // Trusted-input path like deserializeCompact above: the three
-  // truncation aborts below fire only on self-corrupted state, not on
-  // anything a child or the environment can send.
-  WriteLog Log;
-  if (Len < sizeof(uint64_t))
-    fatalError("truncated write log header");
-  uint64_t Count;
-  std::memcpy(&Count, Buf, sizeof(Count));
-  Buf += sizeof(Count);
-  Len -= sizeof(Count);
-  if (Len < Count * 2 * sizeof(uint64_t))
-    fatalError("truncated write log entry table");
-  uint64_t PayloadBytes = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> Raw;
-  Raw.reserve(Count);
-  for (uint64_t I = 0; I != Count; ++I) {
-    uint64_t Addr, Size;
-    std::memcpy(&Addr, Buf, sizeof(Addr));
-    Buf += sizeof(Addr);
-    std::memcpy(&Size, Buf, sizeof(Size));
-    Buf += sizeof(Size);
-    Raw.emplace_back(Addr, Size);
-    PayloadBytes += Size;
-  }
-  Len -= Count * 2 * sizeof(uint64_t);
-  if (Len < PayloadBytes)
-    fatalError("truncated write log payload");
-  for (auto [Addr, Size] : Raw) {
-    Log.record(reinterpret_cast<void *>(static_cast<uintptr_t>(Addr)), Buf,
-               static_cast<size_t>(Size));
-    Buf += Size;
-  }
-  return Log;
 }

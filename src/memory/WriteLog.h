@@ -88,16 +88,10 @@ public:
   /// Discards all buffered stores, keeping capacity.
   void clear();
 
-  /// Size in bytes of the flat serialized form.
+  /// Size in bytes of the flat form — u64 entry count, then per entry
+  /// {u64 addr, u64 size}, then the payload — that the compact wire form
+  /// is measured against.
   size_t serializedSize() const;
-
-  /// Writes the flat serialized form to \p Buf (which must have
-  /// serializedSize() bytes). Layout: u64 entry count, then per entry
-  /// {u64 addr, u64 size}, then the concatenated payload bytes.
-  void serializeTo(uint8_t *Buf) const;
-
-  /// Reconstructs a log from the flat form produced by serializeTo.
-  static WriteLog deserialize(const uint8_t *Buf, size_t Len);
 
   /// Appends the compressed wire form to \p Out: varint entry count, then
   /// per entry (in program order, which record() replay requires) the
@@ -108,15 +102,10 @@ public:
   /// the raw form's 16.
   void serializeCompact(std::vector<uint8_t> &Out) const;
 
-  /// Reconstructs a log from serializeCompact's form. Aborts on corrupt
-  /// input — callers that must survive corruption (the wire decode path)
-  /// use deserializeCompactChecked instead.
-  static WriteLog deserializeCompact(const uint8_t *Buf, size_t Len);
-
-  /// Recoverable variant of deserializeCompact: validates the entry table
-  /// (bounded entry count, overflow-checked payload accounting) before
-  /// allocating, and returns false on truncated or corrupt input instead
-  /// of aborting. On success replaces \p Out.
+  /// Reconstructs a log from serializeCompact's form. Validates the entry
+  /// table (bounded entry count, overflow-checked payload accounting)
+  /// before allocating, and returns false on truncated or corrupt input.
+  /// On success replaces \p Out.
   static bool deserializeCompactChecked(const uint8_t *Buf, size_t Len,
                                         WriteLog &Out);
 

@@ -18,16 +18,15 @@
 //
 // Frame payloads are varint-encoded (support/Varint.h), mirroring the
 // ALTER5 wire message bodies: kind byte, invocation ordinal, then
-// kind-specific fields, with ChunkCommit embedding the WriteLog compact
-// serialization verbatim. The CRC covers the whole payload, so a torn or
-// bit-flipped tail frame is detected and discarded on open — never decoded
-// into a replayable record.
+// kind-specific fields (a Commit frame's chunk, first iteration and
+// length). The CRC covers the whole payload, so a torn or bit-flipped tail
+// frame is detected and discarded on open — never decoded into a
+// replayable record.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/CommitJournal.h"
 
-#include "memory/WriteLog.h"
 #include "runtime/ShutdownSupervisor.h"
 #include "runtime/TxnWire.h"
 #include "support/Error.h"
@@ -51,7 +50,9 @@ namespace {
 
 constexpr uint64_t JournalFileMagic = 0x314c4e524a544c41ULL;  // "ALTJRNL1"
 constexpr uint64_t JournalFrameMagic = 0x314d52464a544c41ULL; // "ALTJFRM1"
-constexpr uint64_t FormatVersion = 1;
+/// Changes with every frame layout change: open() refuses a journal of
+/// another version rather than misread its frames.
+constexpr uint64_t FormatVersion = 2;
 constexpr size_t LeaseBytes = 3 * sizeof(uint64_t);
 constexpr size_t FrameHeaderBytes = 3 * sizeof(uint64_t);
 /// Payload cap, aligned with the wire layer's corruption bound: a frame
@@ -129,10 +130,12 @@ std::vector<uint8_t> encodeHeaderPayload(const JournalIdentity &Id) {
   return B;
 }
 
-bool decodeHeaderPayload(const uint8_t *P, size_t Size, JournalIdentity &Id) {
+/// Decodes a header payload into \p Version and \p Id. Returns false when
+/// it is malformed.
+bool decodeHeaderPayload(const uint8_t *P, size_t Size, uint64_t &Version,
+                         JournalIdentity &Id) {
   const uint8_t *End = P + Size;
-  uint64_t Version = 0;
-  if (!readVarint(P, End, Version) || Version != FormatVersion)
+  if (!readVarint(P, End, Version))
     return false;
   uint64_t V = 0;
   if (!readString(P, End, Id.Workload) || !readString(P, End, Id.Loop) ||
@@ -161,14 +164,7 @@ std::vector<uint8_t> encodeFramePayload(const JournalFrame &F) {
     appendVarint(P, zigzagEncode(F.ChunkFactor));
     P.push_back(F.Schedule);
     break;
-  case JournalFrame::Kind::ChunkCommit:
-    appendVarint(P, zigzagEncode(F.Chunk));
-    appendVarint(P, zigzagEncode(F.FirstIter));
-    appendVarint(P, static_cast<uint64_t>(F.LastIter - F.FirstIter));
-    appendVarint(P, F.LogBytes.size());
-    P.insert(P.end(), F.LogBytes.begin(), F.LogBytes.end());
-    break;
-  case JournalFrame::Kind::SeqRange:
+  case JournalFrame::Kind::Commit:
     appendVarint(P, zigzagEncode(F.Chunk));
     appendVarint(P, zigzagEncode(F.FirstIter));
     appendVarint(P, static_cast<uint64_t>(F.LastIter - F.FirstIter));
@@ -203,8 +199,7 @@ bool decodeFramePayload(const uint8_t *P, size_t Size, JournalFrame &F) {
       return false;
     F.Schedule = *P++;
     break;
-  case JournalFrame::Kind::ChunkCommit:
-  case JournalFrame::Kind::SeqRange: {
+  case JournalFrame::Kind::Commit: {
     if (!readVarint(P, End, V))
       return false;
     F.Chunk = zigzagDecode(V);
@@ -216,14 +211,6 @@ bool decodeFramePayload(const uint8_t *P, size_t Size, JournalFrame &F) {
         Len > static_cast<uint64_t>(INT64_MAX) - static_cast<uint64_t>(F.FirstIter))
       return false;
     F.LastIter = F.FirstIter + static_cast<int64_t>(Len);
-    if (F.FrameKind == JournalFrame::Kind::ChunkCommit) {
-      uint64_t LogLen = 0;
-      if (!readVarint(P, End, LogLen) ||
-          LogLen > static_cast<uint64_t>(End - P))
-        return false;
-      F.LogBytes.assign(P, P + LogLen);
-      P += LogLen;
-    }
     break;
   }
   case JournalFrame::Kind::LoopEnd:
@@ -248,8 +235,7 @@ groupInvocations(const std::vector<JournalFrame> &Frames) {
       Out.push_back(std::move(R));
       break;
     }
-    case JournalFrame::Kind::ChunkCommit:
-    case JournalFrame::Kind::SeqRange:
+    case JournalFrame::Kind::Commit:
       // The writer never emits a commit outside its LoopBegin/LoopEnd
       // bracket; anything else would be cross-frame corruption the CRC
       // cannot see, so drop it rather than replay it.
@@ -295,12 +281,17 @@ const char *alter::durabilityPolicyName(DurabilityPolicy Policy) {
 std::unique_ptr<CommitJournal>
 CommitJournal::open(const std::string &Path, const JournalIdentity &Id,
                     const Options &Opts, std::string *Error) {
+  std::unique_ptr<CommitJournal> J(new CommitJournal());
   const auto Fail = [&](const std::string &Msg) {
     if (Error)
       *Error = Msg;
+    // Close before the destructor runs: its lease release would write into
+    // a file this open refused — another run's, or a live owner's.
+    if (J->Fd >= 0)
+      ::close(J->Fd);
+    J->Fd = -1;
     return nullptr;
   };
-  std::unique_ptr<CommitJournal> J(new CommitJournal());
   J->Path = Path;
   J->Id = Id;
   J->Opts = Opts;
@@ -352,10 +343,18 @@ CommitJournal::open(const std::string &Path, const JournalIdentity &Id,
     if (HeaderOk) {
       const uint64_t HLen = getU64(Bytes.data() + 8);
       const uint64_t HCrc = getU64(Bytes.data() + 16);
-      HeaderOk = HLen <= MaxFramePayload &&
-                 Size >= 3 * sizeof(uint64_t) + HLen + LeaseBytes &&
-                 wireCrc32(Bytes.data() + 24, HLen) == HCrc &&
-                 decodeHeaderPayload(Bytes.data() + 24, HLen, Existing);
+      const bool Intact = HLen <= MaxFramePayload &&
+                          Size >= 3 * sizeof(uint64_t) + HLen + LeaseBytes &&
+                          wireCrc32(Bytes.data() + 24, HLen) == HCrc;
+      uint64_t Version = 0;
+      HeaderOk = Intact && decodeHeaderPayload(Bytes.data() + 24, HLen,
+                                               Version, Existing);
+      // An intact header of another format version is a different file
+      // layout: refuse it rather than misread or wipe its frames.
+      if (Intact && Version != FormatVersion)
+        return Fail(Path + " is a version " + std::to_string(Version) +
+                    " commit journal; this build reads version " +
+                    std::to_string(FormatVersion));
       if (HeaderOk &&
           (Existing.Workload != Id.Workload || Existing.Loop != Id.Loop ||
            Existing.Seed != Id.Seed ||
@@ -483,26 +482,12 @@ void CommitJournal::beginInvocation(const std::string &LoopName,
   appendFrame(F);
 }
 
-void CommitJournal::appendCommit(int64_t Chunk, int64_t First, int64_t Last,
-                                 const WriteLog *Log) {
+void CommitJournal::appendCommit(int64_t Chunk, int64_t First,
+                                 int64_t Last) {
   if (!InvocationOpen)
     return;
   JournalFrame F;
-  F.FrameKind = JournalFrame::Kind::ChunkCommit;
-  F.Invocation = CurInvocation;
-  F.Chunk = Chunk;
-  F.FirstIter = First;
-  F.LastIter = Last;
-  if (Log)
-    Log->serializeCompact(F.LogBytes);
-  appendFrame(F);
-}
-
-void CommitJournal::appendRange(int64_t Chunk, int64_t First, int64_t Last) {
-  if (!InvocationOpen)
-    return;
-  JournalFrame F;
-  F.FrameKind = JournalFrame::Kind::SeqRange;
+  F.FrameKind = JournalFrame::Kind::Commit;
   F.Invocation = CurInvocation;
   F.Chunk = Chunk;
   F.FirstIter = First;

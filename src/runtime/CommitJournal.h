@@ -8,21 +8,18 @@
 /// Write-ahead commit journal and restart recovery. ALTER's validation
 /// machinery guarantees the committed prefix of a speculative run equals a
 /// sequential execution — but only while the parent lives. The journal
-/// makes that prefix durable: every committed chunk appends one CRC32'd,
-/// length-prefixed frame (an on-disk sibling of the ALTER5 wire format,
-/// reusing the WriteLog compact serialization as the effects record), and a
-/// restarted parent replays the valid prefix and resumes dispatch at the
-/// first uncommitted iteration.
+/// makes that prefix durable: every committed range of iterations appends
+/// one CRC32'd, length-prefixed frame naming the range (chunk, first,
+/// last), and a restarted parent replays the valid prefix and resumes
+/// dispatch at the first uncommitted iteration.
 ///
-/// Replay is by *re-execution*, not by applying the logged bytes: WriteLog
-/// entries hold absolute virtual addresses that are invalid after re-exec
-/// (ASLR, fresh arena mappings). Workload::setUp is deterministic, and
-/// RunResult::CommitOrder documents that a parallel run is equivalent to
-/// replaying its chunks serially in commit order — so recovery rebuilds
+/// Replay is by *re-execution*: a chunk's write log holds absolute virtual
+/// addresses that are invalid after re-exec (ASLR, fresh arena mappings),
+/// so the journal does not record it. Workload::setUp is deterministic,
+/// and RunResult::CommitOrder documents that a parallel run is equivalent
+/// to replaying its chunks serially in commit order — so recovery rebuilds
 /// initial state and re-executes each journaled iteration range in journal
-/// order, which is exactly that serial equivalent. The frame-embedded log
-/// bytes remain a CRC-validated effects record (torn-tail detection,
-/// accounting, forensics), never a byte-replay source.
+/// order, which is exactly that serial equivalent.
 ///
 /// Torn-tail rule: on open, frames are validated front to back; the first
 /// structurally invalid or CRC-failing frame and everything after it are
@@ -46,8 +43,6 @@
 #include <vector>
 
 namespace alter {
-
-class WriteLog;
 
 /// When journal appends reach the disk platter.
 enum class DurabilityPolicy : uint8_t {
@@ -73,22 +68,20 @@ struct JournalIdentity {
 /// One decoded journal frame (see CommitJournal.cpp for the byte format).
 struct JournalFrame {
   enum class Kind : uint8_t {
-    LoopBegin = 1,   ///< invocation opened: loop name, N, resolved chunk
-                     ///< factor, schedule — written after the schedule
-                     ///< pick, before any dispatch
-    ChunkCommit = 2, ///< engine committed a chunk; carries the WriteLog
-                     ///< compact bytes as the effects record
-    SeqRange = 3,    ///< ladder/quarantine/sequential re-execution of an
-                     ///< iteration range against committed memory (no log)
-    LoopEnd = 4,     ///< invocation completed successfully
+    LoopBegin = 1, ///< invocation opened: loop name, N, resolved chunk
+                   ///< factor, schedule — written after the schedule
+                   ///< pick, before any dispatch
+    Commit = 2,    ///< iterations [FirstIter, LastIter) of Chunk reached
+                   ///< committed memory: an engine applied the chunk, or
+                   ///< the runner re-ran a (sub-)range of it
+    LoopEnd = 3,   ///< invocation completed successfully
   };
-  Kind FrameKind = Kind::ChunkCommit;
+  Kind FrameKind = Kind::Commit;
   uint64_t Invocation = 0;
-  // ChunkCommit / SeqRange:
+  // Commit:
   int64_t Chunk = -1;
   int64_t FirstIter = 0;
   int64_t LastIter = 0; ///< half-open [FirstIter, LastIter)
-  std::vector<uint8_t> LogBytes; ///< ChunkCommit only; effects record
   // LoopBegin:
   std::string LoopName;
   int64_t NumIterations = 0;
@@ -104,7 +97,7 @@ struct RecoveredInvocation {
   int64_t NumIterations = 0;
   int64_t ChunkFactor = 0;
   uint8_t Schedule = 0; ///< ScheduleKind
-  /// ChunkCommit and SeqRange frames in journal (commit) order.
+  /// Commit frames in journal (commit) order.
   std::vector<JournalFrame> Commits;
 };
 
@@ -171,15 +164,11 @@ public:
   void beginInvocation(const std::string &LoopName, int64_t NumIterations,
                        int64_t ChunkFactor, uint8_t Schedule);
 
-  /// Appends a ChunkCommit frame for iterations [First, Last). Called by
-  /// the engines after validation passes and *before* the write log is
-  /// applied (write-ahead). \p Log may be null (no effects record).
-  void appendCommit(int64_t Chunk, int64_t First, int64_t Last,
-                    const WriteLog *Log);
-
-  /// Appends a SeqRange frame: the ladder/quarantine/sequential tiers
-  /// completed [First, Last) directly against committed memory.
-  void appendRange(int64_t Chunk, int64_t First, int64_t Last);
+  /// Appends a Commit frame for iterations [First, Last) of \p Chunk. The
+  /// engines call it after validation passes and *before* the write log
+  /// is applied (write-ahead); the recovering runner after its sub-runs
+  /// and sequential tiers completed the range.
+  void appendCommit(int64_t Chunk, int64_t First, int64_t Last);
 
   /// Closes the current invocation with a LoopEnd frame and flushes.
   void endInvocation();

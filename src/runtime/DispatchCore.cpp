@@ -245,7 +245,7 @@ void DispatchCore::commit(ChildReport &Rep, int64_t Chunk, unsigned Slot) {
   if (Config.Journal) {
     const int64_t JFirst = Chunk * Cf;
     const int64_t JLast = std::min<int64_t>(JFirst + Cf, Spec.NumIterations);
-    Config.Journal->appendCommit(Chunk, JFirst, JLast, &Rep.Log);
+    Config.Journal->appendCommit(Chunk, JFirst, JLast);
   }
   faultParentKillPoint(); // crash-restart: parent dies at commit
   // Apply the child's writes verbatim: the ALTER allocator guarantees

@@ -189,8 +189,9 @@ enum class ParallelEngine {
   ForkJoin, ///< round-barrier fork engine (ForkJoinExecutor)
   Pipeline, ///< continuous-feed fork engine (PipelineExecutor)
   /// Threaded rounds in process (LockstepExecutor). Only for loops that
-  /// need nothing a process gives (containment, a journal, fault plans):
-  /// RecoveringLoopRunner still runs its ladder on the Pipeline engine.
+  /// need nothing a process gives (containment of a crashing body, fault
+  /// plans): RecoveringLoopRunner still runs its ladder on the Pipeline
+  /// engine.
   Threaded,
 };
 

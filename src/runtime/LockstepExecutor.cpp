@@ -6,6 +6,7 @@
 
 #include "runtime/LockstepExecutor.h"
 
+#include "runtime/CommitJournal.h"
 #include "runtime/ConflictDetector.h"
 #include "runtime/Round.h"
 #include "runtime/ShutdownSupervisor.h"
@@ -353,17 +354,25 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
     retireRound(Round, Detector, Sink, Config, Result, Pending,
                 [&](unsigned W) {
                   TxnContext &Ctx = *Contexts[W];
+                  const int64_t Chunk = Round[W].Chunk;
                   const uint64_t TraceT0 = Sink.events() ? traceNowNs() : 0;
                   const uint64_t CommitT0 = Config.Metrics ? nowNs() : 0;
+                  // Write-ahead, as the fork engines: journal the chunk
+                  // before its buffered writes reach committed memory.
+                  if (Config.Journal)
+                    Config.Journal->appendCommit(
+                        Chunk, Chunk * Cf,
+                        std::min<int64_t>(Chunk * Cf + Cf, Spec.NumIterations));
                   Ctx.commitTxn();
-                  if (Config.Metrics)
+                  if (Config.Metrics) {
                     Result.Metrics.record(HistogramId::CommitNs,
                                           nowNs() - CommitT0);
-                  Result.CommitOrder.push_back(Round[W].Chunk);
+                    Result.Metrics.addCounter(CounterId::ParentCommits);
+                  }
+                  Result.CommitOrder.push_back(Chunk);
                   if (Sink.events())
-                    Sink.event(TraceEventKind::Commit, /*Worker=*/0,
-                               Round[W].Chunk, TraceT0,
-                               traceNowNs() - TraceT0,
+                    Sink.event(TraceEventKind::Commit, /*Worker=*/0, Chunk,
+                               TraceT0, traceNowNs() - TraceT0,
                                /*Arg0=*/Ctx.writeLog().dataBytes());
                 });
     for (unsigned W = 0; W != RoundSize; ++W)

@@ -14,6 +14,7 @@
 #include "runtime/ShutdownSupervisor.h"
 #include "runtime/StagePipelineExecutor.h"
 #include "support/Error.h"
+#include "support/Format.h"
 #include "support/Random.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -56,9 +57,16 @@ std::unique_ptr<Executor> alter::makeParallelEngine(ParallelEngine Engine,
 
 LoopRunner::~LoopRunner() = default;
 
-bool LoopRunner::fold(RunResult R) {
+void LoopRunner::absorb(const RunResult &R) {
   Accumulated.Stats.merge(R.Stats);
   Accumulated.mergeTrace(R);
+  Accumulated.Metrics.merge(R.Metrics);
+  Accumulated.Timeline.insert(Accumulated.Timeline.end(), R.Timeline.begin(),
+                              R.Timeline.end());
+}
+
+bool LoopRunner::fold(RunResult R) {
+  absorb(R);
   if (R.Status != RunStatus::Success) {
     Accumulated.Status = R.Status;
     Accumulated.Detail = std::move(R.Detail);
@@ -117,14 +125,13 @@ bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
   if (SequentialMode) {
     // Deadline already tripped: no speculation, no committed chunks — the
     // whole loop is one uncommitted "chunk".
-    const int64_t WholeCf = Spec.NumIterations > 0 ? Spec.NumIterations : 1;
+    const int64_t WholeCf = std::max<int64_t>(Spec.NumIterations, 1);
     if (J)
       J->beginInvocation(Spec.Name, Spec.NumIterations, WholeCf,
                          static_cast<uint8_t>(ScheduleKind::Sequential));
-    fullTailSequential(Spec, {0}, WholeCf);
-    if (J)
-      J->endInvocation();
-    drainJournalStats();
+    if (!runFloor(Spec, {0}, WholeCf))
+      return stopInvocation();
+    closeInvocation();
     return true;
   }
   if (Config.Schedule == SchedulePolicy::Sequential) {
@@ -133,14 +140,14 @@ bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
     Accumulated.ScheduleUsed = ScheduleKind::Sequential;
     if (J)
       J->beginInvocation(Spec.Name, Spec.NumIterations,
-                         Spec.NumIterations > 0 ? Spec.NumIterations : 1,
+                         std::max<int64_t>(Spec.NumIterations, 1),
                          static_cast<uint8_t>(ScheduleKind::Sequential));
     const bool Ok = fold(Seq.run(Spec));
     if (J && Ok) {
       // One frame for the whole loop: sequential execution commits all-or-
       // nothing from the journal's point of view.
       if (Spec.NumIterations > 0)
-        J->appendRange(0, 0, Spec.NumIterations);
+        J->appendCommit(0, 0, Spec.NumIterations);
       J->endInvocation();
     }
     drainJournalStats();
@@ -167,43 +174,20 @@ bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
                        static_cast<uint8_t>(UseStaged ? ScheduleKind::Staged
                                                       : ScheduleKind::Chunked));
   }
-  if (UseStaged) {
-    if (!runStagedInner(Spec)) {
-      // Interrupted: leave the invocation open (no LoopEnd) so a restart
-      // resumes it, but make the committed prefix durable now — the
-      // supervisor's escalation may not leave us another chance.
-      runShutdownFlushHook();
-      drainJournalStats();
-      return false;
-    }
-  } else {
-    Accumulated.ScheduleUsed = ScheduleKind::Chunked;
-    Primary->setAccumulatedSimNs(Accumulated.Stats.SimTimeNs);
-    RunResult R = Primary->run(Spec);
-    if (R.ChunkFactorUsed > 0)
-      Accumulated.ChunkFactorUsed = R.ChunkFactorUsed;
-    Accumulated.mergeTrace(R);
-    Accumulated.Stats.merge(R.Stats);
-    if (R.Status == RunStatus::Interrupted) {
-      // A shutdown request is a command to stop, not a fault to recover
-      // from: the ladder must NOT try to finish the loop. The engine
-      // already reaped its children; surface the partial result as-is.
-      Accumulated.Status = RunStatus::Interrupted;
-      Accumulated.Detail = std::move(R.Detail);
-      runShutdownFlushHook();
-      drainJournalStats();
-      return false;
-    }
-    if (R.Status != RunStatus::Success) {
-      if (!R.Detail.empty())
-        Accumulated.Detail = "recovered after: " + R.Detail;
-      runLadder(Spec, R);
-    }
-  }
-  if (J)
-    J->endInvocation();
-  drainJournalStats();
-  if (Config.SeqBaselineNs != 0 && !SequentialMode &&
+  // The stage pipeline indicts chunks and reports CommitOrder exactly like
+  // the chunked engines, so the same loop finishes what either left; its
+  // sub-runs speculate chunked — re-staging a failed plan is pointless.
+  std::unique_ptr<Executor> Staged;
+  if (UseStaged)
+    Staged = std::make_unique<StagePipelineExecutor>(Config);
+  Executor &Exec = Staged ? *Staged : *Primary;
+  Accumulated.ScheduleUsed =
+      Staged ? ScheduleKind::Staged : ScheduleKind::Chunked;
+  Exec.setAccumulatedSimNs(Accumulated.Stats.SimTimeNs);
+  if (!finishRun(Spec, Exec.run(Spec)))
+    return stopInvocation();
+  closeInvocation();
+  if (Config.SeqBaselineNs != 0 &&
       static_cast<double>(Accumulated.Stats.SimTimeNs) >
           DeadlineFactor * static_cast<double>(Config.SeqBaselineNs)) {
     // Completion stays guaranteed, but the time budget is spent: later
@@ -216,30 +200,35 @@ bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
   return true;
 }
 
-bool RecoveringLoopRunner::runStagedInner(const LoopSpec &Spec) {
-  Accumulated.ScheduleUsed = ScheduleKind::Staged;
-  StagePipelineExecutor Staged(Config);
-  Staged.setAccumulatedSimNs(Accumulated.Stats.SimTimeNs);
-  RunResult R = Staged.run(Spec);
+bool RecoveringLoopRunner::finishRun(const LoopSpec &Spec, RunResult R) {
   if (R.ChunkFactorUsed > 0)
     Accumulated.ChunkFactorUsed = R.ChunkFactorUsed;
-  Accumulated.mergeTrace(R);
-  Accumulated.Stats.merge(R.Stats);
+  absorb(R);
+  if (R.Status == RunStatus::Success)
+    return true;
   if (R.Status == RunStatus::Interrupted) {
-    // Stop, don't recover — see the chunked path above.
+    // The engine already reaped its children; surface its detail as-is.
     Accumulated.Status = RunStatus::Interrupted;
     Accumulated.Detail = std::move(R.Detail);
     return false;
   }
-  if (R.Status != RunStatus::Success) {
-    // The pipeline indicts chunks and reports CommitOrder exactly like the
-    // chunked engines, so the same ladder resolves its failures; ladder
-    // sub-runs speculate chunked — re-staging a failed plan is pointless.
-    if (!R.Detail.empty())
-      Accumulated.Detail = "recovered after: " + R.Detail;
-    runLadder(Spec, R);
-  }
-  return true;
+  if (!R.Detail.empty())
+    Accumulated.Detail = "recovered after: " + R.Detail;
+  // Engines that chunk always report ChunkFactorUsed; a result without one
+  // committed nothing, so the whole loop is a single uncommitted chunk.
+  const int64_t N = Spec.NumIterations;
+  const int64_t Cf =
+      R.ChunkFactorUsed > 0 ? R.ChunkFactorUsed : std::max<int64_t>(N, 1);
+  const int64_t NumChunks = (N + Cf - 1) / Cf;
+  std::vector<bool> Done(static_cast<size_t>(NumChunks), false);
+  for (int64_t C : R.CommitOrder)
+    if (C >= 0 && C < NumChunks)
+      Done[static_cast<size_t>(C)] = true;
+  std::vector<int64_t> Remaining;
+  for (int64_t C = 0; C != NumChunks; ++C)
+    if (!Done[static_cast<size_t>(C)])
+      Remaining.push_back(C);
+  return finishChunks(Spec, std::move(Remaining), Cf, R.FailedChunk);
 }
 
 bool RecoveringLoopRunner::planPicksStaged(const LoopSpec &Spec) {
@@ -375,193 +364,108 @@ bool RecoveringLoopRunner::budgetExpired() const {
          DeadlineFactor * static_cast<double>(Config.SeqBaselineNs);
 }
 
-namespace {
-
-/// Removes from \p Remaining (sorted ascending) every original chunk a
-/// sub-run committed. \p Chunks maps the sub-run's local chunk indices
-/// (which CommitOrder holds) back to original indices.
-void eraseCommitted(std::vector<int64_t> &Remaining,
-                    const std::vector<int64_t> &Chunks, const RunResult &R) {
-  for (int64_t Local : R.CommitOrder) {
-    if (Local < 0 || static_cast<size_t>(Local) >= Chunks.size())
-      continue;
-    const int64_t Orig = Chunks[static_cast<size_t>(Local)];
-    const auto It = std::lower_bound(Remaining.begin(), Remaining.end(), Orig);
-    if (It != Remaining.end() && *It == Orig)
-      Remaining.erase(It);
-  }
-}
-
-/// Maps a sub-run's local FailedChunk back to the original chunk index;
-/// -1 when the sub-run indicted nothing (timeout, poll failure).
-int64_t mapFailedChunk(const RunResult &R, const std::vector<int64_t> &Chunks) {
-  if (R.FailedChunk < 0 || static_cast<size_t>(R.FailedChunk) >= Chunks.size())
-    return -1;
-  return Chunks[static_cast<size_t>(R.FailedChunk)];
-}
-
-} // namespace
-
-void RecoveringLoopRunner::runLadder(const LoopSpec &Spec,
-                                     const RunResult &Failed) {
+bool RecoveringLoopRunner::finishChunks(const LoopSpec &Spec,
+                                        std::vector<int64_t> Remaining,
+                                        int64_t Cf, int64_t Indicted) {
   const int64_t N = Spec.NumIterations;
-  if (N == 0) {
-    Accumulated.Stats.Recovered = true;
-    return;
-  }
-  // Engines that chunk always report ChunkFactorUsed; a result without one
-  // committed nothing, so the whole loop is a single uncommitted chunk.
-  const int64_t Cf = Failed.ChunkFactorUsed > 0 ? Failed.ChunkFactorUsed : N;
-  const int64_t NumChunks = (N + Cf - 1) / Cf;
-  std::vector<bool> Done(static_cast<size_t>(NumChunks), false);
-  for (int64_t C : Failed.CommitOrder)
-    if (C >= 0 && C < NumChunks)
-      Done[static_cast<size_t>(C)] = true;
-  std::vector<int64_t> Remaining;
-  for (int64_t C = 0; C != NumChunks; ++C)
-    if (!Done[static_cast<size_t>(C)])
-      Remaining.push_back(C);
-
-  int64_t Indicted = Failed.FailedChunk;
+  // Runs \p Chunks in parallel on a fresh engine and drops what it
+  // committed from Remaining. Returns NoFailure on success, else the chunk
+  // the failure indicted (-1: none, e.g. a timeout or a shutdown request).
+  const auto RunParallel = [&](const std::vector<int64_t> &Chunks) {
+    std::vector<IterRange> Ranges;
+    for (int64_t C : Chunks)
+      Ranges.push_back({C, C * Cf, std::min<int64_t>(C * Cf + Cf, N)});
+    const RunResult R = runSubRun(Spec, Ranges, /*Solo=*/false);
+    for (int64_t Local : R.CommitOrder)
+      Remaining.erase(std::lower_bound(Remaining.begin(), Remaining.end(),
+                                       Chunks[static_cast<size_t>(Local)]));
+    if (R.Status == RunStatus::Success)
+      return NoFailure;
+    return R.FailedChunk >= 0 ? Chunks[static_cast<size_t>(R.FailedChunk)]
+                              : int64_t{-1};
+  };
   // Hard cap on ladder rounds: each round either resolves the indicted
   // chunk or strictly lowers the indictment, but a pathological fault plan
   // (every chunk poisoned) must still terminate promptly.
-  int64_t RoundsLeft = 2 * NumChunks + 4;
+  int64_t RoundsLeft = 2 * ((N + Cf - 1) / Cf) + 4;
 
   while (!Remaining.empty()) {
-    if (Indicted < 0 ||
-        !std::binary_search(Remaining.begin(), Remaining.end(), Indicted) ||
-        --RoundsLeft <= 0 || budgetExpired()) {
-      // Ladder floor: the failure has no single culpable chunk (Timeout),
-      // or the budget is spent — finish sequentially.
-      fullTailSequential(Spec, Remaining, Cf);
-      return;
+    if (shutdownRequested())
+      return false;
+    if (Indicted == NoFailure) {
+      // Nothing indicted: everything uncommitted runs in parallel.
+      const std::vector<int64_t> All = Remaining;
+      Indicted = RunParallel(All);
+      continue;
     }
-
-    // The pipeline's InOrder retirement can indict a chunk that is not the
-    // oldest uncommitted one. Older uncommitted chunks are innocent; re-run
-    // them in parallel first so InOrder splice semantics (committed chunks
-    // form a program-order prefix) survive the salvage.
-    std::vector<int64_t> Pre;
-    for (int64_t C : Remaining)
-      if (C < Indicted)
-        Pre.push_back(C);
-    if (!Pre.empty()) {
-      const RunResult R = runChunksParallel(Spec, Pre, Cf);
-      eraseCommitted(Remaining, Pre, R);
-      if (R.Status != RunStatus::Success) {
+    const auto At =
+        std::lower_bound(Remaining.begin(), Remaining.end(), Indicted);
+    if (At == Remaining.end() || *At != Indicted || --RoundsLeft <= 0 ||
+        budgetExpired())
+      // The floor: the failure has no culprit left (Timeout), or the round
+      // cap or the budget is spent — finish sequentially.
+      return runFloor(Spec, Remaining, Cf);
+    // The pipeline's InOrder retirement, and a restarted invocation's
+    // parallel run, can indict a chunk that is not the oldest uncommitted
+    // one. Older uncommitted chunks are innocent; re-run them in parallel
+    // first so InOrder splice semantics (committed chunks form a
+    // program-order prefix) survive the salvage.
+    const std::vector<int64_t> Older(Remaining.begin(), At);
+    if (!Older.empty()) {
+      const int64_t Sick = RunParallel(Older);
+      if (Sick != NoFailure) {
         // An older chunk is also sick: it becomes the indicted one.
-        Indicted = mapFailedChunk(R, Pre);
+        Indicted = Sick;
         continue;
       }
     }
-
-    resolveChunk(Spec, Indicted, Cf);
+    if (!resolveChunk(Spec, Indicted, Cf))
+      return false;
     Remaining.erase(
-        std::remove(Remaining.begin(), Remaining.end(), Indicted),
-        Remaining.end());
-    if (Remaining.empty())
-      return;
-
-    // The indicted chunk is out of the way: the tail gets to run in
-    // parallel again.
-    const std::vector<int64_t> Tail = Remaining;
-    const RunResult R = runChunksParallel(Spec, Tail, Cf);
-    eraseCommitted(Remaining, Tail, R);
-    if (R.Status == RunStatus::Success)
-      return;
-    Indicted = mapFailedChunk(R, Tail);
+        std::lower_bound(Remaining.begin(), Remaining.end(), Indicted));
+    // The indicted chunk is out of the way: the rest runs in parallel.
+    Indicted = NoFailure;
   }
+  return true;
 }
 
-RunResult RecoveringLoopRunner::runFreshEngine(const ExecutorConfig &SubConfig,
-                                               const LoopSpec &Sub) {
-  // The ladder contains faults, so its sub-runs always fork.
-  const std::unique_ptr<Executor> Exec = makeParallelEngine(
-      Engine == ParallelEngine::Threaded ? ParallelEngine::Pipeline : Engine,
-      SubConfig);
-  RunResult R = Exec->run(Sub);
-  R.Stats.addChildUsage(Exec->release());
-  return R;
-}
-
-RunResult
-RecoveringLoopRunner::runChunksParallel(const LoopSpec &Spec,
-                                        const std::vector<int64_t> &Chunks,
-                                        int64_t Cf) {
-  const int64_t N = Spec.NumIterations;
-  LoopSpec Sub;
-  Sub.Name = Spec.Name + ".salvage";
-  // Pad to whole chunks; the body guards the final partial chunk.
-  Sub.NumIterations = static_cast<int64_t>(Chunks.size()) * Cf;
-  Sub.Reductions = Spec.Reductions;
-  const auto Body = Spec.Body;
-  const std::vector<int64_t> List = Chunks;
-  Sub.Body = [Body, List, Cf, N](TxnContext &Ctx, int64_t I) {
-    const int64_t Orig = List[static_cast<size_t>(I / Cf)] * Cf + I % Cf;
-    if (Orig < N)
-      Body(Ctx, Orig);
-  };
-  const auto ParentRemap = Spec.FaultRemap;
-  Sub.FaultRemap = [List, Cf, N, ParentRemap](int64_t C, int64_t,
-                                              int64_t) -> FaultCoords {
-    if (C < 0 || static_cast<size_t>(C) >= List.size())
-      return FaultCoords{C, C * Cf, C * Cf};
-    const int64_t Orig = List[static_cast<size_t>(C)];
-    FaultCoords FC{Orig, Orig * Cf, std::min<int64_t>((Orig + 1) * Cf, N)};
-    if (ParentRemap)
-      FC = ParentRemap(FC.Chunk, FC.FirstIter, FC.LastIter);
-    return FC;
-  };
-  ExecutorConfig SubConfig = Config;
-  SubConfig.Params.ChunkFactor = Cf;
-  // The sub-run numbers chunks locally (positions into \p Chunks); letting
-  // it journal would record coordinates a restart cannot interpret. Journal
-  // here instead, in original coordinates, after the engine validated and
-  // applied each chunk.
-  SubConfig.Journal = nullptr;
-  RunResult R = runFreshEngine(SubConfig, Sub);
-  Accumulated.mergeTrace(R);
-  Accumulated.Stats.merge(R.Stats);
-  if (Config.Journal)
-    for (int64_t Local : R.CommitOrder) {
-      if (Local < 0 || static_cast<size_t>(Local) >= List.size())
-        continue;
-      const int64_t Orig = List[static_cast<size_t>(Local)];
-      Config.Journal->appendRange(Orig, Orig * Cf,
-                                  std::min<int64_t>((Orig + 1) * Cf, N));
-    }
-  return R;
-}
-
-void RecoveringLoopRunner::resolveChunk(const LoopSpec &Spec, int64_t Chunk,
+bool RecoveringLoopRunner::resolveChunk(const LoopSpec &Spec, int64_t Chunk,
                                         int64_t Cf) {
   const int64_t First = Chunk * Cf;
   const int64_t Last = std::min<int64_t>(First + Cf, Spec.NumIterations);
   // Tier 1: the indicted chunk alone, speculatively, on a fresh solo
   // engine — a transient fault heals here without any sequential work.
   for (unsigned Attempt = 1; Attempt <= SoloAttempts; ++Attempt) {
+    if (shutdownRequested())
+      return false;
     if (budgetExpired())
       break;
     backoff(Chunk, Attempt);
     traceLadderEvent(TraceEventKind::Salvage, Chunk, /*Arg0=*/Attempt,
                      /*Arg1=*/static_cast<uint64_t>(Last - First));
-    if (runRangeSolo(Spec, Chunk, First, Last)) {
+    if (runSubRun(Spec, {{Chunk, First, Last}}, /*Solo=*/true).succeeded()) {
       ++Accumulated.Stats.SalvagedChunks;
-      return;
+      return true;
     }
   }
   // Tier 2: shrink the blast radius.
-  bisect(Spec, Chunk, First, Last, /*Depth=*/0);
+  return bisect(Spec, Chunk, First, Last, /*Depth=*/0);
 }
 
-void RecoveringLoopRunner::bisect(const LoopSpec &Spec, int64_t Chunk,
+bool RecoveringLoopRunner::bisect(const LoopSpec &Spec, int64_t Chunk,
                                   int64_t First, int64_t Last,
                                   unsigned Depth) {
-  if (Last - First <= 1 || Depth >= MaxBisectionDepth ||
-      budgetExpired()) {
-    quarantineRange(Spec, Chunk, First, Last);
-    return;
+  if (shutdownRequested())
+    return false;
+  if (Last - First <= 1 || Depth >= MaxBisectionDepth || budgetExpired()) {
+    // Tier 3: quarantine the fragment, in place.
+    Accumulated.Stats.Recovered = true;
+    const InPlaceRun Run =
+        runInPlace(Spec, {{Chunk, First, Last}}, /*Journal=*/true);
+    Accumulated.Stats.QuarantinedIterations += Run.Iters;
+    traceLadderEvent(TraceEventKind::Quarantine, Chunk, /*Arg0=*/Run.Iters,
+                     /*Arg1=*/0, &Run);
+    return !Run.Stopped;
   }
   traceLadderEvent(TraceEventKind::Bisect, Chunk,
                    /*Arg0=*/static_cast<uint64_t>(First),
@@ -570,51 +474,14 @@ void RecoveringLoopRunner::bisect(const LoopSpec &Spec, int64_t Chunk,
   const int64_t Mid = First + (Last - First) / 2;
   const int64_t Halves[2][2] = {{First, Mid}, {Mid, Last}};
   for (const auto &H : Halves) {
-    if (!budgetExpired() && runRangeSolo(Spec, Chunk, H[0], H[1]))
+    if (shutdownRequested())
+      return false;
+    if (!budgetExpired() &&
+        runSubRun(Spec, {{Chunk, H[0], H[1]}}, /*Solo=*/true).succeeded())
       ++Accumulated.Stats.SalvagedChunks;
-    else
-      bisect(Spec, Chunk, H[0], H[1], Depth + 1);
+    else if (!bisect(Spec, Chunk, H[0], H[1], Depth + 1))
+      return false;
   }
-}
-
-bool RecoveringLoopRunner::runRangeSolo(const LoopSpec &Spec, int64_t Chunk,
-                                        int64_t First, int64_t Last) {
-  const int64_t Len = Last - First;
-  if (Len <= 0)
-    return true;
-  LoopSpec Sub;
-  Sub.Name = Spec.Name + ".solo";
-  Sub.NumIterations = Len;
-  Sub.Reductions = Spec.Reductions;
-  const auto Body = Spec.Body;
-  Sub.Body = [Body, First](TxnContext &Ctx, int64_t I) {
-    Body(Ctx, First + I);
-  };
-  const auto ParentRemap = Spec.FaultRemap;
-  Sub.FaultRemap = [Chunk, First, ParentRemap](int64_t, int64_t F,
-                                               int64_t L) -> FaultCoords {
-    // The whole solo run is one local chunk; sticky chunk faults keep
-    // striking the original chunk index, iteration faults only the
-    // fragments that still cover their iteration.
-    FaultCoords FC{Chunk, First + F, First + L};
-    if (ParentRemap)
-      FC = ParentRemap(FC.Chunk, FC.FirstIter, FC.LastIter);
-    return FC;
-  };
-  ExecutorConfig SubConfig = Config;
-  SubConfig.NumWorkers = 1;
-  SubConfig.Params.ChunkFactor = Len;
-  // Fail fast: the ladder itself supervises retries.
-  SubConfig.ChunkFaultRetryLimit = 0;
-  // Local coordinates again — journal the original range on success.
-  SubConfig.Journal = nullptr;
-  RunResult R = runFreshEngine(SubConfig, Sub);
-  Accumulated.mergeTrace(R);
-  Accumulated.Stats.merge(R.Stats);
-  if (R.Status != RunStatus::Success)
-    return false;
-  if (Config.Journal)
-    Config.Journal->appendRange(Chunk, First, Last);
   return true;
 }
 
@@ -636,88 +503,130 @@ void RecoveringLoopRunner::backoff(int64_t Chunk, unsigned Attempt) {
   Accumulated.Stats.SimTimeNs += WaitNs;
 }
 
-void RecoveringLoopRunner::quarantineRange(const LoopSpec &Spec,
-                                           int64_t Chunk, int64_t First,
-                                           int64_t Last) {
-  if (Last <= First)
-    return;
-  Accumulated.Stats.Recovered = true;
+RunResult
+RecoveringLoopRunner::runSubRun(const LoopSpec &Spec,
+                                const std::vector<IterRange> &Ranges,
+                                bool Solo) {
+  // Each range is one local chunk of Width iterations; the body skips the
+  // padding past the end of a shorter range.
+  int64_t Width = 1;
+  for (const IterRange &R : Ranges)
+    Width = std::max(Width, R.Last - R.First);
+  LoopSpec Sub;
+  Sub.Name = Spec.Name + (Solo ? ".solo" : ".salvage");
+  Sub.NumIterations = static_cast<int64_t>(Ranges.size()) * Width;
+  Sub.Reductions = Spec.Reductions;
+  const auto Body = Spec.Body;
+  Sub.Body = [Body, Ranges, Width](TxnContext &Ctx, int64_t I) {
+    const IterRange &R = Ranges[static_cast<size_t>(I / Width)];
+    const int64_t Orig = R.First + I % Width;
+    if (Orig < R.Last)
+      Body(Ctx, Orig);
+  };
+  // Fault points address the original work: a local chunk is its range's
+  // chunk, and a local iteration span the original iterations it covers,
+  // so sticky chunk faults keep striking the original chunk index and
+  // iteration faults only the fragments that still cover their iteration.
+  const auto ParentRemap = Spec.FaultRemap;
+  Sub.FaultRemap = [Ranges, Width, ParentRemap](int64_t C, int64_t F,
+                                                int64_t L) -> FaultCoords {
+    const IterRange &R = Ranges[static_cast<size_t>(C)];
+    const int64_t Base = C * Width;
+    FaultCoords FC{R.Chunk, R.First + (F - Base),
+                   std::min<int64_t>(R.First + (L - Base), R.Last)};
+    if (ParentRemap)
+      FC = ParentRemap(FC.Chunk, FC.FirstIter, FC.LastIter);
+    return FC;
+  };
+  ExecutorConfig SubConfig = Config;
+  SubConfig.Params.ChunkFactor = Width;
+  if (Solo) {
+    SubConfig.NumWorkers = 1;
+    SubConfig.ChunkFaultRetryLimit = 0;
+  }
+  // The sub-run numbers its chunks locally; letting it journal would record
+  // coordinates a restart cannot interpret. Journal here instead, in
+  // original coordinates, after the engine validated and applied each one.
+  SubConfig.Journal = nullptr;
+  // The ladder contains faults, so its sub-runs always fork.
+  const std::unique_ptr<Executor> Exec = makeParallelEngine(
+      Engine == ParallelEngine::Threaded ? ParallelEngine::Pipeline : Engine,
+      SubConfig);
+  RunResult R = Exec->run(Sub);
+  R.Stats.addChildUsage(Exec->release());
+  absorb(R);
+  if (Config.Journal)
+    for (int64_t Local : R.CommitOrder) {
+      const IterRange &Done = Ranges[static_cast<size_t>(Local)];
+      Config.Journal->appendCommit(Done.Chunk, Done.First, Done.Last);
+    }
+  return R;
+}
+
+RecoveringLoopRunner::InPlaceRun
+RecoveringLoopRunner::runInPlace(const LoopSpec &Spec,
+                                 const std::vector<IterRange> &Ranges,
+                                 bool Journal) {
   // Passthrough context: reads and writes go straight to committed memory,
   // and with no runtime parameters reduction updates execute as their
   // direct read-modify-write — sequential semantics.
   TxnContext Ctx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
                  Config.Allocator, /*Worker=*/0);
-  const bool TraceEvents = Config.Trace >= TraceLevel::Events;
-  const uint64_t TraceT0 = TraceEvents ? traceNowNs() : 0;
+  InPlaceRun Run;
+  Run.TraceT0 = Config.Trace >= TraceLevel::Events ? traceNowNs() : 0;
   const uint64_t Start = nowNs();
-  for (int64_t I = First; I != Last; ++I)
-    Spec.Body(Ctx, I);
-  const uint64_t Elapsed = nowNs() - Start;
-  if (TraceEvents)
-    Accumulated.TraceEvents.push_back(
-        {TraceT0, Elapsed, Chunk,
-         /*Arg0=*/static_cast<uint64_t>(Last - First), /*Arg1=*/0,
-         /*Worker=*/0, TraceEventKind::Quarantine});
-  Accumulated.Stats.RealTimeNs += Elapsed;
-  Accumulated.Stats.SimTimeNs += Elapsed;
+  for (const IterRange &R : Ranges) {
+    int64_t I = R.First;
+    while (I < R.Last && !shutdownRequested())
+      Spec.Body(Ctx, I++);
+    if (I > R.First) {
+      Run.Iters += static_cast<uint64_t>(I - R.First);
+      // The writes went straight to committed memory: journal what ran so
+      // a restart never re-executes it. One frame per range, so a crash
+      // loses at most one range of sequential work (modulo the sync
+      // window).
+      if (Journal && Config.Journal)
+        Config.Journal->appendCommit(R.Chunk, R.First, I);
+    }
+    if ((Run.Stopped = I < R.Last))
+      break;
+  }
+  Run.Ns = nowNs() - Start;
+  Accumulated.Stats.RealTimeNs += Run.Ns;
+  Accumulated.Stats.SimTimeNs += Run.Ns;
   Accumulated.Stats.BytesRead += Ctx.bytesRead();
   Accumulated.Stats.BytesWritten += Ctx.bytesWritten();
-  Accumulated.Stats.QuarantinedIterations +=
-      static_cast<uint64_t>(Last - First);
-  // The writes went straight to committed memory: journal the fragment so
-  // a restart never re-executes it.
-  if (Config.Journal)
-    Config.Journal->appendRange(Chunk, First, Last);
+  return Run;
 }
 
-void RecoveringLoopRunner::fullTailSequential(
-    const LoopSpec &Spec, const std::vector<int64_t> &Chunks, int64_t Cf) {
+bool RecoveringLoopRunner::runFloor(const LoopSpec &Spec,
+                                    const std::vector<int64_t> &Chunks,
+                                    int64_t Cf) {
   Accumulated.Stats.Recovered = true;
-  const int64_t N = Spec.NumIterations;
-  if (N == 0 || Chunks.empty())
-    return;
-  TxnContext Ctx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
-                 Config.Allocator, /*Worker=*/0);
-  const bool TraceEvents = Config.Trace >= TraceLevel::Events;
-  const uint64_t TraceT0 = TraceEvents ? traceNowNs() : 0;
-  const uint64_t Start = nowNs();
-  uint64_t Iters = 0;
-  for (int64_t C : Chunks) {
-    const int64_t First = C * Cf;
-    const int64_t Last = std::min<int64_t>(First + Cf, N);
-    for (int64_t I = First; I != Last; ++I)
-      Spec.Body(Ctx, I);
-    Iters += static_cast<uint64_t>(Last > First ? Last - First : 0);
-    // Per-chunk frames: a crash mid-floor loses at most one chunk of
-    // sequential work (modulo the sync policy's window).
-    if (Config.Journal && Last > First)
-      Config.Journal->appendRange(C, First, Last);
-  }
-  const uint64_t Elapsed = nowNs() - Start;
-  if (TraceEvents)
-    Accumulated.TraceEvents.push_back({TraceT0, Elapsed, /*Chunk=*/-1,
-                                       /*Arg0=*/Iters, /*Arg1=*/0,
-                                       /*Worker=*/0,
-                                       TraceEventKind::Recovery});
-  Accumulated.Stats.RealTimeNs += Elapsed;
-  Accumulated.Stats.SimTimeNs += Elapsed;
-  Accumulated.Stats.BytesRead += Ctx.bytesRead();
-  Accumulated.Stats.BytesWritten += Ctx.bytesWritten();
-  Accumulated.Stats.RecoveredIterations += Iters;
+  std::vector<IterRange> Ranges;
+  for (int64_t C : Chunks)
+    Ranges.push_back(
+        {C, C * Cf, std::min<int64_t>(C * Cf + Cf, Spec.NumIterations)});
+  const InPlaceRun Run = runInPlace(Spec, Ranges, /*Journal=*/true);
+  Accumulated.Stats.RecoveredIterations += Run.Iters;
+  traceLadderEvent(TraceEventKind::Recovery, /*Chunk=*/-1,
+                   /*Arg0=*/Run.Iters, /*Arg1=*/0, &Run);
+  return !Run.Stopped;
 }
 
 void RecoveringLoopRunner::traceLadderEvent(TraceEventKind Kind,
                                             int64_t Chunk, uint64_t Arg0,
-                                            uint64_t Arg1) {
-  if (Config.Trace < TraceLevel::Events)
+                                            uint64_t Arg1,
+                                            const InPlaceRun *Run) {
+  if (Config.Trace < TraceLevel::Events || (Run && Run->Iters == 0))
     return;
-  Accumulated.TraceEvents.push_back(
-      {traceNowNs(), /*DurNs=*/0, Chunk, Arg0, Arg1, /*Worker=*/0, Kind});
+  Accumulated.TraceEvents.push_back({Run ? Run->TraceT0 : traceNowNs(),
+                                     Run ? Run->Ns : 0, Chunk, Arg0, Arg1,
+                                     /*Worker=*/0, Kind});
 }
 
 bool RecoveringLoopRunner::resumeRecovered(const LoopSpec &Spec,
                                            const RecoveredInvocation &Rec) {
-  CommitJournal *J = Config.Journal;
   const int64_t N = Spec.NumIterations;
   if (Rec.Schedule != 0)
     Accumulated.ScheduleUsed = static_cast<ScheduleKind>(Rec.Schedule);
@@ -725,30 +634,20 @@ bool RecoveringLoopRunner::resumeRecovered(const LoopSpec &Spec,
   // recorded order is a serialization the loop's annotations already
   // declared acceptable, so re-executing it sequentially against the
   // deterministically rebuilt initial state reproduces the committed
-  // memory image exactly. The logged write bytes are NOT applied — they
-  // hold pre-restart virtual addresses (see CommitJournal.h).
-  {
-    TxnContext Ctx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
-                   Config.Allocator, /*Worker=*/0);
-    const uint64_t Start = nowNs();
-    for (const JournalFrame &F : Rec.Commits) {
-      const int64_t Last = std::min<int64_t>(F.LastIter, N);
-      for (int64_t I = F.FirstIter; I < Last; ++I)
-        Spec.Body(Ctx, I);
-      ++Accumulated.Stats.ReplayedChunks;
-    }
-    const uint64_t Elapsed = nowNs() - Start;
-    Accumulated.Stats.RecoveryNs += Elapsed;
-    Accumulated.Stats.RealTimeNs += Elapsed;
-    Accumulated.Stats.SimTimeNs += Elapsed;
-    Accumulated.Stats.BytesRead += Ctx.bytesRead();
-    Accumulated.Stats.BytesWritten += Ctx.bytesWritten();
-    if (Config.Metrics)
-      Accumulated.Metrics.record(HistogramId::JournalReplayNs, Elapsed);
-    traceLadderEvent(TraceEventKind::Recovery, /*Chunk=*/-1,
-                     /*Arg0=*/Rec.Commits.size(),
-                     /*Arg1=*/static_cast<uint64_t>(Rec.Finished));
-  }
+  // memory image exactly (see CommitJournal.h).
+  std::vector<IterRange> Replay;
+  for (const JournalFrame &F : Rec.Commits)
+    Replay.push_back({F.Chunk, F.FirstIter, std::min<int64_t>(F.LastIter, N)});
+  const InPlaceRun Replayed = runInPlace(Spec, Replay, /*Journal=*/false);
+  Accumulated.Stats.ReplayedChunks += Rec.Commits.size();
+  Accumulated.Stats.RecoveryNs += Replayed.Ns;
+  if (Config.Metrics)
+    Accumulated.Metrics.record(HistogramId::JournalReplayNs, Replayed.Ns);
+  traceLadderEvent(TraceEventKind::Recovery, /*Chunk=*/-1,
+                   /*Arg0=*/Rec.Commits.size(),
+                   /*Arg1=*/static_cast<uint64_t>(Rec.Finished));
+  if (Replayed.Stopped)
+    return stopInvocation();
   if (Rec.Finished) {
     drainJournalStats();
     return true;
@@ -757,121 +656,76 @@ bool RecoveringLoopRunner::resumeRecovered(const LoopSpec &Spec,
   // The invocation was cut short: finish it. Geometry comes from the
   // LoopBegin frame, not the live config — the crashed run may have
   // resolved a different schedule than this one would.
-  const int64_t Cf = Rec.ChunkFactor > 0 ? Rec.ChunkFactor : (N > 0 ? N : 1);
-  const int64_t NumChunks = N > 0 ? (N + Cf - 1) / Cf : 0;
+  const int64_t Cf =
+      Rec.ChunkFactor > 0 ? Rec.ChunkFactor : std::max<int64_t>(N, 1);
+  const int64_t NumChunks = (N + Cf - 1) / Cf;
   // Committed coverage per chunk. Frames can be sub-chunk fragments
   // (bisection halves, quarantined single iterations), so coverage is
   // interval arithmetic, not a chunk bitmap.
-  struct IterRange {
-    int64_t First, Last;
-  };
-  std::vector<std::vector<IterRange>> Cover(static_cast<size_t>(NumChunks));
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> Cover(
+      static_cast<size_t>(NumChunks));
   for (const JournalFrame &F : Rec.Commits) {
     int64_t First = std::max<int64_t>(F.FirstIter, 0);
     const int64_t Last = std::min<int64_t>(F.LastIter, N);
     while (First < Last) {
       const int64_t C = First / Cf;
       const int64_t End = std::min<int64_t>(Last, (C + 1) * Cf);
-      if (C >= 0 && C < NumChunks)
-        Cover[static_cast<size_t>(C)].push_back({First, End});
+      Cover[static_cast<size_t>(C)].push_back({First, End});
       First = End;
     }
   }
-  // Partially-committed chunks finish first, sequentially, in ascending
-  // order: under InOrder they hold the oldest uncommitted iterations, so
-  // the splice stays a program-order prefix. Untouched chunks then re-run
-  // in parallel below.
-  std::vector<int64_t> Remaining;
-  TxnContext GapCtx(ContextMode::Passthrough, /*Params=*/nullptr, &Spec,
-                    Config.Allocator, /*Worker=*/0);
-  const uint64_t GapStart = nowNs();
-  uint64_t GapIters = 0;
+  // Partially-committed chunks finish first, in place, in ascending order:
+  // under InOrder they hold the oldest uncommitted iterations, so the
+  // splice stays a program-order prefix. Untouched chunks then go through
+  // the same loop that finishes a failed run.
+  std::vector<IterRange> Gaps;
+  std::vector<int64_t> Untouched;
   for (int64_t C = 0; C != NumChunks; ++C) {
     auto &Rs = Cover[static_cast<size_t>(C)];
     if (Rs.empty()) {
-      Remaining.push_back(C);
+      Untouched.push_back(C);
       continue;
     }
-    std::sort(Rs.begin(), Rs.end(),
-              [](const IterRange &A, const IterRange &B) {
-                return A.First < B.First;
-              });
-    const int64_t ChunkLast = std::min<int64_t>((C + 1) * Cf, N);
+    std::sort(Rs.begin(), Rs.end());
     int64_t Pos = C * Cf;
-    const auto RunGap = [&](int64_t GFirst, int64_t GLast) {
-      if (GLast <= GFirst)
-        return;
-      for (int64_t I = GFirst; I != GLast; ++I)
-        Spec.Body(GapCtx, I);
-      GapIters += static_cast<uint64_t>(GLast - GFirst);
-      if (J)
-        J->appendRange(C, GFirst, GLast);
-    };
-    for (const IterRange &R : Rs) {
-      RunGap(Pos, R.First);
-      Pos = std::max(Pos, R.Last);
+    for (const auto &[First, Last] : Rs) {
+      if (Pos < First)
+        Gaps.push_back({C, Pos, First});
+      Pos = std::max(Pos, Last);
     }
-    RunGap(Pos, ChunkLast);
+    const int64_t ChunkLast = std::min<int64_t>((C + 1) * Cf, N);
+    if (Pos < ChunkLast)
+      Gaps.push_back({C, Pos, ChunkLast});
   }
-  if (GapIters != 0) {
+  const InPlaceRun Gap = runInPlace(Spec, Gaps, /*Journal=*/true);
+  if (Gap.Iters != 0) {
     Accumulated.Stats.Recovered = true;
-    Accumulated.Stats.RecoveredIterations += GapIters;
-    const uint64_t Elapsed = nowNs() - GapStart;
-    Accumulated.Stats.RecoveryNs += Elapsed;
-    Accumulated.Stats.RealTimeNs += Elapsed;
-    Accumulated.Stats.SimTimeNs += Elapsed;
-    Accumulated.Stats.BytesRead += GapCtx.bytesRead();
-    Accumulated.Stats.BytesWritten += GapCtx.bytesWritten();
+    Accumulated.Stats.RecoveredIterations += Gap.Iters;
+    Accumulated.Stats.RecoveryNs += Gap.Ns;
   }
-
-  if (!Remaining.empty())
-    completeRemaining(Spec, std::move(Remaining), Cf);
-  if (Accumulated.Status == RunStatus::Interrupted) {
-    // Interrupted again before finishing: keep the invocation open for the
-    // next restart, flush what did commit.
-    runShutdownFlushHook();
-    drainJournalStats();
-    return false;
-  }
-  if (J)
-    J->endInvocation();
-  drainJournalStats();
+  if (Gap.Stopped || !finishChunks(Spec, std::move(Untouched), Cf, NoFailure))
+    return stopInvocation();
+  closeInvocation();
   return true;
 }
 
-void RecoveringLoopRunner::completeRemaining(const LoopSpec &Spec,
-                                             std::vector<int64_t> Remaining,
-                                             int64_t Cf) {
-  // Same round cap as runLadder: every round either finishes the batch or
-  // resolves one indicted chunk, but termination must not depend on that.
-  int64_t RoundsLeft = 2 * static_cast<int64_t>(Remaining.size()) + 4;
-  while (!Remaining.empty()) {
-    if (--RoundsLeft <= 0 || budgetExpired()) {
-      fullTailSequential(Spec, Remaining, Cf);
-      return;
-    }
-    const std::vector<int64_t> Batch = Remaining;
-    const RunResult R = runChunksParallel(Spec, Batch, Cf);
-    eraseCommitted(Remaining, Batch, R);
-    if (R.Status == RunStatus::Success)
-      return;
-    if (R.Status == RunStatus::Interrupted) {
-      // Stop, don't recover — the caller flushes the journal.
-      Accumulated.Status = RunStatus::Interrupted;
-      Accumulated.Detail = R.Detail;
-      return;
-    }
-    const int64_t Indicted = mapFailedChunk(R, Batch);
-    if (Indicted < 0 ||
-        !std::binary_search(Remaining.begin(), Remaining.end(), Indicted)) {
-      fullTailSequential(Spec, Remaining, Cf);
-      return;
-    }
-    resolveChunk(Spec, Indicted, Cf);
-    Remaining.erase(
-        std::remove(Remaining.begin(), Remaining.end(), Indicted),
-        Remaining.end());
+void RecoveringLoopRunner::closeInvocation() {
+  if (Config.Journal)
+    Config.Journal->endInvocation();
+  drainJournalStats();
+}
+
+bool RecoveringLoopRunner::stopInvocation() {
+  if (Accumulated.Status != RunStatus::Interrupted) {
+    Accumulated.Status = RunStatus::Interrupted;
+    Accumulated.Detail = strprintf(
+        "interrupted by shutdown request (signal %d) while finishing "
+        "uncommitted chunks",
+        shutdownSignal());
   }
+  runShutdownFlushHook();
+  drainJournalStats();
+  return false;
 }
 
 void RecoveringLoopRunner::drainJournalStats() {

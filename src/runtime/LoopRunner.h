@@ -54,6 +54,10 @@ protected:
   /// the run failed.
   bool fold(RunResult R);
 
+  /// Merges one engine run's stats, trace, metrics registry and timeline
+  /// into the accumulated result.
+  void absorb(const RunResult &R);
+
   RunResult Accumulated;
 };
 
@@ -104,49 +108,61 @@ private:
 
 /// Driver that guarantees completion through a graceful-degradation
 /// ladder. The inner loop runs under the chosen ParallelEngine (threaded
-/// rounds, or one of the fork engines); the ladder's sub-runs always fork
-/// (Pipeline for a Threaded primary). When speculation fails unrecoverably — a contained Crash after the engine's
+/// rounds, or one of the fork engines) or the stage pipeline; the ladder's
+/// sub-runs always fork (Pipeline for a Threaded primary). When
+/// speculation fails unrecoverably — a contained Crash after the engine's
 /// own per-chunk retries, or a mid-run deadline Timeout — the runner does
 /// NOT immediately abandon parallelism for the whole uncommitted tail.
-/// Instead it walks down a ladder, paying for exactly as much sequential
-/// execution as the fault demands:
 ///
-///  - Tier 1 (salvage): the chunk the engine indicted (RunResult::
-///    FailedChunk) is re-executed alone, speculatively, on a fresh solo
-///    executor forked from the committed snapshot — up to twice, with a
-///    deterministic backoff before the second attempt. A transient fault
-///    heals here and the healthy tail re-runs in parallel.
-///  - Tier 2 (bisection): a chunk that keeps failing solo is split
-///    recursively; healthy halves commit speculatively, only the failing
-///    fragment keeps shrinking (at most 16 halvings deep).
-///  - Tier 3 (quarantine): fragments that fail at single-iteration width
-///    (or at the depth limit) are executed sequentially against committed
-///    memory. Stats.QuarantinedIterations is bounded by the poisoned
-///    chunk's size — never by the tail.
+/// One loop finishes a set of uncommitted chunks, after an engine failure
+/// and after a journal restart alike. A failed run indicts a chunk
+/// (RunResult::FailedChunk); each round of the loop then
 ///
-/// Only when the ladder cannot run — no indicted chunk (e.g. Timeout), or
-/// the real-time budget already spent — does the runner
-/// fall back to sequential re-execution of every uncommitted chunk
-/// (Stats.RecoveredIterations), the pre-ladder behavior.
+///  - re-runs the uncommitted chunks OLDER than the indicted one in
+///    parallel first (a failure among them moves the indictment there),
+///  - walks the indicted chunk down the ladder, paying for exactly as much
+///    sequential execution as the fault demands:
+///     - Tier 1 (salvage): the chunk alone, speculatively, on a fresh solo
+///       engine forked from the committed snapshot — up to twice, with a
+///       deterministic backoff before the second attempt. A transient
+///       fault heals here.
+///     - Tier 2 (bisection): a chunk that keeps failing solo is split
+///       recursively; healthy halves commit speculatively, only the
+///       failing fragment keeps shrinking (at most 16 halvings deep).
+///     - Tier 3 (quarantine): fragments that fail at single-iteration
+///       width (or at the depth limit) are executed sequentially against
+///       committed memory. Stats.QuarantinedIterations is bounded by the
+///       poisoned chunk's size — never by the tail.
+///  - and re-runs the rest in parallel; a new indictment starts the next
+///    round. A restarted invocation starts here, with nothing indicted.
+///
+/// The floor — sequential re-execution of every uncommitted chunk
+/// (Stats.RecoveredIterations) — is reserved for a failure with no culprit
+/// (e.g. Timeout), the round cap, and a spent real-time budget.
+///
+/// A shutdown request is a command to stop, not a fault to recover from:
+/// the loop stops at the first one it sees — no further solo attempt,
+/// bisection, quarantine or floor, no iteration after the request — and
+/// the runner returns Interrupted with the invocation left open in the
+/// journal, so a restart resumes it.
 ///
 /// Correctness of the splice: under InOrder policies the committed chunks
 /// form a program-order prefix, so completing the remainder in ascending
-/// order yields the exact sequential execution (the ladder re-runs
-/// uncommitted chunks OLDER than the indicted one before resolving it).
-/// Under OutOfOrder/StaleReads the committed chunks form an arbitrary
-/// validated subset, and any completion order of the remainder is one of
-/// the serializations those annotations already declare acceptable.
+/// order yields the exact sequential execution — which is why older
+/// uncommitted chunks run before the indicted one is resolved. Under
+/// OutOfOrder/StaleReads the committed chunks form an arbitrary validated
+/// subset, and any completion order of the remainder is one of the
+/// serializations those annotations already declare acceptable.
 ///
 /// Once the outer 10x deadline trips, later invocations stop speculating
 /// and run sequentially outright — completion guaranteed, time bounded.
 ///
 /// With ExecutorConfig::Journal set the runner is also the restart-recovery
 /// driver: fresh invocations are bracketed by LoopBegin/LoopEnd frames (the
-/// engines journal their commits, the ladder tiers journal theirs here, in
-/// original coordinates), and an invocation the journal already records is
-/// replayed by re-execution and resumed at the first uncommitted iteration
-/// (see CommitJournal.h for why replay re-executes instead of applying the
-/// logged bytes).
+/// engines journal their commits, the runner journals the ranges its
+/// sub-runs and sequential tiers complete, in original coordinates), and an
+/// invocation the journal already records is replayed by re-execution and
+/// resumed at the first uncommitted iteration (see CommitJournal.h).
 class RecoveringLoopRunner : public LoopRunner {
 public:
   /// \p Config carries the engine configuration and the outer deadline
@@ -158,6 +174,20 @@ public:
   void release() override;
 
 private:
+  /// Original iterations [First, Last) of the loop's chunk Chunk: what the
+  /// sub-runs, the in-place runner and the journal handle.
+  struct IterRange {
+    int64_t Chunk, First, Last;
+  };
+
+  /// What one in-place run did.
+  struct InPlaceRun {
+    uint64_t TraceT0 = 0; ///< trace clock at the start (events level only)
+    uint64_t Ns = 0;      ///< real time it took
+    uint64_t Iters = 0;   ///< iterations it executed
+    bool Stopped = false; ///< a shutdown request cut it short
+  };
+
   /// True once accumulated real time exceeds DeadlineFactor x
   /// SeqBaselineNs: salvage must stop paying for speculation retries.
   bool budgetExpired() const;
@@ -170,70 +200,78 @@ private:
   /// SchedulePick event (Arg0/Arg1 = modeled chunked/staged ns).
   bool planPicksStaged(const LoopSpec &Spec);
 
-  /// Runs one invocation under the stage pipeline, falling into the
-  /// degradation ladder on failure exactly like the chunked path. Returns
-  /// false when the run was Interrupted by a shutdown request — the ladder
-  /// never attempts to finish an interrupted loop.
-  bool runStagedInner(const LoopSpec &Spec);
+  /// Folds a whole-loop run of the chunked or staged engine into the
+  /// result and finishes the chunks it left uncommitted. Returns false
+  /// when a shutdown request stopped the invocation.
+  bool finishRun(const LoopSpec &Spec, RunResult R);
 
-  /// Walks the ladder over every chunk \p Failed did not commit.
-  void runLadder(const LoopSpec &Spec, const RunResult &Failed);
+  /// finishChunks' indictment when no run has failed yet.
+  static constexpr int64_t NoFailure = -2;
 
-  /// Runs \p Sub to completion on a fresh engine built from \p SubConfig
-  /// and releases it, so the result carries the engine's whole CPU time.
-  RunResult runFreshEngine(const ExecutorConfig &SubConfig,
-                           const LoopSpec &Sub);
+  /// The one chunk-finishing loop: completes \p Remaining (original chunk
+  /// indices at factor \p Cf, ascending). \p Indicted is the chunk a
+  /// failed run blamed (-1: it blamed none), or NoFailure, in which case
+  /// the chunks first run in parallel. Returns false when a shutdown
+  /// request stopped it.
+  bool finishChunks(const LoopSpec &Spec, std::vector<int64_t> Remaining,
+                    int64_t Cf, int64_t Indicted);
 
-  /// Re-runs \p Chunks (original indices, ascending) in parallel under a
-  /// fresh engine via a re-indexed sub-spec. Merges stats/trace and
-  /// returns the sub-run's result (CommitOrder/FailedChunk hold LOCAL
-  /// chunk indices, i.e. positions into \p Chunks).
-  RunResult runChunksParallel(const LoopSpec &Spec,
-                              const std::vector<int64_t> &Chunks, int64_t Cf);
-
-  /// Tiers 1-3 for one indicted chunk; always resolves it (commits it
-  /// speculatively or quarantines its poisoned iterations).
-  void resolveChunk(const LoopSpec &Spec, int64_t Chunk, int64_t Cf);
+  /// Tiers 1-3 for one indicted chunk: commits it speculatively or
+  /// quarantines its poisoned iterations. Returns false when a shutdown
+  /// request stopped it first.
+  bool resolveChunk(const LoopSpec &Spec, int64_t Chunk, int64_t Cf);
 
   /// Tier 2: recursively split [First, Last), committing healthy halves
-  /// solo and quarantining fragments that keep failing.
-  void bisect(const LoopSpec &Spec, int64_t Chunk, int64_t First,
+  /// solo, and tier 3: quarantine fragments that keep failing in place.
+  /// Returns false when a shutdown request stopped it.
+  bool bisect(const LoopSpec &Spec, int64_t Chunk, int64_t First,
               int64_t Last, unsigned Depth);
-
-  /// Runs [First, Last) as one speculative chunk on a fresh single-worker
-  /// engine (retry limit 0). Returns true when it committed.
-  bool runRangeSolo(const LoopSpec &Spec, int64_t Chunk, int64_t First,
-                    int64_t Last);
 
   /// Deterministic backoff before tier-1 attempt \p Attempt (none before
   /// the first).
   void backoff(int64_t Chunk, unsigned Attempt);
 
-  /// Tier 3: executes [First, Last) sequentially against committed memory.
-  void quarantineRange(const LoopSpec &Spec, int64_t Chunk, int64_t First,
-                       int64_t Last);
+  /// Every ladder sub-run goes through here: runs \p Ranges as the chunks
+  /// of a fresh engine (one chunk each, in order) with fault points mapped
+  /// back to original coordinates, folds the run into the result and
+  /// journals the ranges it committed. \p Solo runs one worker with no
+  /// engine retries — the ladder supervises them. CommitOrder and
+  /// FailedChunk of the returned result are positions into \p Ranges.
+  RunResult runSubRun(const LoopSpec &Spec,
+                      const std::vector<IterRange> &Ranges, bool Solo);
 
-  /// Ladder floor: sequentially executes every chunk in \p Chunks.
-  void fullTailSequential(const LoopSpec &Spec,
-                          const std::vector<int64_t> &Chunks, int64_t Cf);
+  /// The in-place range runner: executes \p Ranges in order, sequentially
+  /// against committed memory, charges the time and bytes to the result
+  /// and, when \p Journal, journals each range it ran. Stops between
+  /// iterations at a shutdown request.
+  InPlaceRun runInPlace(const LoopSpec &Spec,
+                        const std::vector<IterRange> &Ranges, bool Journal);
 
-  /// Records an instant parent-side ladder event at Config.Trace level.
+  /// The floor: executes every chunk of \p Chunks in place. Returns false
+  /// when a shutdown request cut it short.
+  bool runFloor(const LoopSpec &Spec, const std::vector<int64_t> &Chunks,
+                int64_t Cf);
+
+  /// Records a parent-side ladder event at Config.Trace level: an instant,
+  /// or with \p Run the span of that in-place run.
   void traceLadderEvent(TraceEventKind Kind, int64_t Chunk, uint64_t Arg0,
-                        uint64_t Arg1);
+                        uint64_t Arg1, const InPlaceRun *Run = nullptr);
 
   /// Restart recovery for one journaled invocation: replays \p Rec's
   /// committed frames by re-execution (charging ReplayedChunks/RecoveryNs),
-  /// then finishes partial-chunk gaps sequentially and the untouched
-  /// chunks in parallel. Returns false only when the resumed work was
-  /// Interrupted before completing.
+  /// then finishes partial-chunk gaps in place and the untouched chunks
+  /// through finishChunks. Returns false only when a shutdown request
+  /// stopped it.
   bool resumeRecovered(const LoopSpec &Spec, const RecoveredInvocation &Rec);
 
-  /// Finishes \p Remaining (original chunk indices, ascending) with the
-  /// parallel-then-ladder discipline runLadder applies after an engine
-  /// failure. A shutdown request surfaces as Accumulated.Status ==
-  /// Interrupted; everything else completes.
-  void completeRemaining(const LoopSpec &Spec, std::vector<int64_t> Remaining,
-                         int64_t Cf);
+  /// Closes the invocation: LoopEnd in the journal, I/O accounting drained.
+  void closeInvocation();
+
+  /// Stops an invocation a shutdown request interrupted: marks the result
+  /// Interrupted and leaves the invocation open in the journal so a restart
+  /// resumes it, but makes the committed prefix durable now — the
+  /// supervisor's escalation may not leave another chance. Returns false.
+  bool stopInvocation();
 
   /// Moves the journal's I/O accounting for this invocation into
   /// Accumulated (no-op without a journal).

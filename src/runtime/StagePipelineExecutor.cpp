@@ -1081,7 +1081,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       // (limit breach, plan violation), would duplicate the chunk: the
       // engine would re-run it and a restart would also replay it.
       if (Config.Journal)
-        Config.Journal->appendCommit(C, First, Last, &A.Rep.Log);
+        Config.Journal->appendCommit(C, First, Last);
       faultParentKillPoint(); // crash-restart: parent dies at commit
       Result.CommitOrder.push_back(C);
       Arrived.erase(It);

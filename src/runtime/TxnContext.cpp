@@ -186,24 +186,6 @@ void TxnContext::instrumentRead(const void *Addr, size_t Size) {
   ALTER_UNREACHABLE("covered switch");
 }
 
-void TxnContext::instrumentWrite(void *Addr, size_t Size) {
-  switch (Mode) {
-  case ContextMode::Passthrough:
-    return;
-  case ContextMode::DepProbe:
-    CurWrites.insertRange(Addr, Size);
-    return;
-  case ContextMode::Transactional:
-    if (TrackWrites) {
-      ++InstrWriteCalls;
-      Writes.insertRange(Addr, Size);
-      checkSetLimits();
-    }
-    return;
-  }
-  ALTER_UNREACHABLE("covered switch");
-}
-
 void *TxnContext::acquireObject(void *Addr, size_t Size) {
   switch (Mode) {
   case ContextMode::Passthrough:

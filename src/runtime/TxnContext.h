@@ -201,9 +201,6 @@ public:
   /// for collection classes that manage their own storage.
   void instrumentRead(const void *Addr, size_t Size);
 
-  /// Adds [Addr, Addr+Size) to the write set without moving data.
-  void instrumentWrite(void *Addr, size_t Size);
-
   /// Allocation-granularity access (§4.1): instruments the whole object
   /// [Addr, Addr+Size) as read AND written and returns where the
   /// transaction may then access it through raw pointers — one
@@ -307,8 +304,7 @@ public:
   /// onto the commit wire: buffering skips the undo snapshot, the
   /// page-dirtying store (the child's COW image stays clean), and the whole
   /// captureRedo pass — the log already IS the redo log. acquireObject
-  /// hands out private copies here; instrumentWrite's raw-pointer writes
-  /// would bypass the buffer, so bodies using it must not run buffered.
+  /// hands out private copies here.
   void enableBufferedWrites() { BufferedWrites = true; }
   bool bufferedWrites() const { return BufferedWrites; }
 

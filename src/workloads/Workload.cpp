@@ -36,8 +36,9 @@ CommitJournal *resolveJournal(CommitJournal *Journal, const Workload &W,
 
 /// The engine runScheduled gives chunked invocations: threads only for a
 /// certified annotation (Table 3) whose run needs no process — a crash on
-/// a thread takes the whole process down, and the journal and fault plans
-/// act in forked children.
+/// a thread takes the whole process down, and fault plans act in forked
+/// children. Journaled calls fork too, although the threaded engine
+/// journals its commits as well.
 ParallelEngine scheduledEngine(const Workload &W, const RuntimeParams &Params,
                                const CommitJournal *Journal) {
   const std::optional<Annotation> Paper = W.paperAnnotation();

@@ -214,24 +214,6 @@ TEST(WriteLogTest, OverlayPartialOverlapAtEdges) {
   EXPECT_EQ(std::string(View2, 8), "aaaaaaxx");
 }
 
-TEST(WriteLogTest, SerializeRoundTrip) {
-  WriteLog Log;
-  double A = 0;
-  int32_t B = 0;
-  const double VA = 3.25;
-  const int32_t VB = -17;
-  Log.record(&A, &VA, sizeof(VA));
-  Log.record(&B, &VB, sizeof(VB));
-
-  std::vector<uint8_t> Buf(Log.serializedSize());
-  Log.serializeTo(Buf.data());
-  WriteLog Copy = WriteLog::deserialize(Buf.data(), Buf.size());
-  EXPECT_EQ(Copy.numEntries(), 2u);
-  Copy.apply();
-  EXPECT_EQ(A, 3.25);
-  EXPECT_EQ(B, -17);
-}
-
 TEST(WriteLogTest, ClearDiscardsState) {
   WriteLog Log;
   double A = 1.0;

@@ -131,7 +131,9 @@ TEST(WriteLogCompactTest, RoundTripAppliesIdentically) {
 
   std::vector<uint8_t> Wire;
   Log.serializeCompact(Wire);
-  const WriteLog Back = WriteLog::deserializeCompact(Wire.data(), Wire.size());
+  WriteLog Back;
+  ASSERT_TRUE(
+      WriteLog::deserializeCompactChecked(Wire.data(), Wire.size(), Back));
   ASSERT_EQ(Back.numEntries(), Log.numEntries());
 
   std::vector<uint64_t> FromOriginal(64, 0), FromCopy(64, 0);

@@ -34,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -1321,12 +1322,14 @@ struct JournaledLoop {
 /// Runs the loop under the recovery driver with \p J attached (2 workers,
 /// chunk factor 4 — six chunks).
 RunResult runJournaled(JournaledLoop &L, CommitJournal *J,
-                       ParallelEngine Engine = ParallelEngine::ForkJoin) {
+                       ParallelEngine Engine = ParallelEngine::ForkJoin,
+                       bool Metrics = false) {
   FaultPlan::global().clear();
   ExecutorConfig Config;
   Config.NumWorkers = 2;
   Config.Params.ChunkFactor = 4;
   Config.Journal = J;
+  Config.Metrics = Metrics;
   RecoveringLoopRunner Runner(Engine, Config);
   EXPECT_TRUE(Runner.runInner(L.Spec));
   return Runner.result();
@@ -1368,7 +1371,7 @@ bool framesArePrefix(const std::vector<JournalFrame> &Got,
     const JournalFrame &G = Got[I], &W = Want[I];
     if (G.FrameKind != W.FrameKind || G.Invocation != W.Invocation ||
         G.Chunk != W.Chunk || G.FirstIter != W.FirstIter ||
-        G.LastIter != W.LastIter || G.LogBytes != W.LogBytes)
+        G.LastIter != W.LastIter)
       return false;
   }
   return true;
@@ -1394,41 +1397,59 @@ std::vector<JournalFrame> recordReferenceJournal(const std::string &Path) {
 } // namespace
 
 TEST(JournalTest, RecordThenReplayReproducesSequentialOutput) {
-  const std::string Path = journalPath("roundtrip");
-  ::unlink(Path.c_str());
-  std::string Error;
-  CommitJournal::Options Opts;
-  Opts.Policy = DurabilityPolicy::PerCommit;
-  {
+  // Record with a PerCommit journal and metrics on, then "restart": fresh
+  // memory, same journal. The completed invocation must replay by
+  // re-execution — no engine dispatch, identical output. The threaded
+  // engine applies commits in process; it must journal each chunk before
+  // applying it, exactly like the fork engines.
+  for (ParallelEngine Engine :
+       {ParallelEngine::ForkJoin, ParallelEngine::Threaded}) {
+    SCOPED_TRACE(engineName(Engine));
+    const std::string Path =
+        journalPath(std::string("roundtrip_") + engineName(Engine));
+    ::unlink(Path.c_str());
+    std::string Error;
+    CommitJournal::Options Opts;
+    Opts.Policy = DurabilityPolicy::PerCommit;
+    {
+      auto J = CommitJournal::open(Path, testIdentity(), Opts, &Error);
+      ASSERT_TRUE(J) << Error;
+      EXPECT_FALSE(J->recovered());
+      EXPECT_EQ(J->epoch(), 1u);
+      JournaledLoop L;
+      const RunResult R = runJournaled(L, J.get(), Engine, /*Metrics=*/true);
+      EXPECT_TRUE(L.sequentialImage());
+      EXPECT_EQ(R.Stats.NumCommitted, 6u);
+      EXPECT_EQ(R.Metrics.counter(CounterId::ParentCommits),
+                R.Stats.NumCommitted)
+          << "parent_commits counts every applied chunk";
+      EXPECT_GT(R.Stats.JournalBytes, 0u);
+      EXPECT_GT(R.Stats.JournalFsyncs, 0u) << "PerCommit syncs every frame";
+      EXPECT_EQ(R.Stats.ReplayedChunks, 0u);
+    }
     auto J = CommitJournal::open(Path, testIdentity(), Opts, &Error);
     ASSERT_TRUE(J) << Error;
-    EXPECT_FALSE(J->recovered());
-    EXPECT_EQ(J->epoch(), 1u);
+    EXPECT_TRUE(J->recovered());
+    EXPECT_EQ(J->epoch(), 2u) << "takeover bumps the epoch";
+    ASSERT_GE(J->frames().size(), 3u);
+    EXPECT_EQ(J->frames().front().FrameKind, JournalFrame::Kind::LoopBegin);
+    EXPECT_EQ(J->frames().back().FrameKind, JournalFrame::Kind::LoopEnd);
+    EXPECT_EQ(std::count_if(J->frames().begin(), J->frames().end(),
+                            [](const JournalFrame &F) {
+                              return F.FrameKind == JournalFrame::Kind::Commit;
+                            }),
+              6)
+        << "one frame per committed chunk";
     JournaledLoop L;
-    const RunResult R = runJournaled(L, J.get());
+    const RunResult R = runJournaled(L, J.get(), Engine);
     EXPECT_TRUE(L.sequentialImage());
-    EXPECT_GT(R.Stats.JournalBytes, 0u);
-    EXPECT_GT(R.Stats.JournalFsyncs, 0u) << "PerCommit syncs every frame";
-    EXPECT_EQ(R.Stats.ReplayedChunks, 0u);
+    EXPECT_EQ(R.Stats.ReplayedChunks, 6u) << "six committed chunks replay";
+    EXPECT_GT(R.Stats.RecoveryNs, 0u);
+    EXPECT_TRUE(R.CommitOrder.empty())
+        << "a pure replay dispatches nothing speculative";
+    J.reset();
+    ::unlink(Path.c_str());
   }
-  // "Restart": fresh memory, same journal. The completed invocation must
-  // replay by re-execution — no engine dispatch, identical output.
-  auto J = CommitJournal::open(Path, testIdentity(), Opts, &Error);
-  ASSERT_TRUE(J) << Error;
-  EXPECT_TRUE(J->recovered());
-  EXPECT_EQ(J->epoch(), 2u) << "takeover bumps the epoch";
-  ASSERT_GE(J->frames().size(), 3u);
-  EXPECT_EQ(J->frames().front().FrameKind, JournalFrame::Kind::LoopBegin);
-  EXPECT_EQ(J->frames().back().FrameKind, JournalFrame::Kind::LoopEnd);
-  JournaledLoop L;
-  const RunResult R = runJournaled(L, J.get());
-  EXPECT_TRUE(L.sequentialImage());
-  EXPECT_EQ(R.Stats.ReplayedChunks, 6u) << "six committed chunks replay";
-  EXPECT_GT(R.Stats.RecoveryNs, 0u);
-  EXPECT_TRUE(R.CommitOrder.empty())
-      << "a pure replay dispatches nothing speculative";
-  J.reset();
-  ::unlink(Path.c_str());
 }
 
 TEST(JournalTest, ReplayIsIdempotentAcrossRepeatedRestarts) {
@@ -1478,12 +1499,36 @@ TEST(JournalTest, LeaseRefusesLiveOwnerAndReapsDeadOwner) {
 TEST(JournalTest, IdentityMismatchIsARefusedOpen) {
   const std::string Path = journalPath("identity");
   recordReferenceJournal(Path);
+  const std::vector<uint8_t> Before = readFileBytes(Path);
   JournalIdentity Other = testIdentity();
   Other.Workload = "some-other-workload";
   std::string Error;
   auto J = CommitJournal::open(Path, Other, CommitJournal::Options(), &Error);
   EXPECT_EQ(J, nullptr);
   EXPECT_NE(Error.find("different run"), std::string::npos) << Error;
+  EXPECT_EQ(readFileBytes(Path), Before) << "a refused journal is untouched";
+  ::unlink(Path.c_str());
+}
+
+TEST(JournalTest, OtherFormatVersionIsARefusedOpen) {
+  // An intact header of another format version describes a different frame
+  // layout: the open must refuse it, neither misreading nor wiping it.
+  const std::string Path = journalPath("version");
+  recordReferenceJournal(Path);
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  ASSERT_GT(Bytes.size(), 25u);
+  uint64_t HLen = 0;
+  std::memcpy(&HLen, Bytes.data() + 8, sizeof(HLen));
+  Bytes[24] = 1; // the header payload opens with the version varint
+  const uint64_t Crc = wireCrc32(Bytes.data() + 24, HLen);
+  std::memcpy(Bytes.data() + 16, &Crc, sizeof(Crc));
+  writeFileBytes(Path, Bytes);
+  std::string Error;
+  auto J = CommitJournal::open(Path, testIdentity(), CommitJournal::Options(),
+                               &Error);
+  EXPECT_EQ(J, nullptr);
+  EXPECT_NE(Error.find("version 1"), std::string::npos) << Error;
+  EXPECT_EQ(readFileBytes(Path), Bytes) << "a refused journal is untouched";
   ::unlink(Path.c_str());
 }
 
@@ -1524,6 +1569,136 @@ TEST(JournalTest, InterruptedRunResumesAfterRestart) {
   EXPECT_EQ(R.Status, RunStatus::Success);
   J.reset();
   ::unlink(Path.c_str());
+}
+
+TEST(JournalTest, ResumeRunsOlderChunksBeforeTheIndictedOne) {
+  // A restarted invocation that committed nothing runs its chunks in
+  // parallel. Iteration 5 reads past the access-set cap, so chunk 1's
+  // child overflows and the run indicts chunk 1 while its round-mate,
+  // chunk 0, is still uncommitted. Every iteration folds into one
+  // accumulator, so the result equals sequential execution only if chunk 0
+  // commits before any part of chunk 1 does.
+  const std::string Path = journalPath("older_first");
+  ::unlink(Path.c_str());
+  constexpr int64_t N = 24;
+  constexpr int64_t Wide = 5;
+  const std::vector<uint64_t> Table(1 << 14, 1);
+  uint64_t Acc = 1;
+  LoopSpec Spec;
+  Spec.NumIterations = N;
+  Spec.Body = [&Table, &Acc](TxnContext &Ctx, int64_t I) {
+    uint64_t Extra = 0;
+    if (I == Wide)
+      for (const uint64_t &V : Table)
+        Extra += Ctx.load(&V);
+    Ctx.store(&Acc, Ctx.load(&Acc) * 3 + static_cast<uint64_t>(I) + Extra);
+  };
+  uint64_t Expected = 1;
+  for (int64_t I = 0; I != N; ++I)
+    Expected = Expected * 3 + static_cast<uint64_t>(I) +
+               (I == Wide ? Table.size() : 0);
+  ExecutorConfig Config;
+  Config.NumWorkers = 2;
+  Config.Params.ChunkFactor = 4;
+  Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+  Config.Limits.MaxAccessSetBytes = 64 * 1024;
+  FaultPlan::global().clear();
+  std::string Error;
+  CommitJournal::Options Opts;
+  Opts.Policy = DurabilityPolicy::PerCommit;
+  {
+    // A pre-latched SIGTERM leaves the journal with the invocation opened
+    // and nothing committed.
+    auto J = CommitJournal::open(Path, testIdentity(), Opts, &Error);
+    ASSERT_TRUE(J) << Error;
+    ensureShutdownSupervisorInstalled();
+    clearShutdownRequest();
+    ASSERT_EQ(::raise(SIGTERM), 0);
+    Config.Journal = J.get();
+    RecoveringLoopRunner Runner(ParallelEngine::ForkJoin, Config);
+    EXPECT_FALSE(Runner.runInner(Spec));
+    clearShutdownRequest();
+  }
+  auto J = CommitJournal::open(Path, testIdentity(), Opts, &Error);
+  ASSERT_TRUE(J) << Error;
+  ASSERT_EQ(J->frames().size(), 1u) << "only the LoopBegin frame";
+  Acc = 1; // the restart rebuilds the initial state
+  Config.Journal = J.get();
+  RecoveringLoopRunner Runner(ParallelEngine::ForkJoin, Config);
+  ASSERT_TRUE(Runner.runInner(Spec)) << Runner.result().Detail;
+  const RunResult &R = Runner.result();
+  EXPECT_EQ(R.Status, RunStatus::Success);
+  EXPECT_EQ(R.Stats.QuarantinedIterations, 1u)
+      << "only the iteration past the cap runs in place";
+  EXPECT_EQ(Acc, Expected)
+      << "chunk 0 must commit before the indicted chunk 1 is resolved";
+  J.reset();
+  ::unlink(Path.c_str());
+}
+
+TEST(ShutdownTest, RequestDuringTheLadderStopsItWithTheInvocationOpen) {
+  // A sticky kill walks chunk 1 down the ladder to quarantine, where the
+  // body first runs in the parent — and there, at iteration 4, latches a
+  // shutdown request. The ladder must stop at once: no further solo
+  // attempt, bisection, quarantine or floor, no iteration after the
+  // request, and the journaled invocation stays open for a restart.
+  const pid_t Parent = ::getpid();
+  for (ParallelEngine Engine :
+       {ParallelEngine::ForkJoin, ParallelEngine::Pipeline}) {
+    SCOPED_TRACE(engineName(Engine));
+    const std::string Path =
+        journalPath(std::string("ladder_stop_") + engineName(Engine));
+    ::unlink(Path.c_str());
+    std::string Error;
+    auto J = CommitJournal::open(Path, testIdentity(),
+                                 CommitJournal::Options(), &Error);
+    ASSERT_TRUE(J) << Error;
+    clearShutdownRequest();
+    FaultPlan::global().clear();
+    FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/1,
+                            /*Sticky=*/true);
+    constexpr int64_t N = 24;
+    std::vector<int64_t> Data(N, -1);
+    int64_t RanAfterRequest = 0;
+    LoopSpec Spec;
+    Spec.NumIterations = N;
+    Spec.Body = [&Data, &RanAfterRequest, Parent](TxnContext &Ctx,
+                                                  int64_t I) {
+      if (::getpid() == Parent) {
+        RanAfterRequest += shutdownRequested() ? 1 : 0;
+        requestShutdown();
+      }
+      Ctx.store(&Data[static_cast<size_t>(I)], I * 3 + 1);
+    };
+    ExecutorConfig Config;
+    Config.NumWorkers = 2;
+    Config.Params.ChunkFactor = 4;
+    Config.Params.CommitOrder = CommitOrderPolicy::InOrder;
+    Config.Journal = J.get();
+    RecoveringLoopRunner Runner(Engine, Config);
+    EXPECT_FALSE(Runner.runInner(Spec));
+    FaultPlan::global().clear();
+    const RunResult &R = Runner.result();
+    EXPECT_EQ(R.Status, RunStatus::Interrupted) << R.Detail;
+    EXPECT_EQ(R.Stats.QuarantinedIterations, 1u)
+        << "the request stops the ladder inside its first quarantine";
+    EXPECT_EQ(R.Stats.RecoveredIterations, 0u) << "no floor after a request";
+    EXPECT_EQ(RanAfterRequest, 0) << "no iteration after the request";
+    for (int64_t I = 5; I != N; ++I)
+      EXPECT_EQ(Data[static_cast<size_t>(I)], -1)
+          << "iteration " << I << " ran after the request";
+    EXPECT_EQ(liveChildrenOfSelf(), "");
+    clearShutdownRequest();
+    J.reset();
+    auto Reopened = CommitJournal::open(Path, testIdentity(),
+                                        CommitJournal::Options(), &Error);
+    ASSERT_TRUE(Reopened) << Error;
+    for (const JournalFrame &F : Reopened->frames())
+      EXPECT_NE(F.FrameKind, JournalFrame::Kind::LoopEnd)
+          << "the interrupted invocation must stay open";
+    Reopened.reset();
+    ::unlink(Path.c_str());
+  }
 }
 
 TEST(TornTailTest, TruncationAtEveryOffsetKeepsOnlyAValidPrefix) {

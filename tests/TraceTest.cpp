@@ -606,6 +606,49 @@ TEST(TimelineTest, MetricsOffLeavesNoTimelineAndNoRegistry) {
   EXPECT_TRUE(R.Metrics.empty());
 }
 
+TEST(TimelineTest, RunnersKeepEveryInvocationsMetricsAndTimeline) {
+  // Two invocations through each runner, metrics on: the accumulated
+  // registry holds every engine run's chunk samples and commits, and the
+  // timeline every sample the sampler counted.
+  std::vector<int64_t> Data(16, 0);
+  LoopSpec Spec;
+  Spec.NumIterations = 16;
+  Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
+    Ctx.store(&Data[static_cast<size_t>(I)], I);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 2;
+  Config.Params.ChunkFactor = 4;
+  Config.Metrics = true;
+  const auto Check = [&Spec](LoopRunner &Runner) {
+    for (int Invocation = 0; Invocation != 2; ++Invocation)
+      ASSERT_TRUE(Runner.runInner(Spec));
+    Runner.release();
+    const RunResult &R = Runner.result();
+    EXPECT_GE(R.Stats.NumTransactions, 8u);
+    EXPECT_EQ(R.Metrics.histogram(HistogramId::ChunkExecNs).Count,
+              R.Stats.NumTransactions);
+    EXPECT_EQ(R.Metrics.counter(CounterId::ParentCommits),
+              R.Stats.NumCommitted);
+    EXPECT_EQ(R.Timeline.size(),
+              R.Metrics.counter(CounterId::TimelineSamples));
+  };
+  {
+    SCOPED_TRACE("ExecutorLoopRunner over threads");
+    LockstepExecutor Threads(Config);
+    ExecutorLoopRunner Runner(Threads);
+    Check(Runner);
+  }
+  for (ParallelEngine Engine :
+       {ParallelEngine::ForkJoin, ParallelEngine::Pipeline,
+        ParallelEngine::Threaded}) {
+    SCOPED_TRACE("RecoveringLoopRunner, engine " +
+                 std::to_string(static_cast<int>(Engine)));
+    RecoveringLoopRunner Runner(Engine, Config);
+    Check(Runner);
+  }
+}
+
 //===----------------------------------------------------------------------===
 // EnvFault classification
 //===----------------------------------------------------------------------===
