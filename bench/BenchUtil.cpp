@@ -265,9 +265,7 @@ void alter::bench::finalizeBenchJson() {
         "\"transactions\": %llu, \"committed\": %llu, \"retries\": %llu, "
         "\"occupancy\": %.6g, \"straggler_stall_ns\": %llu, "
         "\"wire_bytes\": %llu, \"wire_bytes_raw\": %llu, "
-        "\"wire_compression\": %.6g, \"bloom_checks\": %llu, "
-        "\"bloom_skips\": %llu, \"bloom_false_positives\": %llu, "
-        "\"bloom_fp_rate\": %.6g, \"chunk_factor\": %lld, "
+        "\"wire_compression\": %.6g, \"chunk_factor\": %lld, "
         "\"fork_failures\": %llu, "
         "\"transport\": \"%s\", \"schedule\": \"%s\", "
         "\"wire_bytes_copied\": %llu, "
@@ -296,10 +294,6 @@ void alter::bench::finalizeBenchJson() {
         static_cast<unsigned long long>(S.WireBytes),
         static_cast<unsigned long long>(S.WireBytesRaw),
         S.wireCompressionRatio(),
-        static_cast<unsigned long long>(S.BloomChecks),
-        static_cast<unsigned long long>(S.BloomSkips),
-        static_cast<unsigned long long>(S.BloomFalsePositives),
-        S.bloomFalsePositiveRate(),
         static_cast<long long>(R.Point.ChunkFactorUsed),
         static_cast<unsigned long long>(S.NumForkFailures),
         jsonEscape(R.Point.Transport).c_str(),

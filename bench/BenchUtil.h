@@ -41,7 +41,7 @@ struct SweepPoint {
   /// process-wide default), carried into the --json report.
   int64_t ChunkFactorUsed = 0;
   /// Full per-run statistics, carried into the --json report (transaction
-  /// counts, wire bytes, Bloom prefilter hits, worker occupancy).
+  /// counts, wire bytes, worker occupancy).
   RunStats Stats;
   /// Commit transport the run used ("pipe" / "ring"), carried into the
   /// --json report. "n/a" for thread-based engines with no fork transport.
@@ -148,9 +148,9 @@ void jsonAddPoint(const std::string &Figure, const std::string &Series,
                   const SweepPoint &Point);
 
 /// Writes the accumulated report to the --json path as a flat record array
-/// (figure, series, procs, status, speedup, txn stats, wire bytes, Bloom
-/// counters, occupancy, fault/recovery counters). No-op when --json was not
-/// given. Call once at the bottom of main().
+/// (figure, series, procs, status, speedup, txn stats, wire bytes,
+/// occupancy, fault/recovery counters). No-op when --json was not given.
+/// Call once at the bottom of main().
 void finalizeBenchJson();
 
 } // namespace bench

@@ -17,8 +17,7 @@
 ///
 /// Chunks read and write disjoint contiguous slices, so the run also
 /// showcases the wire-format compression (contiguous word keys collapse
-/// to a few RLE runs) and the Bloom prefilter (disjoint sets short-circuit
-/// before any word-by-word intersection).
+/// to a few RLE runs).
 ///
 /// With --fault the harness additionally measures each engine through the
 /// graceful-degradation ladder driver under two fault regimes. The sticky
@@ -343,7 +342,7 @@ int main(int argc, char **argv) {
   Params.ChunkFactor = 1;
 
   TextTable Table({"procs", "engine", "wall ms", "occupancy", "stall ms",
-                   "wire/raw", "bloom skip", "bloom fp", "ladder"});
+                   "wire/raw", "ladder"});
   const std::vector<unsigned> Procs = Quick ? std::vector<unsigned>{4}
                                             : std::vector<unsigned>{2, 4, 8};
   double WallFj4 = 0.0, WallPipe4 = 0.0, Occ4Fj = 0.0, Occ4Pipe = 0.0;
@@ -366,10 +365,6 @@ int main(int argc, char **argv) {
                   strprintf("%.1f%%", 100.0 * S.occupancy()),
                   strprintf("%.2f", S.stragglerStallNs() / 1e6),
                   strprintf("%.3f", S.wireCompressionRatio()),
-                  strprintf("%llu / %llu",
-                            static_cast<unsigned long long>(S.BloomSkips),
-                            static_cast<unsigned long long>(S.BloomChecks)),
-                  strprintf("%.1f%%", 100.0 * S.bloomFalsePositiveRate()),
                   ladderCell(S)});
     jsonAddPoint("pipeline_vs_rounds", Series, Pt);
   };

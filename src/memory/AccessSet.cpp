@@ -41,7 +41,6 @@ bool AccessSet::insertKey(uintptr_t Key) {
   }
   Table[Slot] = Key;
   Words.push_back(Key);
-  Summary.add(hashKey(Key >> BloomSummary::GranuleShift));
   return true;
 }
 
@@ -96,7 +95,6 @@ size_t AccessSet::memoryFootprintBytes() const {
 void AccessSet::clear() {
   std::fill(Table.begin(), Table.end(), EmptyKey);
   Words.clear();
-  Summary.clear();
 }
 
 void AccessSet::insertWords(const uintptr_t *Keys, size_t Count) {

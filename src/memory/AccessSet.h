@@ -30,50 +30,6 @@
 
 namespace alter {
 
-/// Fixed-size Bloom-filter summary of an access set. Carried in the fork
-/// executors' wire messages so the parent can prove two sets disjoint with
-/// eight word compares instead of a word-by-word intersection — the common
-/// case in the paper's workloads (Table 4 shows conflict-free rounds
-/// dominating).
-///
-/// The filter summarizes 512-byte GRANULES (word key >> GranuleShift), not
-/// individual words: a fixed-width filter over few-hundred-word sets would
-/// saturate and never prove anything, while the spatially-separated slices
-/// that make up the typical conflict-free round collapse to a handful of
-/// granules and keep the filter sparse. Coarsening is conservative — granule
-/// overlap is a superset of word overlap — so a zero AND still proves
-/// disjointness; neighbors inside one granule merely fall back to the exact
-/// check (counted as a filter false positive).
-struct BloomSummary {
-  static constexpr size_t NumWords = 8; // 512 bits
-  /// log2(words per granule): 64 words = 512 bytes per granule.
-  static constexpr unsigned GranuleShift = 6;
-
-  uint64_t Bits[NumWords] = {};
-
-  void add(uint64_t Hash) {
-    const unsigned B0 = static_cast<unsigned>(Hash & 511);
-    const unsigned B1 = static_cast<unsigned>((Hash >> 9) & 511);
-    Bits[B0 >> 6] |= uint64_t(1) << (B0 & 63);
-    Bits[B1 >> 6] |= uint64_t(1) << (B1 & 63);
-  }
-
-  void clear() {
-    for (uint64_t &W : Bits)
-      W = 0;
-  }
-
-  /// True when the filters share no set bit: the underlying sets are then
-  /// PROVABLY disjoint (any common key sets identical bits in both).
-  /// False is inconclusive — the caller must fall back to the exact check.
-  bool disjointWith(const BloomSummary &Other) const {
-    uint64_t Any = 0;
-    for (size_t I = 0; I != NumWords; ++I)
-      Any |= Bits[I] & Other.Bits[I];
-    return Any == 0;
-  }
-};
-
 /// A deduplicated set of 8-byte memory words touched by one transaction.
 class AccessSet {
 public:
@@ -127,10 +83,6 @@ public:
   /// executor); deserialization is bulk insertion.
   void insertWords(const uintptr_t *Keys, size_t Count);
 
-  /// Bloom summary of every word inserted so far, maintained incrementally.
-  /// Deterministic: depends only on the set of keys, not insertion order.
-  const BloomSummary &summary() const { return Summary; }
-
 private:
   bool insertKey(uintptr_t Key);
   bool containsKey(uintptr_t Key) const;
@@ -154,7 +106,6 @@ private:
   std::vector<uintptr_t> Table;
   std::vector<uintptr_t> Words;
   size_t Mask = 0;
-  BloomSummary Summary;
 };
 
 } // namespace alter

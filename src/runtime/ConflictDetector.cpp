@@ -8,27 +8,21 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
+
 using namespace alter;
 
 bool ConflictDetector::setsConflict(const AccessSet &A,
                                     const AccessSet &B) const {
   if (A.empty() || B.empty())
     return false;
-  ++BloomChecks;
-  if (A.summary().disjointWith(B.summary())) {
-    ++BloomSkips;
-    return false;
-  }
-  // The exact check probes the smaller array against the larger table.
-  WordsChecked += A.sizeWords() <= B.sizeWords() ? A.sizeWords()
-                                                 : B.sizeWords();
+  // The check probes the smaller array against the larger table.
+  WordsChecked += std::min(A.sizeWords(), B.sizeWords());
   const uintptr_t Witness = A.firstCommonWord(B);
-  if (Witness != 0) {
-    LastConflictWord = Witness;
-    return true;
-  }
-  ++BloomFalsePositives;
-  return false;
+  if (Witness == 0)
+    return false;
+  LastConflictWord = Witness;
+  return true;
 }
 
 bool ConflictDetector::conflictsWith(const AccessSet &Reads,

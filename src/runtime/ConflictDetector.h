@@ -25,11 +25,9 @@
 ///    carries its own snapshot sequence number and validates against
 ///    exactly the commits that retired after it forked.
 ///
-/// Every set-vs-set check is prefiltered by the sets' Bloom summaries:
-/// provably-disjoint pairs (the common case in Table 4's workloads) skip
-/// the word-by-word intersection entirely, making the commit path sublinear
-/// in the access-set size for conflict-free traffic. Hit/false-positive
-/// counters feed RunStats.
+/// Every set-vs-set check is exact, as in §4.1: the smaller set's dense
+/// word array is probed against the larger set's hash table, so a check
+/// costs the smaller set's size and finds a witness word on conflict.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,19 +89,9 @@ public:
   // Statistics
   //===--------------------------------------------------------------------===
 
-  /// Words compared by exact conflict checks so far (cost-model input).
-  /// Bloom-skipped checks contribute nothing — that is the optimization.
+  /// Words compared by conflict checks so far (cost-model input): the
+  /// smaller set's size for every check of two non-empty sets.
   uint64_t wordsChecked() const { return WordsChecked; }
-
-  /// Set-pair checks submitted to the Bloom prefilter.
-  uint64_t bloomChecks() const { return BloomChecks; }
-
-  /// Checks the prefilter resolved as provably disjoint (no exact work).
-  uint64_t bloomSkips() const { return BloomSkips; }
-
-  /// Checks the prefilter could not resolve but the exact intersection
-  /// found empty (the filter's false positives).
-  uint64_t bloomFalsePositives() const { return BloomFalsePositives; }
 
   /// Active policy.
   ConflictPolicy policy() const { return Policy; }
@@ -116,7 +104,7 @@ public:
   uintptr_t lastConflictWord() const { return LastConflictWord; }
 
 private:
-  /// One prefiltered exact check, with stats accounting.
+  /// One exact check of two sets, with stats accounting.
   bool setsConflict(const AccessSet &A, const AccessSet &B) const;
 
   /// Policy dispatch for one candidate against one committed write set.
@@ -137,9 +125,6 @@ private:
   std::deque<Epoch> Epochs;
   uint64_t CommitSeqCounter = 0;
   mutable uint64_t WordsChecked = 0;
-  mutable uint64_t BloomChecks = 0;
-  mutable uint64_t BloomSkips = 0;
-  mutable uint64_t BloomFalsePositives = 0;
   mutable uintptr_t LastConflictWord = 0;
 };
 

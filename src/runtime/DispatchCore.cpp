@@ -333,9 +333,6 @@ RunResult DispatchCore::finish(RunStatus Status, std::string Detail) {
   Result.Detail = std::move(Detail);
   Result.Stats.RealTimeNs = nowNs() - RealStart;
   Result.Stats.WorkerSlotNs = Result.Stats.RealTimeNs * Config.NumWorkers;
-  Result.Stats.BloomChecks = Detector.bloomChecks();
-  Result.Stats.BloomSkips = Detector.bloomSkips();
-  Result.Stats.BloomFalsePositives = Detector.bloomFalsePositives();
   if (Pool) {
     Result.Stats.PoolFaults = Pool->poolFaults();
     Result.Stats.ChildReuses = Pool->childReuses();

@@ -235,6 +235,9 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
 
   ConflictDetector Detector(Config.Params.Conflict);
   TraceSink Sink(Config.Trace);
+  // As in the fork engines: SIGTERM/SIGINT/SIGHUP latch the request polled
+  // below instead of killing the process with its journal unsynced.
+  ensureShutdownSupervisorInstalled();
   const uint64_t RealStart = nowNs();
   const uint64_t DeadlineSimNs =
       Config.SeqBaselineNs == 0

@@ -543,6 +543,11 @@ RecoveringLoopRunner::runSubRun(const LoopSpec &Spec,
   if (Solo) {
     SubConfig.NumWorkers = 1;
     SubConfig.ChunkFaultRetryLimit = 0;
+    // One range on one worker forks one child. The ring's warm pool would
+    // fork a template only to fork that child from it, map a ring, and
+    // then wait in release() for the template's teardown; the cold pipe
+    // path forks the child straight from the parent.
+    SubConfig.Transport = TransportKind::Pipe;
   }
   // The sub-run numbers its chunks locally; letting it journal would record
   // coordinates a restart cannot interpret. Journal here instead, in

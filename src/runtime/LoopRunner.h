@@ -234,9 +234,10 @@ private:
   /// Every ladder sub-run goes through here: runs \p Ranges as the chunks
   /// of a fresh engine (one chunk each, in order) with fault points mapped
   /// back to original coordinates, folds the run into the result and
-  /// journals the ranges it committed. \p Solo runs one worker with no
-  /// engine retries — the ladder supervises them. CommitOrder and
-  /// FailedChunk of the returned result are positions into \p Ranges.
+  /// journals the ranges it committed. \p Solo runs one worker on the
+  /// pipe transport with no engine retries — the ladder supervises them.
+  /// CommitOrder and FailedChunk of the returned result are positions into
+  /// \p Ranges.
   RunResult runSubRun(const LoopSpec &Spec,
                       const std::vector<IterRange> &Ranges, bool Solo);
 

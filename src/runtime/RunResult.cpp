@@ -55,9 +55,6 @@ void RunStats::merge(const RunStats &Other) {
   BytesWritten += Other.BytesWritten;
   SimTimeNs += Other.SimTimeNs;
   RealTimeNs += Other.RealTimeNs;
-  BloomChecks += Other.BloomChecks;
-  BloomSkips += Other.BloomSkips;
-  BloomFalsePositives += Other.BloomFalsePositives;
   WireBytes += Other.WireBytes;
   WireBytesRaw += Other.WireBytesRaw;
   WireBytesCopied += Other.WireBytesCopied;

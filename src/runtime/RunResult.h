@@ -90,17 +90,14 @@ struct RunStats {
   uint64_t RealTimeNs = 0;
 
   //===--------------------------------------------------------------------===
-  // Commit-path instrumentation (Bloom prefilter + compressed wire format)
+  // Commit-path instrumentation (compressed wire format)
   //===--------------------------------------------------------------------===
 
-  /// Set-pair conflict checks submitted to the Bloom prefilter.
+  /// Conflict checks are exact and no engine prefilters them, so these two
+  /// stay 0 and merge() skips them; the benchmark ledger (perfbench) is
+  /// their last reader.
   uint64_t BloomChecks = 0;
-  /// Checks the prefilter resolved as provably disjoint, skipping the
-  /// word-by-word intersection entirely.
   uint64_t BloomSkips = 0;
-  /// Checks the prefilter could not resolve but the exact intersection
-  /// found empty (false positives of the filter).
-  uint64_t BloomFalsePositives = 0;
   /// Bytes actually shipped child -> parent over the commit pipes
   /// (compressed access sets + write logs).
   uint64_t WireBytes = 0;
@@ -246,14 +243,6 @@ struct RunStats {
     return WorkerSlotNs > WorkerBusyNs ? WorkerSlotNs - WorkerBusyNs : 0;
   }
 
-  /// Fraction of Bloom-prefiltered checks that were false positives.
-  double bloomFalsePositiveRate() const {
-    if (BloomChecks == 0)
-      return 0.0;
-    return static_cast<double>(BloomFalsePositives) /
-           static_cast<double>(BloomChecks);
-  }
-
   /// Wire compression ratio (compressed / raw); 1.0 when nothing shipped.
   double wireCompressionRatio() const {
     if (WireBytesRaw == 0)
@@ -291,13 +280,16 @@ struct RunStats {
   void merge(const RunStats &Other);
 };
 
+/// log2(words per conflict-attribution granule): 64 words = 512 bytes.
+constexpr unsigned GranuleShift = 6;
+
 /// Aborts attributed to one 512-byte granule: how many commit attempts a
 /// granule's data made fail validation, plus the first conflicting word the
 /// validator witnessed there (resolvable to an allocation-site label via
 /// traceLabelForWordKey). The direct input the adaptive-chunk-factor work
 /// needs: it names WHICH datum makes an annotation misspeculate.
 struct GranuleAbortStat {
-  uintptr_t GranuleKey = 0;     ///< word key >> BloomSummary::GranuleShift
+  uintptr_t GranuleKey = 0;     ///< word key >> GranuleShift
   uintptr_t WitnessWordKey = 0; ///< first witness word seen in the granule
   uint64_t Aborts = 0;
 };

@@ -430,9 +430,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     Result.Stats.SimTimeNs =
         static_cast<uint64_t>(RetireClockNs + Model.BarrierNs);
     Result.Stats.WorkerSlotNs = Result.Stats.SimTimeNs * Config.NumWorkers;
-    Result.Stats.BloomChecks = Detector.bloomChecks();
-    Result.Stats.BloomSkips = Detector.bloomSkips();
-    Result.Stats.BloomFalsePositives = Detector.bloomFalsePositives();
     if (logEnabled(LogLevel::Info))
       alterLog(LogLevel::Info, "run",
                "event=run_done engine=staged schedule=%s status=%s "

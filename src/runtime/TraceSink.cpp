@@ -6,7 +6,6 @@
 
 #include "runtime/TraceSink.h"
 
-#include "memory/AccessSet.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -25,7 +24,7 @@ void TraceSink::conflict(int64_t Chunk, uintptr_t WitnessWordKey) {
     ++UnattributedAborts;
     return;
   }
-  GranuleCount &G = Granules[WitnessWordKey >> BloomSummary::GranuleShift];
+  GranuleCount &G = Granules[WitnessWordKey >> GranuleShift];
   if (G.WitnessWordKey == 0)
     G.WitnessWordKey = WitnessWordKey;
   ++G.Aborts;
@@ -231,7 +230,7 @@ std::string RunResult::traceSummary(size_t TopN) const {
     // The granule's base byte address: granule key -> word key -> bytes.
     const unsigned long long GranuleBase =
         static_cast<unsigned long long>(G.GranuleKey)
-        << (BloomSummary::GranuleShift + 3);
+        << (GranuleShift + 3);
     Out += strprintf("  granule 0x%llx  %llu aborts  witness %s\n",
                      GranuleBase, static_cast<unsigned long long>(G.Aborts),
                      traceLabelForWordKey(G.WitnessWordKey).c_str());

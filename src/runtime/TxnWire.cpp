@@ -181,13 +181,6 @@ size_t alter::rawAccessSetBytes(const AccessSet &Set) {
 
 void alter::serializeAccessSet(std::vector<uint8_t> &Out,
                                const AccessSet &Set) {
-  // Bloom summary first, so a future lazy parent could prefilter without
-  // expanding the word list.
-  const BloomSummary &Summary = Set.summary();
-  const uint8_t *SummaryBytes =
-      reinterpret_cast<const uint8_t *>(Summary.Bits);
-  Out.insert(Out.end(), SummaryBytes, SummaryBytes + sizeof(Summary.Bits));
-
   std::vector<uintptr_t> Sorted(Set.words());
   std::sort(Sorted.begin(), Sorted.end());
   appendVarint(Out, Sorted.size());
@@ -222,9 +215,6 @@ void alter::serializeAccessSet(std::vector<uint8_t> &Out,
 bool alter::deserializeAccessSet(const uint8_t *Data, size_t Size,
                                  AccessSet &Set, size_t &Consumed) {
   ByteReader R(Data, Size);
-  // The summary is recomputed from the keys below (bit-identical, since it
-  // depends only on the key set); read past it.
-  R.raw(sizeof(BloomSummary().Bits));
   const uint64_t Count = R.varint();
   const uint64_t NumRuns = R.varint();
   if (R.failed())

@@ -13,8 +13,8 @@
 /// The format is compressed (§4.1 ships these over every commit, so pipe
 /// traffic is a first-order cost):
 ///
-///  - access sets carry their Bloom summary followed by the sorted word
-///    keys run-length-encoded as varint (gap, length) pairs — array ranges
+///  - access sets carry their word count and their sorted word keys
+///    run-length-encoded as varint (gap, length) pairs — array ranges
 ///    instrumented by induction variables collapse to a handful of runs;
 ///  - the write log's entry table is delta + varint encoded
 ///    (WriteLog::serializeCompact);
@@ -228,8 +228,8 @@ bool decodeChildReport(const std::vector<uint8_t> &Bytes,
                        const LoopSpec &Spec, const RuntimeParams &Params,
                        ChildReport &Rep, std::string &Error);
 
-/// Serializes \p Set in the compressed form (Bloom summary + RLE word
-/// runs). Exposed for tests and size accounting.
+/// Serializes \p Set in the compressed form (word count, run count, RLE
+/// word runs). Exposed for tests and size accounting.
 void serializeAccessSet(std::vector<uint8_t> &Out, const AccessSet &Set);
 
 /// Inverse of serializeAccessSet; \p Consumed receives the encoded length.

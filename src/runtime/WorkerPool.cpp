@@ -868,6 +868,7 @@ bool alter::spawnChunkChild(const LoopSpec &Spec,
   int Fds[2];
   if (::pipe(Fds) != 0)
     return false;
+  const pid_t ParentPid = ::getpid();
   const pid_t Pid = ::fork();
   if (Pid < 0) {
     ::close(Fds[0]);
@@ -875,6 +876,13 @@ bool alter::spawnChunkChild(const LoopSpec &Spec,
     return false;
   }
   if (Pid == 0) {
+#ifdef __linux__
+    // Die with the parent, as the warm children do; a parent that died
+    // before the prctl sends no signal, so check for the reparenting too.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+#endif
+    if (::getppid() != ParentPid)
+      _exit(0);
     ::close(Fds[0]);
     // Close the other in-flight parent-side read ends inherited by this
     // child so their EOF semantics stay clean.

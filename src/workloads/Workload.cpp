@@ -7,9 +7,6 @@
 #include "workloads/Workload.h"
 
 #include "runtime/CommitJournal.h"
-#include "runtime/ForkJoinExecutor.h"
-#include "runtime/LockstepExecutor.h"
-#include "runtime/PipelineExecutor.h"
 #include "support/FaultInjection.h"
 #include "support/Timer.h"
 
@@ -37,17 +34,44 @@ CommitJournal *resolveJournal(CommitJournal *Journal, const Workload &W,
 /// The engine runScheduled gives chunked invocations: threads only for a
 /// certified annotation (Table 3) whose run needs no process — a crash on
 /// a thread takes the whole process down, and fault plans act in forked
-/// children. Journaled calls fork too, although the threaded engine
-/// journals its commits as well.
-ParallelEngine scheduledEngine(const Workload &W, const RuntimeParams &Params,
-                               const CommitJournal *Journal) {
+/// children.
+ParallelEngine scheduledEngine(const Workload &W,
+                               const RuntimeParams &Params) {
   const std::optional<Annotation> Paper = W.paperAnnotation();
-  if (!Paper || Journal || FaultPlan::global().enabled())
+  if (!Paper || FaultPlan::global().enabled())
     return ParallelEngine::Pipeline;
   RuntimeParams Certified = W.resolveAnnotation(*Paper);
   Certified.ChunkFactor = Params.ChunkFactor;
   return Params == Certified ? ParallelEngine::Threaded
                              : ParallelEngine::Pipeline;
+}
+
+/// The configuration every run* method below starts from.
+ExecutorConfig baseConfig(Workload &W, const RuntimeParams &Params,
+                          unsigned NumWorkers, uint64_t SeqBaselineNs,
+                          TxnLimits Limits) {
+  ExecutorConfig Config;
+  Config.NumWorkers = NumWorkers;
+  Config.Params = Params;
+  Config.Limits = Limits;
+  Config.SeqBaselineNs = SeqBaselineNs;
+  Config.Allocator = W.allocator();
+  return Config;
+}
+
+/// Runs the whole algorithm of \p W through \p Runner.
+RunResult runAlgorithm(Workload &W, LoopRunner &Runner) {
+  W.run(Runner);
+  Runner.release();
+  return Runner.result();
+}
+
+/// Runs the whole algorithm of \p W on one \p Engine, with no ladder.
+RunResult runOnEngine(Workload &W, ParallelEngine Engine,
+                      const ExecutorConfig &Config) {
+  const std::unique_ptr<Executor> Exec = makeParallelEngine(Engine, Config);
+  ExecutorLoopRunner Runner(*Exec, Config.SeqBaselineNs);
+  return runAlgorithm(W, Runner);
 }
 
 } // namespace
@@ -72,86 +96,49 @@ DependenceReport Workload::probeDependences() {
 RunResult Workload::runLockstep(const RuntimeParams &Params,
                                 unsigned NumWorkers, uint64_t SeqBaselineNs,
                                 TxnLimits Limits) {
-  ExecutorConfig Config;
-  Config.NumWorkers = NumWorkers;
-  Config.Params = Params;
-  Config.Limits = Limits;
-  Config.SeqBaselineNs = SeqBaselineNs;
-  Config.Allocator = allocator();
-  LockstepExecutor Exec(Config);
-  ExecutorLoopRunner Runner(Exec, SeqBaselineNs);
-  run(Runner);
-  Runner.release();
-  return Runner.result();
+  return runOnEngine(
+      *this, ParallelEngine::Threaded,
+      baseConfig(*this, Params, NumWorkers, SeqBaselineNs, Limits));
 }
 
 RunResult Workload::runForkJoin(const RuntimeParams &Params,
                                 unsigned NumWorkers, uint64_t SeqBaselineNs,
                                 TxnLimits Limits) {
-  ExecutorConfig Config;
-  Config.NumWorkers = NumWorkers;
-  Config.Params = Params;
-  Config.Limits = Limits;
-  Config.SeqBaselineNs = SeqBaselineNs;
-  Config.Allocator = allocator();
-  ForkJoinExecutor Exec(Config);
-  ExecutorLoopRunner Runner(Exec, SeqBaselineNs);
-  run(Runner);
-  Runner.release();
-  return Runner.result();
+  return runOnEngine(
+      *this, ParallelEngine::ForkJoin,
+      baseConfig(*this, Params, NumWorkers, SeqBaselineNs, Limits));
 }
 
 RunResult Workload::runPipeline(const RuntimeParams &Params,
                                 unsigned NumWorkers, uint64_t SeqBaselineNs,
                                 TxnLimits Limits) {
-  ExecutorConfig Config;
-  Config.NumWorkers = NumWorkers;
-  Config.Params = Params;
-  Config.Limits = Limits;
-  Config.SeqBaselineNs = SeqBaselineNs;
-  Config.Allocator = allocator();
-  PipelineExecutor Exec(Config);
-  ExecutorLoopRunner Runner(Exec, SeqBaselineNs);
-  run(Runner);
-  Runner.release();
-  return Runner.result();
+  return runOnEngine(
+      *this, ParallelEngine::Pipeline,
+      baseConfig(*this, Params, NumWorkers, SeqBaselineNs, Limits));
 }
 
 RunResult Workload::runRecovering(ParallelEngine Engine,
                                   const RuntimeParams &Params,
                                   unsigned NumWorkers, uint64_t SeqBaselineNs,
                                   TxnLimits Limits, CommitJournal *Journal) {
-  ExecutorConfig Config;
-  Config.NumWorkers = NumWorkers;
-  Config.Params = Params;
-  Config.Limits = Limits;
-  Config.SeqBaselineNs = SeqBaselineNs;
-  Config.Allocator = allocator();
+  ExecutorConfig Config =
+      baseConfig(*this, Params, NumWorkers, SeqBaselineNs, Limits);
   Config.Journal =
       resolveJournal(Journal, *this, Params, SchedulePolicy::Auto);
   RecoveringLoopRunner Runner(Engine, Config);
-  run(Runner);
-  Runner.release();
-  return Runner.result();
+  return runAlgorithm(*this, Runner);
 }
 
 RunResult Workload::runScheduled(SchedulePolicy Policy,
                                  const RuntimeParams &Params,
                                  unsigned NumWorkers, uint64_t SeqBaselineNs,
                                  TxnLimits Limits, CommitJournal *Journal) {
-  ExecutorConfig Config;
-  Config.NumWorkers = NumWorkers;
-  Config.Params = Params;
-  Config.Limits = Limits;
-  Config.SeqBaselineNs = SeqBaselineNs;
-  Config.Allocator = allocator();
+  ExecutorConfig Config =
+      baseConfig(*this, Params, NumWorkers, SeqBaselineNs, Limits);
   Config.Schedule = Policy;
   Config.Journal = resolveJournal(Journal, *this, Params, Policy);
-  RecoveringLoopRunner Runner(scheduledEngine(*this, Params, Config.Journal),
-                              Config);
-  run(Runner);
-  Runner.release();
-  return Runner.result();
+  RecoveringLoopRunner Runner(scheduledEngine(*this, Params), Config);
+  return runAlgorithm(*this, Runner);
 }
 
 RuntimeParams Workload::resolveAnnotation(const Annotation &A) const {

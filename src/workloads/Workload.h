@@ -138,10 +138,11 @@ public:
   /// per loop (recorded in RunResult::ScheduleUsed), the other values force
   /// a schedule. Chunked invocations run on threads (ParallelEngine::
   /// Threaded) when \p Params realize the paper annotation the §5
-  /// inference certifies, at any chunk factor, and the run needs nothing
-  /// only a process gives — no journal and no armed FaultPlan; otherwise
-  /// they run on the pipelined fork engine. Staged picks and the ladder's
-  /// sub-runs always fork. \p Journal as in runRecovering.
+  /// inference certifies, at any chunk factor, and no FaultPlan is armed
+  /// (faults act in forked children); otherwise they run on the pipelined
+  /// fork engine. A journal does not force a fork: the threaded engine
+  /// journals its commits too. Staged picks and the ladder's sub-runs
+  /// always fork. \p Journal as in runRecovering.
   RunResult runScheduled(SchedulePolicy Policy, const RuntimeParams &Params,
                          unsigned NumWorkers, uint64_t SeqBaselineNs = 0,
                          TxnLimits Limits = TxnLimits(),

@@ -213,7 +213,7 @@ TEST(WireProtocolTest, AccessSetDecodeRejectsEveryTruncation) {
 TEST(WireProtocolTest, AccessSetDecodeBoundsAllocation) {
   // A tiny message claiming an enormous word count must be rejected before
   // anything is allocated or inserted, not trusted and expanded.
-  std::vector<uint8_t> Evil(sizeof(BloomSummary().Bits), 0);
+  std::vector<uint8_t> Evil;
   appendVarint(Evil, ~uint64_t(0)); // count
   appendVarint(Evil, 1);            // one run
   appendVarint(Evil, 0);            // gap

@@ -60,7 +60,6 @@ TEST(RunStatsTest, ZeroDenominatorsAreDefined) {
   const RunStats S;
   EXPECT_EQ(S.occupancy(), 0.0);
   EXPECT_EQ(S.retryRate(), 0.0);
-  EXPECT_EQ(S.bloomFalsePositiveRate(), 0.0);
   EXPECT_EQ(S.wireCompressionRatio(), 1.0) << "nothing shipped = no waste";
   EXPECT_EQ(S.stragglerStallNs(), 0u);
 }
@@ -317,8 +316,7 @@ TEST(AttributionTest, RawConflictNamesTheLabeledGranule) {
   const GranuleAbortStat &G = R.GranuleAborts[0];
   EXPECT_EQ(G.Aborts, R.Stats.NumRetries);
   EXPECT_EQ(G.GranuleKey,
-            (reinterpret_cast<uintptr_t>(&Shared) >> 3) >>
-                BloomSummary::GranuleShift);
+            (reinterpret_cast<uintptr_t>(&Shared) >> 3) >> GranuleShift);
   EXPECT_EQ(traceLabelForWordKey(G.WitnessWordKey), "attr.shared");
   // The text summary surfaces the label.
   const std::string Summary = R.traceSummary();

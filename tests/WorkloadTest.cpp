@@ -16,6 +16,7 @@
 #include "PropertyTest.h"
 
 #include "runtime/CommitJournal.h"
+#include "runtime/ShutdownSupervisor.h"
 #include "support/FaultInjection.h"
 #include "workloads/AggloClust.h"
 #include "workloads/BarnesHut.h"
@@ -31,6 +32,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <memory>
@@ -313,16 +318,17 @@ TEST(KmeansTest, MoreClustersMeansFewerConflicts) {
 
 TEST(KmeansTest, ScheduledRunsUseThreadsOnlyForTheCertifiedAnnotation) {
   // runScheduled sends a chunked loop to threads only when its params
-  // realize the paper annotation (at any chunk factor) and the run needs
-  // nothing only a process gives. An armed fault plan, a journal, or any
-  // other params send it to the fork engine.
+  // realize the paper annotation (at any chunk factor) and no fault plan
+  // is armed. An armed fault plan or any other params send it to the fork
+  // engine; a journal does not, since the threaded engine journals its
+  // commits too.
   KmeansWorkload W;
   W.setUp(0);
   ASSERT_TRUE(W.runSequential().succeeded());
   const std::vector<double> Reference = W.outputSignature();
   const RuntimeParams Paper = W.resolveAnnotation(*W.paperAnnotation());
-  const auto Forks = [&](const RuntimeParams &Params,
-                         CommitJournal *Journal = nullptr) {
+  const auto Run = [&](const RuntimeParams &Params,
+                       CommitJournal *Journal = nullptr) {
     W.setUp(0);
     const size_t Threads = threadsOfSelf();
     const RunResult R =
@@ -332,23 +338,26 @@ TEST(KmeansTest, ScheduledRunsUseThreadsOnlyForTheCertifiedAnnotation) {
     EXPECT_TRUE(W.validate(Reference));
     EXPECT_EQ(threadsOfSelf(), Threads)
         << "no helper thread outlives its runner";
+    return R;
+  };
+  const auto Forks = [](const RunResult &R) {
     return R.Stats.WarmForks + R.Stats.ColdForks;
   };
   FaultPlan::global().clear();
-  EXPECT_EQ(Forks(Paper), 0u);
+  EXPECT_EQ(Forks(Run(Paper)), 0u);
   RuntimeParams Coarse = Paper;
   Coarse.ChunkFactor = 4 * Paper.ChunkFactor;
-  EXPECT_EQ(Forks(Coarse), 0u) << "any chunk factor stays certified";
+  EXPECT_EQ(Forks(Run(Coarse)), 0u) << "any chunk factor stays certified";
 
   Annotation OutOfOrder = *W.paperAnnotation();
   OutOfOrder.Policy = ParallelPolicy::OutOfOrder;
-  EXPECT_GT(Forks(W.resolveAnnotation(OutOfOrder)), 0u)
+  EXPECT_GT(Forks(Run(W.resolveAnnotation(OutOfOrder))), 0u)
       << "an annotation the inference did not certify must fork";
 
   // A fault armed against a chunk the loop never reaches strikes nothing,
   // but fault plans act in forked children.
   FaultPlan::global().arm(FaultKind::ChildCrash, /*Chunk=*/1 << 30);
-  EXPECT_GT(Forks(Paper), 0u) << "an armed fault plan must fork";
+  EXPECT_GT(Forks(Run(Paper)), 0u) << "an armed fault plan must fork";
   FaultPlan::global().clear();
 
   const std::string Path =
@@ -360,9 +369,132 @@ TEST(KmeansTest, ScheduledRunsUseThreadsOnlyForTheCertifiedAnnotation) {
   std::unique_ptr<CommitJournal> Journal =
       CommitJournal::open(Path, Id, CommitJournal::Options(), &Error);
   ASSERT_TRUE(Journal) << Error;
-  EXPECT_GT(Forks(Paper, Journal.get()), 0u) << "a journal must fork";
+  const RunResult Journaled = Run(Paper, Journal.get());
+  EXPECT_EQ(Forks(Journaled), 0u) << "a journal stays on threads";
+  Journal.reset();
+  // Reopened, the journal holds every invocation, closed, with one frame
+  // per committed chunk.
+  Journal = CommitJournal::open(Path, Id, CommitJournal::Options(), &Error);
+  ASSERT_TRUE(Journal) << Error;
+  EXPECT_TRUE(Journal->recovered());
+  const std::vector<JournalFrame> &Frames = Journal->frames();
+  ASSERT_GE(Frames.size(), 3u);
+  EXPECT_EQ(Frames.front().FrameKind, JournalFrame::Kind::LoopBegin);
+  EXPECT_EQ(Frames.back().FrameKind, JournalFrame::Kind::LoopEnd);
+  EXPECT_EQ(static_cast<uint64_t>(std::count_if(
+                Frames.begin(), Frames.end(),
+                [](const JournalFrame &F) {
+                  return F.FrameKind == JournalFrame::Kind::Commit;
+                })),
+            Journaled.Stats.NumCommitted)
+      << "one frame per committed chunk";
+  // A restart on the same journal replays every committed chunk on the
+  // threaded route and dispatches nothing speculative.
+  const RunResult Replayed = Run(Paper, Journal.get());
+  EXPECT_EQ(Forks(Replayed), 0u);
+  EXPECT_EQ(Replayed.Stats.ReplayedChunks, Journaled.Stats.NumCommitted);
+  EXPECT_TRUE(Replayed.CommitOrder.empty())
+      << "a pure replay dispatches nothing speculative";
   Journal.reset();
   ::unlink(Path.c_str());
+}
+
+namespace {
+
+/// Forwards every invocation to \p Inner, with SIGTERM raised from the body
+/// of the middle iteration of the second invocation.
+class SigtermRunner : public LoopRunner {
+public:
+  explicit SigtermRunner(LoopRunner &Inner) : Inner(Inner) {}
+
+  bool runInner(const LoopSpec &Spec) override {
+    if (++Invocation != 2)
+      return Inner.runInner(Spec);
+    LoopSpec Raising = Spec;
+    const int64_t At = Spec.NumIterations / 2;
+    Raising.Body = [this, At, Body = Spec.Body](TxnContext &Ctx, int64_t I) {
+      if (I == At && !Raised.exchange(true))
+        ::raise(SIGTERM);
+      Body(Ctx, I);
+    };
+    return Inner.runInner(Raising);
+  }
+
+private:
+  LoopRunner &Inner;
+  int Invocation = 0;
+  std::atomic<bool> Raised{false};
+};
+
+/// K-means whose second invocation raises SIGTERM from its body.
+class SigtermKmeans : public KmeansWorkload {
+public:
+  void run(LoopRunner &Runner) override {
+    SigtermRunner Raising(Runner);
+    KmeansWorkload::run(Raising);
+  }
+};
+
+/// Runs the journaled, scheduled k-means that SIGTERM interrupts, then
+/// restarts it on the same journal; exits 0 when every check held.
+[[noreturn]] void interruptThenResumeKmeans() {
+  const std::string Path =
+      "/tmp/alter_sigterm_" + std::to_string(::getpid()) + ".alterj";
+  ::unlink(Path.c_str());
+  FaultPlan::global().clear();
+  KmeansWorkload W;
+  W.setUp(0);
+  EXPECT_TRUE(W.runSequential().succeeded());
+  const std::vector<double> Reference = W.outputSignature();
+  const RuntimeParams Paper = W.resolveAnnotation(*W.paperAnnotation());
+  JournalIdentity Id;
+  Id.Workload = W.name();
+  std::string Error;
+  std::unique_ptr<CommitJournal> Journal =
+      CommitJournal::open(Path, Id, CommitJournal::Options(), &Error);
+  EXPECT_TRUE(Journal) << Error;
+  SigtermKmeans Raising;
+  Raising.setUp(0);
+  const RunResult Stopped =
+      Raising.runScheduled(SchedulePolicy::Auto, Paper, /*NumWorkers=*/3,
+                           /*SeqBaselineNs=*/0, TxnLimits(), Journal.get());
+  EXPECT_EQ(Stopped.Status, RunStatus::Interrupted) << Stopped.Detail;
+  EXPECT_EQ(Stopped.Stats.WarmForks + Stopped.Stats.ColdForks, 0u)
+      << "the journaled run stays on threads";
+  EXPECT_EQ(shutdownSignal(), SIGTERM);
+  clearShutdownRequest();
+  Journal.reset();
+
+  Journal = CommitJournal::open(Path, Id, CommitJournal::Options(), &Error);
+  EXPECT_TRUE(Journal && !Journal->frames().empty()) << Error;
+  if (Journal && !Journal->frames().empty()) {
+    EXPECT_TRUE(Journal->recovered());
+    EXPECT_NE(Journal->frames().back().FrameKind,
+              JournalFrame::Kind::LoopEnd)
+        << "the interrupted invocation must still be open";
+    W.setUp(0);
+    const RunResult Resumed =
+        W.runScheduled(SchedulePolicy::Auto, Paper, /*NumWorkers=*/3,
+                       /*SeqBaselineNs=*/0, TxnLimits(), Journal.get());
+    EXPECT_TRUE(Resumed.succeeded()) << Resumed.Detail;
+    EXPECT_GT(Resumed.Stats.ReplayedChunks, 0u);
+    EXPECT_TRUE(W.validate(Reference))
+        << "the restart must reach the sequential output";
+  }
+  Journal.reset();
+  ::unlink(Path.c_str());
+  std::exit(::testing::Test::HasFailure() ? 1 : 0);
+}
+
+} // namespace
+
+TEST(KmeansTest, SigtermStopsAJournaledScheduledRunResumably) {
+  // A fresh process, in which nothing has installed the shutdown handlers:
+  // the threaded engine the journaled run takes must install them itself,
+  // or SIGTERM kills the process with its journal unsynced and its lease
+  // held.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(interruptThenResumeKmeans(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(LabyrinthTest, AllPoliciesConflictHeavily) {
