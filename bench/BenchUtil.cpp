@@ -64,8 +64,8 @@ SweepSeries alter::bench::runSweep(const std::string &Name, size_t InputIndex,
 }
 
 SweepSeries alter::bench::runScheduledSweep(
-    const std::string &Name, size_t InputIndex, SchedulePolicy Policy,
-    const RuntimeParams &Params, const std::string &Label, uint64_t SeqNs,
+    const std::string &Name, size_t InputIndex, const RuntimeParams &Params,
+    const std::string &Label, uint64_t SeqNs,
     const std::vector<unsigned> &Workers) {
   SweepSeries Series;
   Series.Label = Label;
@@ -80,7 +80,7 @@ SweepSeries alter::bench::runScheduledSweep(
     }
     std::unique_ptr<Workload> W = makeWorkload(Name);
     W->setUp(InputIndex);
-    const RunResult R = W->runScheduled(Policy, Params, P);
+    const RunResult R = W->runScheduled(SchedulePolicy::Auto, Params, P);
     Point.Schedule = scheduleKindName(R.ScheduleUsed);
     Point.Status = R.Status;
     Point.SimTimeNs = R.Stats.SimTimeNs;

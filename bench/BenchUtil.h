@@ -48,7 +48,7 @@ struct SweepPoint {
   std::string Transport = "n/a";
   /// Schedule the run executed under ("chunked" / "staged" / "sequential"),
   /// carried into the --json report so the --stage CI gate can assert the
-  /// planner's pick. "n/a" for engine-direct runs that predate the planner.
+  /// schedule auto gave. "n/a" for engine-direct runs.
   std::string Schedule = "n/a";
 };
 
@@ -74,13 +74,11 @@ SweepSeries runSweep(const std::string &Name, size_t InputIndex,
                      const std::vector<unsigned> &Workers =
                          paperProcessorCounts());
 
-/// Like runSweep, but through the schedule-aware recovery driver with an
-/// explicit SchedulePolicy — the "staged" column of figures whose workload
-/// carries a stage decomposition. Processor counts below 2 cannot host a
-/// replica beside the sequential lane; their points stay empty and render
-/// as "-".
+/// Like runSweep, but through the schedule-aware recovery driver under
+/// SchedulePolicy::Auto — the "staged" column of figures whose workload
+/// carries a stage split. Processor counts below 2 cannot host a replica
+/// beside the sequential lane; their points stay empty and render as "-".
 SweepSeries runScheduledSweep(const std::string &Name, size_t InputIndex,
-                              SchedulePolicy Policy,
                               const RuntimeParams &Params,
                               const std::string &Label, uint64_t SeqNs,
                               const std::vector<unsigned> &Workers =

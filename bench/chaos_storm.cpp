@@ -154,7 +154,7 @@ int crashChildMain(const std::string &Name, unsigned Mode, unsigned Workers) {
   else if (Mode == 1)
     R = W->runRecovering(ParallelEngine::Pipeline, Params, Workers);
   else
-    R = W->runScheduled(SchedulePolicy::Staged, Params, Workers);
+    R = W->runScheduled(SchedulePolicy::Auto, Params, Workers);
   if (R.Status != RunStatus::Success) {
     std::fprintf(stderr, "crash-child: workload=%s status!=Success: %s\n",
                  Name.c_str(), R.Detail.c_str());
@@ -493,8 +493,8 @@ int main(int argc, char **argv) {
       ModeName = "pipeline";
       R = W->runRecovering(ParallelEngine::Pipeline, Params, Workers);
     } else {
-      ModeName = "staged";
-      R = W->runScheduled(SchedulePolicy::Staged, Params, Workers);
+      ModeName = "auto";
+      R = W->runScheduled(SchedulePolicy::Auto, Params, Workers);
     }
     ++T.Runs;
     WallHist.record(R.Stats.RealTimeNs);

@@ -34,15 +34,10 @@ int main(int argc, char **argv) {
                W->resolveAnnotation(*parseAnnotation("[OutOfOrder]")),
                "OutOfOrder", SeqNs),
       runSweep("genome", Input, Stale, "StaleReads", SeqNs),
-      runScheduledSweep("genome", Input, SchedulePolicy::Staged, Stale,
-                        "staged", SeqNs),
   };
   printFigure("Genome (duplicate-segment removal)", Series,
               "StaleReads > OutOfOrder >= TLS; StaleReads reaches ~4.5x at "
-              "8 cores; TLS nearly matches OutOfOrder. The staged column "
-              "(not in the paper) shows why the planner keeps Genome "
-              "chunked: the hash-probe stage is too cheap to pay for a "
-              "sequential insertion lane");
+              "8 cores; TLS nearly matches OutOfOrder");
   if (traceRequested() || profileRequested() || metricsRequested()) {
     // The sweep's lock-step engine is thread-based and ships no child
     // frames, so the representative run for --trace / --profile /

@@ -10,13 +10,13 @@
 /// conflicts). Shape: both scale; StaleReads wins by skipping read
 /// tracking.
 ///
-/// Extended beyond the paper with (a) a "staged" column — the PS-DSWP
-/// stage pipeline over the loop's stage decomposition, which moves the
-/// fill-cursor chain into a sequential lane and replicates the edge-weight
-/// computation, so hub conflicts cost it nothing — and (b) both graph
-/// scales: the smaller graph concentrates updates on the R-MAT hubs, where
-/// chunked speculation burns ~30% of its work on aborts while the pipeline
-/// is unaffected.
+/// Extended beyond the paper with (a) a "staged" column — the schedule
+/// SchedulePolicy::Auto gives this loop, because it declares a stage split:
+/// the PS-DSWP stage pipeline moves the fill-cursor chain into a sequential
+/// lane and replicates the edge-weight computation, so hub conflicts cost
+/// it nothing — and (b) both graph scales: the smaller graph concentrates
+/// updates on the R-MAT hubs, where chunked speculation burns ~30% of its
+/// work on aborts while the pipeline is unaffected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +50,7 @@ int main(int argc, char **argv) {
                  W->resolveAnnotation(*parseAnnotation("[OutOfOrder]")),
                  "OutOfOrder", SeqNs),
         runSweep("ssca2", G.Input, Stale, "StaleReads", SeqNs),
-        runScheduledSweep("ssca2", G.Input, SchedulePolicy::Staged, Stale,
-                          "staged", SeqNs),
+        runScheduledSweep("ssca2", G.Input, Stale, "staged", SeqNs),
     };
     printFigure(G.Title, Series, G.Note);
   }

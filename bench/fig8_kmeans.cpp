@@ -12,8 +12,8 @@
 /// parallelization beats ALTER by 20-47% because it uses pessimistic
 /// fine-grained locking instead of optimistic coarse transactions.
 ///
-/// The manual baseline is modeled (this container has one core, see
-/// DESIGN.md §2): near-linear scaling degraded by the measured
+/// The manual baseline is modeled (the sweep goes past the host's cores,
+/// see DESIGN.md §2): near-linear scaling degraded by the measured
 /// lock-protected fraction of the loop body, i.e. an Amdahl bound with
 /// per-cluster locks — the same structure as the paper's hand-written
 /// version.

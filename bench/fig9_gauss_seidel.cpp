@@ -63,7 +63,7 @@ int main(int argc, char **argv) {
 
   // The hand-written multi-copy solver (§7.3) really exists — run it and
   // confirm it tracks ALTER's convergence exactly (its speedup series
-  // above is modeled because this container has one core).
+  // above is modeled because the sweep goes past the host's cores).
   {
     GaussSeidelWorkload Alter(/*Sparse=*/false);
     Alter.setUp(1);

@@ -15,12 +15,13 @@
 ///     --annotation '<text>'   e.g. '[StaleReads + Reduction(delta, +)]'
 ///     --tls                   Theorem 4.3 parameters instead
 ///     --engine lockstep|forkjoin|sequential   (default lockstep)
-///     --schedule auto|chunked|staged|sequential
+///     --schedule auto|chunked|sequential
 ///                             run behind the schedule-aware recovery
-///                             driver instead of --engine: auto lets the
-///                             planner pick chunked speculation vs the
-///                             stage pipeline per loop; chunked loops under
-///                             the paper's annotation run on threads
+///                             driver instead of --engine: auto runs a loop
+///                             that declares a stage split on the stage
+///                             pipeline when N >= 2, and every other loop
+///                             chunked; chunked loops under the paper's
+///                             annotation run on threads
 ///     --workers N             (default 4)
 ///     --cf N                  chunk factor (default: the loop's tuned one)
 ///     --input K               input index (default 0)
@@ -64,7 +65,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s <workload> [--annotation '<text>' | --tls] "
                "[--engine lockstep|forkjoin|sequential] "
-               "[--schedule auto|chunked|staged|sequential] [--workers N] "
+               "[--schedule auto|chunked|sequential] [--workers N] "
                "[--cf N] [--input K]\nworkloads:",
                Argv0);
   for (const std::string &Name : allWorkloadNames())

@@ -22,12 +22,12 @@
 # covered by BENCH_transport.json instead).
 #
 # With --stage the sequence additionally exercises the PS-DSWP stage
-# pipeline: the stage-schedule test binary (planner picks, staged output
+# pipeline: the stage-schedule test binary (the auto rule, staged output
 # equivalence, cap attribution, buffered writes), the staged fault-matrix
 # rows, two staged ALTER_FAULTS env plans (stage-worker kill and
 # inter-stage queue-record corruption) driven end to end, and an
-# end-to-end staged Genome figure run asserting the staged schedule was
-# actually executed.
+# end-to-end SSCA2 figure run asserting its staged series actually ran
+# staged.
 #
 # With --chaos the sequence additionally runs the parent-survivability
 # soak: the resource-fault/shutdown test filters, a seeded randomized
@@ -317,7 +317,7 @@ EOF
 stage_stage() { # stage_stage <build-dir>
   local DIR="$1"
 
-  echo "== stage smoke: schedule + planner + staged fault tests ($DIR) =="
+  echo "== stage smoke: schedule rule + staged fault tests ($DIR) =="
   "$DIR/tests/stage_pipeline_test" --gtest_brief=1
   "$DIR/tests/robustness_test" --gtest_filter='FaultMatrixTest.Staged*' \
     --gtest_brief=1
@@ -333,21 +333,21 @@ stage_stage() { # stage_stage <build-dir>
     --gtest_filter='StageScheduleTest.EnvPlanCompletesWithValidOutput' \
     --gtest_brief=1
 
-  echo "== stage smoke: staged Genome end to end ($DIR) =="
-  local STAGE_JSON="$DIR/fig6_genome.stage.json"
-  "$DIR/bench/fig6_genome" --json "$STAGE_JSON" >/dev/null
+  echo "== stage smoke: staged SSCA2 end to end ($DIR) =="
+  local STAGE_JSON="$DIR/fig7_ssca2.stage.json"
+  "$DIR/bench/fig7_ssca2" --json "$STAGE_JSON" >/dev/null
   python3 - "$STAGE_JSON" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     records = json.load(f)["records"]
 staged = [r for r in records if r["series"] == "staged" and r["procs"] >= 2]
-assert staged, "fig6 JSON is missing the staged column"
+assert staged, "fig7 JSON is missing the staged column"
 for r in staged:
-    assert r["status"] == "success", f"staged Genome failed: {r}"
+    assert r["status"] == "success", f"staged SSCA2 failed: {r}"
     assert r["schedule"] == "staged", (
-        f"forced staged Genome must actually run staged, got "
+        f"auto SSCA2 must actually run staged, got "
         f"{r['schedule']} at P={r['procs']}")
-print(f"staged Genome OK: {len(staged)} staged points, all ran staged")
+print(f"staged SSCA2 OK: {len(staged)} staged points, all ran staged")
 EOF
 }
 

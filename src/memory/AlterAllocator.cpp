@@ -40,8 +40,7 @@ size_t AlterAllocator::sizeClassBytes(unsigned Class) {
   return MinClassBytes << Class;
 }
 
-AlterAllocator::AlterAllocator(unsigned NumWorkers, size_t BytesPerWorker)
-    : Workers(NumWorkers) {
+AlterAllocator::AlterAllocator(unsigned NumWorkers, size_t BytesPerWorker) {
   ArenaBytes = alignUp(BytesPerWorker, 4096);
   const unsigned TotalArenas = NumWorkers + 1; // arena 0 = sequential
   ReservationBytes = ArenaBytes * TotalArenas;

@@ -58,9 +58,6 @@ public:
   AlterAllocator(const AlterAllocator &) = delete;
   AlterAllocator &operator=(const AlterAllocator &) = delete;
 
-  /// Number of worker arenas (excluding the sequential arena 0).
-  unsigned numWorkers() const { return Workers; }
-
   /// Allocates \p Size bytes from worker \p Worker's arena (0 = sequential
   /// context). Never returns null; aborts if the arena is exhausted.
   void *allocate(unsigned Worker, size_t Size);
@@ -122,7 +119,6 @@ private:
   char *Reservation = nullptr;
   size_t ReservationBytes = 0;
   size_t ArenaBytes = 0;
-  unsigned Workers = 0;
   std::vector<Arena> Arenas;
 };
 

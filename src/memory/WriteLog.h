@@ -139,13 +139,6 @@ public:
   /// new values to the parent.
   void captureRedo();
 
-  /// Invokes \p Fn(Addr, Size, Bytes) for each entry in program order.
-  template <typename FnT> void forEachEntry(FnT Fn) const {
-    for (const Entry &E : Entries)
-      Fn(reinterpret_cast<void *>(E.Addr), static_cast<size_t>(E.Size),
-         Data.data() + E.Offset);
-  }
-
 private:
   struct Entry {
     uintptr_t Addr;

@@ -12,20 +12,6 @@
 
 using namespace alter;
 
-bool alter::isIdempotentOp(ReduceOp Op) {
-  switch (Op) {
-  case ReduceOp::Plus:
-  case ReduceOp::Mul:
-    return false;
-  case ReduceOp::Max:
-  case ReduceOp::Min:
-  case ReduceOp::And:
-  case ReduceOp::Or:
-    return true;
-  }
-  ALTER_UNREACHABLE("covered switch");
-}
-
 const char *alter::reduceOpName(ReduceOp Op) {
   switch (Op) {
   case ReduceOp::Plus:

@@ -45,10 +45,6 @@ enum class ParallelPolicy {
 /// commit a delta; Max, Min, And, Or are idempotent and commit by merging.
 enum class ReduceOp { Plus, Mul, Max, Min, And, Or };
 
-/// True for operators where re-applying a committed value is harmless
-/// (max, min, ∧, ∨); these commit as `Sc(x) := Sc(x) op newSt(x)`.
-bool isIdempotentOp(ReduceOp Op);
-
 /// Returns the surface syntax of \p Op ("+", "*", "max", ...).
 const char *reduceOpName(ReduceOp Op);
 

@@ -38,77 +38,6 @@ uint64_t CostModel::roundNs(const std::vector<TxnCost> &Txns,
   return static_cast<uint64_t>(ExecNs + CommitNs + SyncNs);
 }
 
-uint64_t CostModel::chunkedNs(const LoopCostProfile &Profile,
-                              unsigned NumWorkers) const {
-  if (Profile.NumIterations <= 0)
-    return 0;
-  const unsigned P = std::max(NumWorkers, 1u);
-  const int64_t Cf = std::max<int64_t>(Profile.ChunkFactor, 1);
-  const double BodyNsPerIter =
-      Profile.ChunkedBodyNsPerIter > 0.0
-          ? Profile.ChunkedBodyNsPerIter
-          : Profile.SeqStageNsPerIter + Profile.ParStageNsPerIter;
-  const int64_t NumChunks = (Profile.NumIterations + Cf - 1) / Cf;
-  const int64_t NumRounds =
-      (NumChunks + static_cast<int64_t>(P) - 1) / static_cast<int64_t>(P);
-  // A representative full round: P chunks of cf iterations each.
-  const double CfD = static_cast<double>(Cf);
-  TxnCost Chunk;
-  Chunk.WorkNs = static_cast<uint64_t>(BodyNsPerIter * CfD);
-  Chunk.CommitBytes =
-      static_cast<uint64_t>(Profile.CommitBytesPerIter * CfD);
-  Chunk.CheckWords = static_cast<uint64_t>(Profile.CheckWordsPerIter * CfD);
-  Chunk.Committed = true;
-  const std::vector<TxnCost> Round(P, Chunk);
-  const double CleanNs = static_cast<double>(roundNs(Round, P)) *
-                         static_cast<double>(NumRounds);
-  // Retry pressure from the unbroken SCC: at abort rate r every attempt
-  // spawns r expected re-executions, a geometric 1 / (1 - r) inflation.
-  const double Rate = std::clamp(Profile.ChunkedAbortRate, 0.0, 0.95);
-  return static_cast<uint64_t>(CleanNs / (1.0 - Rate));
-}
-
-uint64_t CostModel::stagedNs(const LoopCostProfile &Profile,
-                             unsigned NumWorkers) const {
-  if (Profile.NumIterations <= 0)
-    return 0;
-  const double Replicas =
-      static_cast<double>(std::max(NumWorkers, 2u) - 1);
-  const int64_t Cf = std::max<int64_t>(Profile.StageChunkFactor > 0
-                                           ? Profile.StageChunkFactor
-                                           : Profile.ChunkFactor,
-                                       1);
-  const double N = static_cast<double>(Profile.NumIterations);
-  // Sequential-stage lane: the stage body, the serialized validate/commit
-  // of both halves, the per-chunk queue dispatch, the token copy, and the
-  // forwarding cost of every removed edge all share one processor.
-  const double SeqLaneNsPerIter =
-      Profile.SeqStageNsPerIter +
-      Profile.CommitBytesPerIter * CommitNsPerByte +
-      Profile.CheckWordsPerIter * CheckNsPerWord +
-      Profile.TokenBytesPerIter * CommitNsPerByte +
-      Profile.RemovalNsPerIter +
-      StageDispatchNs / static_cast<double>(Cf);
-  // Replicated lane: the parallel stage spread over P - 1 replicas.
-  const double ParLaneNsPerIter = Profile.ParStageNsPerIter / Replicas;
-  const double SteadyNs = N * std::max(SeqLaneNsPerIter, ParLaneNsPerIter);
-  // Pipeline fill (the first chunk crosses both stages end to end) and the
-  // final join.
-  const double FillNs = (Profile.SeqStageNsPerIter +
-                         Profile.ParStageNsPerIter) *
-                        static_cast<double>(Cf);
-  return static_cast<uint64_t>(SteadyNs + FillNs + BarrierNs);
-}
-
-ScheduleEstimate
-CostModel::estimateSchedules(const LoopCostProfile &Profile,
-                             unsigned NumWorkers) const {
-  ScheduleEstimate Est;
-  Est.ChunkedNs = chunkedNs(Profile, NumWorkers);
-  Est.StagedNs = stagedNs(Profile, NumWorkers);
-  return Est;
-}
-
 static CostModel calibrate() {
   CostModel Model;
   // Measure memcpy bandwidth on a buffer large enough to spill L2 but small

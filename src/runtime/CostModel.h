@@ -22,6 +22,8 @@
 ///
 /// Constants are calibrated at startup from micro-measurements on the host
 /// so the relative magnitudes (compute vs copy vs sync) stay realistic.
+/// The stage pipeline builds its own modeled clock from the same constants
+/// (StagePipelineExecutor). The model prices runs; it picks no schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,49 +42,6 @@ struct TxnCost {
   uint64_t CheckWords = 0;   ///< words compared during validation
   uint64_t BytesTouched = 0; ///< genuine DRAM traffic (noteMemoryTraffic)
   bool Committed = false;    ///< aborted txns skip the log-apply cost
-};
-
-/// Per-loop measurements the schedule planner feeds the model, gathered by
-/// a short sequential probe of the decomposed body (RecoveringLoopRunner)
-/// plus the stage plan's breakable-edge pricing.
-struct LoopCostProfile {
-  /// Mean per-iteration body time of the stage that would run
-  /// sequentially, and of the stage that would be replicated — each
-  /// measured under the tracking its lane actually uses (the sequential
-  /// lane drops conflict sets, replicas track the full policy).
-  double SeqStageNsPerIter = 0.0;
-  double ParStageNsPerIter = 0.0;
-  /// Per-iteration time of the whole body under the annotation's own
-  /// instrumentation — what a chunked speculation replica pays. The staged
-  /// lanes run with different tracking, so the chunked estimate cannot use
-  /// their sum; zero falls back to it anyway.
-  double ChunkedBodyNsPerIter = 0.0;
-  /// Mean per-iteration commit-path volume (write-log bytes applied,
-  /// access-set words validated).
-  double CommitBytesPerIter = 0.0;
-  double CheckWordsPerIter = 0.0;
-  /// Bytes of inter-stage token each iteration forwards (8 for the u64
-  /// token plus its share of record framing).
-  double TokenBytesPerIter = 0.0;
-  /// Fraction of chunked commit attempts the unbroken SCC aborts
-  /// (StagePlan::chunkedAbortRate).
-  double ChunkedAbortRate = 0.0;
-  /// Per-iteration cost of routing the removed edges through the queue
-  /// (StagePlan::removalNsPerIter).
-  double RemovalNsPerIter = 0.0;
-  int64_t NumIterations = 0;
-  int64_t ChunkFactor = 1;
-  /// Chunk granularity of the staged schedule (stagedChunkFactor); zero
-  /// falls back to ChunkFactor.
-  int64_t StageChunkFactor = 0;
-};
-
-/// The planner's verdict: modeled wall-clock of the two candidate
-/// schedules for one loop at one worker count.
-struct ScheduleEstimate {
-  uint64_t ChunkedNs = 0;
-  uint64_t StagedNs = 0;
-  bool stagedWins() const { return StagedNs < ChunkedNs; }
 };
 
 /// Calibrated cost constants and the round aggregation function.
@@ -106,37 +65,13 @@ struct CostModel {
   double BandwidthBytesPerNs = 20.0;
 
   /// Fixed cost of queueing one inter-stage record (frame build, ring
-  /// push, doorbell write) in the stage pipeline.
+  /// push, doorbell write) on the stage pipeline's modeled clock.
   double StageDispatchNs = 500.0;
 
   /// Computes the modeled wall-clock of one lock-step round whose
   /// transactions are \p Txns, executed by \p NumWorkers workers.
   uint64_t roundNs(const std::vector<TxnCost> &Txns,
                    unsigned NumWorkers) const;
-
-  //===--------------------------------------------------------------------===
-  // Schedule planner (chunked speculation vs stage pipeline)
-  //===--------------------------------------------------------------------===
-
-  /// Modeled wall-clock of chunked iteration speculation: the existing
-  /// round model applied to ceil(N / (cf * P)) rounds of P chunk
-  /// transactions each, inflated by the retry pressure the profile's
-  /// unbroken SCC predicts (expected re-executions at abort rate r cost a
-  /// 1 / (1 - r) factor on round work).
-  uint64_t chunkedNs(const LoopCostProfile &Profile,
-                     unsigned NumWorkers) const;
-
-  /// Modeled wall-clock of the stage pipeline: the loop retires at the
-  /// slower of the sequential-stage lane (stage body + serialized
-  /// validate/commit + queue dispatch + removed-edge forwarding) and the
-  /// replicated lane (parallel stage spread over P - 1 replicas), plus
-  /// pipeline fill and the final join.
-  uint64_t stagedNs(const LoopCostProfile &Profile,
-                    unsigned NumWorkers) const;
-
-  /// Runs both estimates.
-  ScheduleEstimate estimateSchedules(const LoopCostProfile &Profile,
-                                     unsigned NumWorkers) const;
 
   /// Builds a model with constants measured on this host (memcpy
   /// bandwidth; fixed constants for synchronization, documented in

@@ -68,22 +68,18 @@ const char *transportKindName(TransportKind Kind);
 /// Read once on first use; defined in WorkerPool.cpp.
 TransportKind globalTransportKind();
 
-/// Overrides the process default (tests and benches).
-void setGlobalTransportKind(TransportKind Kind);
-
 /// How the schedule-aware runner (RecoveringLoopRunner) maps a loop onto
-/// workers. Auto probes a short prefix and lets the CostModel planner pick
-/// between chunked speculation and the stage pipeline; the forced policies
-/// skip the probe. Staged falls back to chunked when the LoopSpec carries
-/// no stage decomposition.
+/// workers. Auto runs a loop on the stage pipeline when it declares a
+/// stage split (LoopSpec::Stage) and has at least two workers — one for
+/// the sequential stage, one replica — and chunked otherwise; it runs no
+/// iteration to decide.
 enum class SchedulePolicy : uint8_t {
-  Auto,       ///< planner picks per loop (default)
+  Auto,       ///< staged for a declared split at P >= 2, else chunked
   Chunked,    ///< force chunked iteration speculation
-  Staged,     ///< force the stage pipeline (needs LoopSpec::Stage)
   Sequential, ///< force sequential execution
 };
 
-/// Returns "auto", "chunked", "staged", or "sequential".
+/// Returns "auto", "chunked", or "sequential".
 const char *schedulePolicyName(SchedulePolicy Policy);
 
 /// Parses a schedule-policy name (case-sensitive, as printed by

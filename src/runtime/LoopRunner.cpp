@@ -7,7 +7,6 @@
 #include "runtime/LoopRunner.h"
 
 #include "runtime/CommitJournal.h"
-#include "runtime/CostModel.h"
 #include "runtime/ForkJoinExecutor.h"
 #include "runtime/LockstepExecutor.h"
 #include "runtime/PipelineExecutor.h"
@@ -53,6 +52,31 @@ std::unique_ptr<Executor> alter::makeParallelEngine(ParallelEngine Engine,
     return std::make_unique<LockstepExecutor>(Config);
   }
   ALTER_UNREACHABLE("covered switch");
+}
+
+const char *alter::schedulePolicyName(SchedulePolicy Policy) {
+  switch (Policy) {
+  case SchedulePolicy::Auto:
+    return "auto";
+  case SchedulePolicy::Chunked:
+    return "chunked";
+  case SchedulePolicy::Sequential:
+    return "sequential";
+  }
+  ALTER_UNREACHABLE("covered switch");
+}
+
+bool alter::parseSchedulePolicy(const std::string &Text,
+                                SchedulePolicy &Policy) {
+  if (Text == "auto")
+    Policy = SchedulePolicy::Auto;
+  else if (Text == "chunked")
+    Policy = SchedulePolicy::Chunked;
+  else if (Text == "sequential")
+    Policy = SchedulePolicy::Sequential;
+  else
+    return false;
+  return true;
 }
 
 LoopRunner::~LoopRunner() = default;
@@ -153,15 +177,10 @@ bool RecoveringLoopRunner::runInner(const LoopSpec &Spec) {
     drainJournalStats();
     return Ok;
   }
-  // Schedule selection. The pipeline needs a valid decomposition and at
-  // least one replica beside the sequential lane; the planner's staged
-  // estimate assumes that split, so a single worker always runs chunked.
-  const bool CanStage = Spec.Stage.valid() && Config.NumWorkers >= 2;
-  bool UseStaged = false;
-  if (Config.Schedule == SchedulePolicy::Staged)
-    UseStaged = CanStage;
-  else if (Config.Schedule == SchedulePolicy::Auto && CanStage)
-    UseStaged = planPicksStaged(Spec);
+  // Schedule selection: a declared stage split runs staged whenever there
+  // is a replica beside the sequential lane.
+  const bool UseStaged = Config.Schedule == SchedulePolicy::Auto &&
+                         Spec.Stage.valid() && Config.NumWorkers >= 2;
   if (J) {
     // LoopBegin carries the geometry recovery must reconstruct: the
     // RESOLVED chunk factor of the schedule actually picked (the staged
@@ -229,132 +248,6 @@ bool RecoveringLoopRunner::finishRun(const LoopSpec &Spec, RunResult R) {
     if (!Done[static_cast<size_t>(C)])
       Remaining.push_back(C);
   return finishChunks(Spec, std::move(Remaining), Cf, R.FailedChunk);
-}
-
-bool RecoveringLoopRunner::planPicksStaged(const LoopSpec &Spec) {
-  const int64_t N = Spec.NumIterations;
-  if (N <= 0)
-    return false;
-  const int64_t Cf = Config.Params.ChunkFactor > 0 ? Config.Params.ChunkFactor
-                                                   : globalChunkFactor();
-  const int64_t StageCf = stagedChunkFactor(Cf);
-  // Enough iterations to fill two staged-size chunks, so both passes probe
-  // steady-state chunk behavior rather than warm-up.
-  const int64_t K = std::min<int64_t>(N, 2 * StageCf);
-
-  LoopCostProfile Profile;
-  Profile.NumIterations = N;
-  Profile.ChunkFactor = Cf;
-  Profile.StageChunkFactor = StageCf;
-  Profile.ChunkedAbortRate = Spec.Stage.chunkedAbortRate();
-  Profile.RemovalNsPerIter =
-      static_cast<double>(Spec.Stage.removalNsPerIter());
-  // One u64 token per iteration plus its amortized share of record framing.
-  Profile.TokenBytesPerIter =
-      8.0 + 48.0 / static_cast<double>(StageCf > 0 ? StageCf : 1);
-
-  // Replicas run FULL-tracked regardless of the annotation (see
-  // StagePipelineExecutor); the probe mirrors that so the replicated
-  // lane's estimate carries the same instrumentation weight.
-  RuntimeParams ParParams = Config.Params;
-  ParParams.Conflict = ConflictPolicy::FULL;
-
-  uint64_t BodyNs = 0, SeqNs = 0, ParNs = 0, CommitBytes = 0, CheckWords = 0;
-  const uint64_t ProbeT0 = nowNs();
-  // Pass 1: the undecomposed body under the annotation's own
-  // instrumentation — the per-iteration work and commit volumes a chunked
-  // speculation replica pays, in chunks of the chunked engines' factor.
-  // Every probe transaction is rolled back, so the measurement leaves
-  // memory untouched. Contexts persist across chunks (beginTxn reuses warm
-  // capacity), matching both engines' pooled contexts.
-  {
-    TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
-                   Config.Allocator, /*Worker=*/0u, Config.Limits);
-    for (int64_t First = 0; First < K; First += Cf) {
-      const int64_t Last = std::min<int64_t>(First + Cf, K);
-      Ctx.beginTxn();
-      const uint64_t T0 = cpuNowNs();
-      for (int64_t I = First; I != Last; ++I)
-        Spec.Body(Ctx, I);
-      BodyNs += cpuNowNs() - T0;
-      CommitBytes += Ctx.writeLog().dataBytes();
-      CheckWords += Ctx.readSet().sizeWords() + Ctx.writeSet().sizeWords();
-      const bool Limited = Ctx.limitExceeded();
-      Ctx.suspendTxn();
-      Ctx.abortTxn();
-      if (Limited)
-        return false; // truncated tracking: the measurement is unreliable
-    }
-  }
-  // Pass 2: the halves in staged-size chunks, each half under the regime
-  // its lane actually runs with — the sequential lane drops conflict sets,
-  // the replicated stage tracks FULL with buffered writes (see
-  // StagePipelineExecutor). All Firsts then all Seconds, like a staged
-  // chunk; the undo-logged half is rolled back per chunk, the buffered
-  // half never touched memory.
-  {
-    TxnContext SeqCtx(ContextMode::Transactional, &Config.Params, &Spec,
-                      Config.Allocator, /*Worker=*/0u, Config.Limits);
-    SeqCtx.disableConflictTracking();
-    TxnContext ParCtx(ContextMode::Transactional, &ParParams, &Spec,
-                      Config.Allocator, /*Worker=*/0u, Config.Limits);
-    ParCtx.enableBufferedWrites();
-    TxnContext &FirstCtx =
-        Spec.Stage.Order == StageOrder::SeqFirst ? SeqCtx : ParCtx;
-    TxnContext &SecondCtx =
-        Spec.Stage.Order == StageOrder::SeqFirst ? ParCtx : SeqCtx;
-    for (int64_t First = 0; First < K; First += StageCf) {
-      const int64_t Last = std::min<int64_t>(First + StageCf, K);
-      SeqCtx.beginTxn();
-      ParCtx.beginTxn();
-      std::vector<uint64_t> Tokens;
-      Tokens.reserve(static_cast<size_t>(Last - First));
-      const uint64_t T0 = cpuNowNs();
-      for (int64_t I = First; I != Last; ++I)
-        Tokens.push_back(Spec.Stage.First(FirstCtx, I));
-      const uint64_t T1 = cpuNowNs();
-      for (int64_t I = First; I != Last; ++I)
-        Spec.Stage.Second(SecondCtx, I,
-                          Tokens[static_cast<size_t>(I - First)]);
-      const uint64_t T2 = cpuNowNs();
-      if (Spec.Stage.Order == StageOrder::SeqFirst) {
-        SeqNs += T1 - T0;
-        ParNs += T2 - T1;
-      } else {
-        ParNs += T1 - T0;
-        SeqNs += T2 - T1;
-      }
-      const bool Limited = SeqCtx.limitExceeded() || ParCtx.limitExceeded();
-      SecondCtx.suspendTxn();
-      SecondCtx.abortTxn();
-      FirstCtx.suspendTxn();
-      FirstCtx.abortTxn();
-      if (Limited)
-        return false;
-    }
-  }
-  // The probe is real sequential work; charge it against both clocks so
-  // the outer deadline still sees it.
-  const uint64_t ProbeNs = nowNs() - ProbeT0;
-  Accumulated.Stats.RealTimeNs += ProbeNs;
-  Accumulated.Stats.SimTimeNs += ProbeNs;
-
-  Profile.SeqStageNsPerIter =
-      static_cast<double>(SeqNs) / static_cast<double>(K);
-  Profile.ParStageNsPerIter =
-      static_cast<double>(ParNs) / static_cast<double>(K);
-  Profile.ChunkedBodyNsPerIter =
-      static_cast<double>(BodyNs) / static_cast<double>(K);
-  Profile.CommitBytesPerIter =
-      static_cast<double>(CommitBytes) / static_cast<double>(K);
-  Profile.CheckWordsPerIter =
-      static_cast<double>(CheckWords) / static_cast<double>(K);
-
-  const ScheduleEstimate E =
-      CostModel::calibrated().estimateSchedules(Profile, Config.NumWorkers);
-  traceLadderEvent(TraceEventKind::SchedulePick, /*Chunk=*/-1,
-                   /*Arg0=*/E.ChunkedNs, /*Arg1=*/E.StagedNs);
-  return E.stagedWins();
 }
 
 bool RecoveringLoopRunner::budgetExpired() const {

@@ -108,8 +108,10 @@ private:
 
 /// Driver that guarantees completion through a graceful-degradation
 /// ladder. The inner loop runs under the chosen ParallelEngine (threaded
-/// rounds, or one of the fork engines) or the stage pipeline; the ladder's
-/// sub-runs always fork (Pipeline for a Threaded primary). When
+/// rounds, or one of the fork engines), or — under SchedulePolicy::Auto,
+/// when the loop declares a stage split and NumWorkers >= 2 — on the stage
+/// pipeline; the ladder's sub-runs always fork and always run chunked
+/// (Pipeline for a Threaded primary). When
 /// speculation fails unrecoverably — a contained Crash after the engine's
 /// own per-chunk retries, or a mid-run deadline Timeout — the runner does
 /// NOT immediately abandon parallelism for the whole uncommitted tail.
@@ -191,14 +193,6 @@ private:
   /// True once accumulated real time exceeds DeadlineFactor x
   /// SeqBaselineNs: salvage must stop paying for speculation retries.
   bool budgetExpired() const;
-
-  /// Schedule planner (SchedulePolicy::Auto): probes a short prefix of the
-  /// stage-decomposed body — each probe chunk runs First then Second
-  /// transactionally in the parent and is rolled back, so the measurement
-  /// commits nothing — then prices both schedules through the CostModel.
-  /// Returns true when the stage pipeline is predicted faster. Records a
-  /// SchedulePick event (Arg0/Arg1 = modeled chunked/staged ns).
-  bool planPicksStaged(const LoopSpec &Spec);
 
   /// Folds a whole-loop run of the chunked or staged engine into the
   /// result and finishes the chunks it left uncommitted. Returns false

@@ -66,11 +66,12 @@ struct LoopSpec {
   std::vector<ReductionBinding> Reductions;
 
   /// Optional PS-DSWP stage decomposition of the body (see
-  /// StagePipelinePlan.h). When valid(), the schedule-aware runner may run
-  /// the loop as sequential-stage -> queue -> replicated-stage instead of
-  /// chunked speculation; engines that do not understand stages ignore it
-  /// and run Body as always. Stage.First + Stage.Second in iteration order
-  /// must be equivalent to Body.
+  /// StagePipelinePlan.h). When valid(), the schedule-aware runner runs the
+  /// loop as sequential-stage -> queue -> replicated-stage instead of
+  /// chunked speculation under SchedulePolicy::Auto with two or more
+  /// workers; engines that do not understand stages ignore it and run Body
+  /// as always. Stage.First + Stage.Second in iteration order must be
+  /// equivalent to Body.
   StagePlan Stage;
 
   /// Salvage sub-runs (RecoveringLoopRunner's degradation ladder)

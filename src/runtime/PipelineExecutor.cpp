@@ -62,8 +62,9 @@ struct BufferedReport {
 PipelineExecutor::PipelineExecutor(ExecutorConfig Config)
     : Config(std::move(Config)) {
   assert(this->Config.NumWorkers >= 1 && "need at least one worker");
-  // Calibrate the cost model here, outside every timed run(): the schedule
-  // planner that drives this engine prices loops with it.
+  // Calibrate the cost model here, outside every timed run(): the stage
+  // pipeline a recovering runner sends split loops to instead of this
+  // engine builds its modeled clock with it.
   CostModel::calibrated();
 }
 

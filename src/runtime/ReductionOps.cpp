@@ -99,11 +99,6 @@ void alter::storeScalar(ScalarKind Kind, void *Addr, const RedValue &Value) {
     std::memcpy(Addr, &Value.I, sizeof(int64_t));
 }
 
-size_t alter::scalarBytes(ScalarKind Kind) {
-  (void)Kind;
-  return 8;
-}
-
 RedValue alter::reduceIdentity(ReduceOp Op, ScalarKind Kind) {
   if (Kind == ScalarKind::F64) {
     switch (Op) {

@@ -68,9 +68,6 @@ RedValue loadScalar(ScalarKind Kind, const void *Addr);
 /// Stores \p Value (of kind \p Kind) to the storage at \p Addr.
 void storeScalar(ScalarKind Kind, void *Addr, const RedValue &Value);
 
-/// Width in bytes of a scalar of kind \p Kind (8 for both supported kinds).
-size_t scalarBytes(ScalarKind Kind);
-
 /// Identity element of \p Op for kind \p Kind (0 for +, 1 for ×, ∓∞ for
 /// max/min, all-ones/all-zeros for ∧/∨). A transaction's private
 /// accumulator starts here.

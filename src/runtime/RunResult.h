@@ -45,11 +45,11 @@ enum class RunStatus {
 /// Returns "success", "crash", "timeout", or "interrupted".
 const char *runStatusName(RunStatus Status);
 
-/// Which schedule a loop actually executed under. The planner
-/// (RecoveringLoopRunner + CostModel) records its pick here so benches and
-/// the --stage CI gate can assert the auto policy chose as expected.
+/// Which schedule a loop actually executed under. RecoveringLoopRunner
+/// records it here so benches and the --stage CI gate can assert what the
+/// auto policy gave the loop.
 enum class ScheduleKind : uint8_t {
-  Unknown,    ///< engine predates the planner or was driven directly
+  Unknown,    ///< the engine was driven directly, outside the runner
   Sequential, ///< ran on the sequential reference engine
   Chunked,    ///< chunked iteration speculation (fork/lockstep engines)
   Staged,     ///< PS-DSWP stage pipeline (StagePipelineExecutor)
@@ -83,8 +83,8 @@ struct RunStats {
   /// The clock the 10x deadline and the figures use. The round engines
   /// (Lockstep, ForkJoin) and the stage engine store a modeled parallel
   /// time here (CostModel); the pipeline and sequential engines store real
-  /// time, and RecoveringLoopRunner adds the real time of its schedule
-  /// probe and ladder tiers.
+  /// time, and RecoveringLoopRunner adds the real time of its ladder
+  /// tiers.
   uint64_t SimTimeNs = 0;
   /// Real host time spent executing.
   uint64_t RealTimeNs = 0;
@@ -367,8 +367,8 @@ struct RunResult {
   /// (timeouts, poll failures, successful runs). The degradation ladder
   /// starts its salvage at this chunk.
   int64_t FailedChunk = -1;
-  /// Schedule the loop actually ran under (the planner's pick, or the
-  /// forced policy). Unknown when the result came from an engine driven
+  /// Schedule the loop actually ran under (what the auto rule gave it, or
+  /// the forced policy). Unknown when the result came from an engine driven
   /// outside the schedule-aware runner.
   ScheduleKind ScheduleUsed = ScheduleKind::Unknown;
   /// Chunk indices in the order they committed. Under OutOfOrder policies a

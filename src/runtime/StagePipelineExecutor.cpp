@@ -51,8 +51,7 @@ using namespace alter;
 namespace {
 
 //===----------------------------------------------------------------------===
-// STGQ records: the parent -> replica dispatch (and, for ParFirst plans, the
-// replica -> parent token report appended after the commit frame).
+// STGQ records: the parent -> replica dispatch.
 // Framed exactly like the commit wire — magic | payload length | CRC32 — so
 // a corrupted queue record is REJECTED by the consumer, never trusted.
 //===----------------------------------------------------------------------===
@@ -64,10 +63,9 @@ constexpr size_t StageFrameHeaderBytes = 3 * sizeof(uint64_t);
 /// the parent counts it as a wire reject rather than a child crash.
 constexpr int StageQueueRejectExit = 13;
 
-/// One inter-stage queue record. Dispatch direction: the chunk's iteration
-/// range, the armed fault the parent took for it, and (SeqFirst) the tokens
-/// the sequential stage produced. Report direction (ParFirst): the tokens
-/// the replica produced, same framing.
+/// One inter-stage queue record: the chunk's iteration range, the armed
+/// fault the parent took for it, and the tokens the sequential stage
+/// produced.
 struct StageCmd {
   int64_t Chunk = 0;
   int64_t First = 0;
@@ -155,8 +153,8 @@ bool decodeStageCmd(const uint8_t *Bytes, size_t Size, StageCmd &Cmd,
 //===----------------------------------------------------------------------===
 
 /// Executes one replica chunk: the plan's replicated stage, transactionally,
-/// then ships the framed commit message (and, for ParFirst, the STGQ token
-/// report) into \p OutRing with doorbells through \p Bell.
+/// then ships the framed commit message into \p OutRing with doorbells
+/// through \p Bell.
 template <typename BellFn>
 void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
                    const ExecutorConfig &Config, unsigned Worker,
@@ -174,22 +172,12 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
   Ctx.beginTxn();
   const uint64_t TraceT0 = Trace.events() ? traceNowNs() : 0;
   const uint64_t T0 = cpuNowNs();
-  std::vector<uint64_t> OutTokens;
-  if (Spec.Stage.Order == StageOrder::SeqFirst) {
-    // Consume: the sequential stage already produced one token per
-    // iteration of this chunk.
-    if (Cmd.Tokens.size() != static_cast<size_t>(Cmd.Last - Cmd.First))
-      _exit(StageQueueRejectExit);
-    for (int64_t I = Cmd.First; I != Cmd.Last; ++I)
-      Spec.Stage.Second(Ctx, I,
-                        Cmd.Tokens[static_cast<size_t>(I - Cmd.First)]);
-  } else {
-    // Produce: run the replicated prefix and collect the tokens the
-    // parent's sequential stage will consume.
-    OutTokens.reserve(static_cast<size_t>(Cmd.Last - Cmd.First));
-    for (int64_t I = Cmd.First; I != Cmd.Last; ++I)
-      OutTokens.push_back(Spec.Stage.First(Ctx, I));
-  }
+  // The sequential stage already produced one token per iteration of this
+  // chunk.
+  if (Cmd.Tokens.size() != static_cast<size_t>(Cmd.Last - Cmd.First))
+    _exit(StageQueueRejectExit);
+  for (int64_t I = Cmd.First; I != Cmd.Last; ++I)
+    Spec.Stage.Second(Ctx, I, Cmd.Tokens[static_cast<size_t>(I - Cmd.First)]);
   // No captureRedo pass: the replica's buffered write log already holds
   // the final values (see runStageChild).
   const uint64_t WorkNs = cpuNowNs() - T0;
@@ -206,17 +194,6 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
   applyFrameFault(Message, Cmd.Fault);
   OutRing.pushAll(Message.data(), Message.size(),
                   [&] { Bell(RingDoorbellData); });
-  if (Spec.Stage.Order == StageOrder::ParFirst) {
-    StageCmd Report;
-    Report.Chunk = Cmd.Chunk;
-    Report.First = Cmd.First;
-    Report.Last = Cmd.Last;
-    Report.Tokens = std::move(OutTokens);
-    std::vector<uint8_t> TokenFrame;
-    encodeStageCmd(TokenFrame, Report);
-    OutRing.pushAll(TokenFrame.data(), TokenFrame.size(),
-                    [&] { Bell(RingDoorbellData); });
-  }
   Bell(RingDoorbellFinish);
 }
 
@@ -285,13 +262,11 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
 /// A replica arrival buffered until the retirement frontier reaches it.
 struct StageArrival {
   ChildReport Rep;
-  std::vector<uint64_t> Tokens; // ParFirst: the produced tokens
-  unsigned WorkerIdx = 0;       // replica index (arena = WorkerIdx + 1)
+  unsigned WorkerIdx = 0; // replica index (arena = WorkerIdx + 1)
 };
 
 /// Parent-side record of one open (executed, unretired) sequential-stage
-/// transaction. SeqFirst only; ParFirst sequential halves commit as they
-/// run.
+/// transaction.
 struct SeqChunkState {
   std::unique_ptr<TxnContext> Ctx;
   uint64_t SeqNs = 0;
@@ -307,7 +282,6 @@ struct StageWorker {
   int BellR = -1;                      // report doorbells (parent reads)
   int64_t Chunk = -1;                  // in-flight chunk, -1 when free
   std::vector<uint8_t> Buf;            // drained out-ring bytes
-  bool FinishSeen = false;
 };
 
 /// Real-time no-progress floor for the hung-replica backstop: small enough
@@ -338,7 +312,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   const int64_t NumChunks = (N + Cf - 1) / Cf;
   if (NumChunks == 0)
     return Result;
-  const bool SeqFirst = Spec.Stage.Order == StageOrder::SeqFirst;
   // The parent owns the sequential lane (worker/arena 0); everyone else is
   // a replica of the parallel stage.
   const unsigned NumPar = std::max(1u, Config.NumWorkers) - 1 > 0
@@ -371,7 +344,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   TraceSink Sink(Config.Trace);
 
   std::vector<StageWorker> Workers(NumPar);
-  std::map<int64_t, SeqChunkState> SeqOpen;   // SeqFirst: executed, unretired
+  std::map<int64_t, SeqChunkState> SeqOpen;   // executed, unretired
   // Sequential-lane contexts are pooled across chunks: beginTxn() keeps the
   // warm undo-log and access-set capacity, and cold hash-table growth on a
   // fresh context is a per-chunk cost the pipeline's critical lane cannot
@@ -403,7 +376,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   std::unordered_set<uintptr_t> ParWriteWords;
 
   int64_t Frontier = 0;     // next chunk to retire
-  int64_t NextSeq = 0;      // SeqFirst: next sequential half to execute
+  int64_t NextSeq = 0;      // next sequential half to execute
   int64_t NextDispatch = 0; // next chunk to hand to a replica
   const int64_t LeadMax = 2 * static_cast<int64_t>(NumPar) + 2;
   unsigned Generation = 0;
@@ -425,8 +398,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
 
   auto finishStats = [&] {
     Result.Stats.RealTimeNs = nowNs() - RealStart;
-    // Single-CPU host: the protocol ran for real, the parallel wall-clock
-    // is modeled (header comment). One final join closes the pipeline.
+    // One final join closes the modeled pipeline (header comment).
     Result.Stats.SimTimeNs =
         static_cast<uint64_t>(RetireClockNs + Model.BarrierNs);
     Result.Stats.WorkerSlotNs = Result.Stats.SimTimeNs * Config.NumWorkers;
@@ -468,7 +440,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     SW.WorkW = SW.BellR = -1;
     SW.Chunk = -1;
     SW.Buf.clear();
-    SW.FinishSeen = false;
     SW.InRing.reset();
     SW.OutRing.reset();
   };
@@ -613,7 +584,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     SW.BellR = BellP[0];
     SW.Chunk = -1;
     SW.Buf.clear();
-    SW.FinishSeen = false;
     ++Result.Stats.ColdForks;
     if (Sink.events())
       Sink.event(TraceEventKind::Fork, /*Worker=*/0, /*Chunk=*/-1,
@@ -660,8 +630,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     (void)writeFull(SW.WorkW, &B, 1);
   };
 
-  // Executes the sequential half of chunk \p C in the parent (SeqFirst):
-  // one transaction, held open — its in-place writes carry the SCC to the
+  // Executes the sequential half of chunk \p C in the parent: one
+  // transaction, held open — its in-place writes carry the SCC to the
   // next chunk — until the frontier retires it.
   auto execSeqChunk = [&](int64_t C) {
     const int64_t First = C * Cf;
@@ -751,11 +721,9 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     Cmd.First = First;
     Cmd.Last = Last;
     Cmd.Fault = Fault;
-    if (SeqFirst) {
-      auto It = SeqOpen.find(C);
-      assert(It != SeqOpen.end() && "dispatch before sequential half ran");
-      Cmd.Tokens = It->second.Tokens;
-    }
+    auto It = SeqOpen.find(C);
+    assert(It != SeqOpen.end() && "dispatch before sequential half ran");
+    Cmd.Tokens = It->second.Tokens;
     std::vector<uint8_t> Frame;
     encodeStageCmd(Frame, Cmd);
     if (FlipRecord)
@@ -769,11 +737,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
                        [&] { writeDispatchBell(SW, RingDoorbellData); });
     writeDispatchBell(SW, RingDoorbellFinish);
     LastProgressNs = nowNs();
-    Result.Stats.QueueDepthPeak =
-        std::max<uint64_t>(Result.Stats.QueueDepthPeak,
-                           static_cast<uint64_t>(
-                               (SeqFirst ? NextSeq : NextDispatch + 1) -
-                               Frontier));
+    Result.Stats.QueueDepthPeak = std::max<uint64_t>(
+        Result.Stats.QueueDepthPeak, static_cast<uint64_t>(NextSeq - Frontier));
   };
 
   // Absorbs one replica's decoded report into the run statistics.
@@ -814,13 +779,13 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
                            : "stage replica terminated abnormally");
   };
 
-  // Tries to cut one complete report (commit frame + ParFirst token frame)
-  // from worker \p W's drained bytes. Returns false when more bytes are
-  // needed; rejections go through chunkFault.
-  auto completeWorker = [&](unsigned W) -> bool {
+  // Tries to cut one complete commit frame from worker \p W's drained
+  // bytes; an incomplete one waits for more. Rejections go through
+  // chunkFault.
+  auto completeWorker = [&](unsigned W) {
     StageWorker &SW = Workers[W];
     if (!wireFrameLooksComplete(SW.Buf.data(), SW.Buf.size()))
-      return false;
+      return;
     // Slice the exact commit frame: the decoder demands an exact-length
     // buffer. A corrupt magic poisons the length field, so hand the whole
     // buffer over and let the decode reject it.
@@ -839,48 +804,12 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       ++Result.Stats.NumWireRejects;
       const int64_t C = SW.Chunk;
       SW.Buf.clear();
-      SW.FinishSeen = false;
       SW.Chunk = -1;
       chunkFault(C, "rejected stage commit message: " + Error);
-      return true;
-    }
-    StageArrival A;
-    A.WorkerIdx = W;
-    if (!SeqFirst) {
-      // The token report follows the commit frame in the same ring.
-      StageCmd Report;
-      size_t Consumed = 0;
-      const uint8_t *Rest = SW.Buf.data() + FrameLen;
-      const size_t RestLen = SW.Buf.size() - FrameLen;
-      if (!stageFrameComplete(Rest, RestLen)) {
-        if (!SW.FinishSeen)
-          return false; // still streaming
-        ++Result.Stats.NumWireRejects;
-        const int64_t C = SW.Chunk;
-        SW.Buf.clear();
-        SW.FinishSeen = false;
-        SW.Chunk = -1;
-        chunkFault(C, "truncated inter-stage token record");
-        return true;
-      }
-      if (!decodeStageCmd(Rest, RestLen, Report, Consumed) ||
-          Report.Chunk != SW.Chunk ||
-          Report.Tokens.size() !=
-              static_cast<size_t>(Report.Last - Report.First)) {
-        ++Result.Stats.NumWireRejects;
-        const int64_t C = SW.Chunk;
-        SW.Buf.clear();
-        SW.FinishSeen = false;
-        SW.Chunk = -1;
-        chunkFault(C, "rejected inter-stage token record");
-        return true;
-      }
-      FrameLen += Consumed;
-      A.Tokens = std::move(Report.Tokens);
+      return;
     }
     SW.Buf.erase(SW.Buf.begin(),
                  SW.Buf.begin() + static_cast<std::ptrdiff_t>(FrameLen));
-    SW.FinishSeen = false;
     const int64_t C = SW.Chunk;
     SW.Chunk = -1;
     if (Rep.LimitExceeded) {
@@ -889,21 +818,19 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       CrashDetail = strprintf(
           "stage replica %u (chunk %lld) exceeded the access-set memory cap",
           W, static_cast<long long>(C));
-      return true;
+      return;
     }
     absorbReport(Rep);
-    A.Rep = std::move(Rep);
-    Arrived.emplace(C, std::move(A));
+    Arrived.emplace(C, StageArrival{std::move(Rep), W});
     LastProgressNs = nowNs();
-    return true;
   };
 
   // Advances the modeled pipeline clock for one retired chunk. The chunk
   // occupies the LEAST-LOADED modeled replica lane, not the replica that
   // actually ran it here: on the modeled P-core machine the parent hands
-  // work to whichever replica is free, and the single-CPU host's scheduler
-  // skew (which timeshared process happened to finish chunks faster) must
-  // not leak into the modeled clock as phantom lane imbalance.
+  // work to whichever replica is free, and the host scheduler's skew (which
+  // timeshared process happened to finish chunks faster) must not leak
+  // into the modeled clock as phantom lane imbalance.
   auto advanceModel = [&](int64_t C, uint64_t SeqNs, uint64_t ParNs,
                           uint64_t CommitBytes, uint64_t CheckWords,
                           uint64_t TokenBytes) {
@@ -914,25 +841,14 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
         static_cast<double>(CheckWords) * Model.CheckNsPerWord +
         static_cast<double>(CommitBytes) * Model.CommitNsPerByte;
     double &Lane = *std::min_element(ParFreeNs.begin(), ParFreeNs.end());
-    if (SeqFirst) {
-      // Sequential lane produces, a replica lane consumes; the parent lane
-      // also pays the serialized validate/commit that closes the chunk.
-      SeqLaneNs += static_cast<double>(SeqNs) + DispatchCost;
-      const double Start = std::max(SeqLaneNs, Lane);
-      const double Done = Start + static_cast<double>(ParNs);
-      Lane = Done;
-      SeqLaneNs += CommitCost;
-      RetireClockNs =
-          std::max({RetireClockNs, Done + CommitCost, SeqLaneNs});
-    } else {
-      // Replica lane produces, the sequential lane consumes and commits.
-      const double Start = Lane + DispatchCost;
-      const double Done = Start + static_cast<double>(ParNs);
-      Lane = Done;
-      const double SeqStart = std::max(Done, SeqLaneNs);
-      SeqLaneNs = SeqStart + static_cast<double>(SeqNs) + CommitCost;
-      RetireClockNs = std::max(RetireClockNs, SeqLaneNs);
-    }
+    // Sequential lane produces, a replica lane consumes; the parent lane
+    // also pays the serialized validate/commit that closes the chunk.
+    SeqLaneNs += static_cast<double>(SeqNs) + DispatchCost;
+    const double Start = std::max(SeqLaneNs, Lane);
+    const double Done = Start + static_cast<double>(ParNs);
+    Lane = Done;
+    SeqLaneNs += CommitCost;
+    RetireClockNs = std::max({RetireClockNs, Done + CommitCost, SeqLaneNs});
     if (Sink.events())
       Sink.event(TraceEventKind::StageRetire, /*Worker=*/0, C, traceNowNs(),
                  0, /*Arg0=*/SeqNs, /*Arg1=*/ParNs);
@@ -993,85 +909,32 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       const uint64_t TokenBytes =
           StageFrameHeaderBytes +
           static_cast<uint64_t>(Last - First) * sizeof(uint64_t);
+      auto SIt = SeqOpen.find(C);
+      assert(SIt != SeqOpen.end() && "retiring a chunk with no seq half");
+      SeqChunkState &SCS = SIt->second;
       const uint64_t ParNs = A.Rep.WorkNs;
-      uint64_t SeqNs = 0;
+      const uint64_t SeqNs = SCS.SeqNs;
       uint64_t CommitBytes = A.Rep.Log.dataBytes();
-      if (SeqFirst) {
-        auto SIt = SeqOpen.find(C);
-        assert(SIt != SeqOpen.end() && "retiring a chunk with no seq half");
-        SeqChunkState &SCS = SIt->second;
-        SeqNs = SCS.SeqNs;
-        commitParHalf(A, C);
-        // Retire the sequential half: its writes are already in place, so
-        // capture them as redo and commit (reduction merges, deferred
-        // frees) without restoring.
-        ++Result.Stats.NumTransactions;
-        ++Result.Stats.NumCommitted;
-        Result.Stats.ReadSetWords.add(
-            static_cast<double>(SCS.Ctx->readSet().sizeWords()));
-        Result.Stats.WriteSetWords.add(
-            static_cast<double>(SCS.Ctx->writeSet().sizeWords()));
-        Result.Stats.InstrReadCalls += SCS.Ctx->instrReadCalls();
-        Result.Stats.InstrWriteCalls += SCS.Ctx->instrWriteCalls();
-        Result.Stats.BytesRead += SCS.Ctx->bytesRead();
-        Result.Stats.BytesWritten += SCS.Ctx->bytesWritten();
-        Result.Stats.WorkerBusyNs += SCS.SeqNs;
-        CommitBytes += SCS.Ctx->writeLog().dataBytes();
-        SCS.Ctx->captureRedo();
-        SCS.Ctx->commitTxn();
-        CtxPool.push_back(std::move(SCS.Ctx));
-        SeqOpen.erase(SIt);
-      } else {
-        commitParHalf(A, C);
-        // Run the sequential half NOW, consuming the replica's tokens, and
-        // commit it immediately — the frontier IS the sequential lane. The
-        // context comes from (and returns to) the pool.
-        auto CtxPtr = takeSeqCtx();
-        TxnContext &Ctx = *CtxPtr;
-        Ctx.beginTxn();
-        const uint64_t T0 = cpuNowNs();
-        for (int64_t I = First; I != Last; ++I)
-          Spec.Stage.Second(Ctx, I,
-                            A.Tokens[static_cast<size_t>(I - First)]);
-        SeqNs = cpuNowNs() - T0;
-        if (Ctx.limitExceeded()) {
-          Ctx.suspendTxn();
-          Ctx.abortTxn();
-          CtxPool.push_back(std::move(CtxPtr));
-          Crashed = true;
-          Result.FailedChunk = C;
-          CrashDetail = strprintf("sequential stage (chunk %lld) exceeded "
-                                  "the access-set memory cap",
-                                  static_cast<long long>(C));
-          return;
-        }
-        if (setOverlaps(Ctx.readSet(), ParWriteWords) ||
-            setOverlaps(Ctx.writeSet(), ParWriteWords)) {
-          Ctx.suspendTxn();
-          Ctx.abortTxn();
-          CtxPool.push_back(std::move(CtxPtr));
-          planViolation(C, "sequential stage touched replica-stage writes");
-          return;
-        }
-        Detector.recordCommitEpoch(Ctx.writeSet());
-        for (uintptr_t Key : Ctx.readSet().words())
-          SeqReadWords.insert(Key);
-        ++Result.Stats.NumTransactions;
-        ++Result.Stats.NumCommitted;
-        Result.Stats.ReadSetWords.add(
-            static_cast<double>(Ctx.readSet().sizeWords()));
-        Result.Stats.WriteSetWords.add(
-            static_cast<double>(Ctx.writeSet().sizeWords()));
-        Result.Stats.InstrReadCalls += Ctx.instrReadCalls();
-        Result.Stats.InstrWriteCalls += Ctx.instrWriteCalls();
-        Result.Stats.BytesRead += Ctx.bytesRead();
-        Result.Stats.BytesWritten += Ctx.bytesWritten();
-        Result.Stats.WorkerBusyNs += SeqNs;
-        CommitBytes += Ctx.writeLog().dataBytes();
-        Ctx.captureRedo();
-        Ctx.commitTxn();
-        CtxPool.push_back(std::move(CtxPtr));
-      }
+      commitParHalf(A, C);
+      // Retire the sequential half: its writes are already in place, so
+      // capture them as redo and commit (reduction merges, deferred frees)
+      // without restoring.
+      ++Result.Stats.NumTransactions;
+      ++Result.Stats.NumCommitted;
+      Result.Stats.ReadSetWords.add(
+          static_cast<double>(SCS.Ctx->readSet().sizeWords()));
+      Result.Stats.WriteSetWords.add(
+          static_cast<double>(SCS.Ctx->writeSet().sizeWords()));
+      Result.Stats.InstrReadCalls += SCS.Ctx->instrReadCalls();
+      Result.Stats.InstrWriteCalls += SCS.Ctx->instrWriteCalls();
+      Result.Stats.BytesRead += SCS.Ctx->bytesRead();
+      Result.Stats.BytesWritten += SCS.Ctx->bytesWritten();
+      Result.Stats.WorkerBusyNs += SCS.SeqNs;
+      CommitBytes += SCS.Ctx->writeLog().dataBytes();
+      SCS.Ctx->captureRedo();
+      SCS.Ctx->commitTxn();
+      CtxPool.push_back(std::move(SCS.Ctx));
+      SeqOpen.erase(SIt);
       advanceModel(C, SeqNs, ParNs, CommitBytes, CheckWords, TokenBytes);
       // Journal only at full retirement — after BOTH halves committed.
       // Appending earlier, while the sequential half can still fail
@@ -1137,27 +1000,21 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       }
     }
 
-    // Run the sequential lane ahead of the frontier (SeqFirst): each half
-    // produces the tokens its replica half will consume.
-    if (SeqFirst) {
-      while (!Crashed && NextSeq != NumChunks &&
-             NextSeq - Frontier < LeadMax) {
-        execSeqChunk(NextSeq);
-        if (Crashed || RestartPending)
-          break;
-        ++NextSeq;
-      }
-    } else {
-      NextSeq = std::min<int64_t>(Frontier + LeadMax, NumChunks);
+    // Run the sequential lane ahead of the frontier: each half produces the
+    // tokens its replica half will consume.
+    while (!Crashed && NextSeq != NumChunks && NextSeq - Frontier < LeadMax) {
+      execSeqChunk(NextSeq);
+      if (Crashed || RestartPending)
+        break;
+      ++NextSeq;
     }
     if (Crashed || RestartPending)
       continue;
 
-    // Feed free replicas. A ready chunk with no free replica is the
-    // backpressure stall the StageStalled counter records.
-    const int64_t DispatchableEnd = SeqFirst ? NextSeq : NumChunks;
-    while (NextDispatch < DispatchableEnd &&
-           NextDispatch - Frontier < LeadMax && !Crashed && !RestartPending) {
+    // Feed free replicas the chunks whose sequential half ran (NextSeq is
+    // at most LeadMax ahead of the frontier). A ready chunk with no free
+    // replica is the backpressure stall the StageStalled counter records.
+    while (NextDispatch < NextSeq && !Crashed && !RestartPending) {
       int FreeW = -1;
       for (unsigned W = 0; W != NumPar; ++W)
         if (Workers[W].Pid > 0 && Workers[W].Chunk < 0) {
@@ -1234,17 +1091,13 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
         LastProgressNs = nowNs();
         const uint8_t Tag =
             static_cast<uint8_t>(Generation) & RingDoorbellTagMask;
-        bool Drained = false;
-        for (ssize_t B = 0; B != NRead; ++B) {
-          if ((Bells[B] & RingDoorbellTagMask) != Tag)
-            continue;
-          if (!Drained) {
+        // Doorbells of an earlier generation are stale; any current one
+        // means the ring has bytes.
+        for (ssize_t B = 0; B != NRead; ++B)
+          if ((Bells[B] & RingDoorbellTagMask) == Tag) {
             SW.OutRing->drainInto(SW.Buf);
-            Drained = true;
+            break;
           }
-          if ((Bells[B] & RingDoorbellKindMask) == RingDoorbellFinish)
-            SW.FinishSeen = true;
-        }
         if (SW.Chunk >= 0) {
           SW.OutRing->drainInto(SW.Buf);
           completeWorker(W);

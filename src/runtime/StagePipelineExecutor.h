@@ -6,13 +6,15 @@
 ///
 /// \file
 /// Stage-pipelined execution of a loop carrying a StagePlan: the sequential
-/// stage runs IN THE PARENT (one open transaction per chunk, writing in
-/// place with an undo log) while max(1, NumWorkers - 1) resident replica
-/// children execute the parallel stage. Inter-stage tokens travel through
-/// per-replica CommitRing queues as CRC-framed records with attempt-tagged
-/// doorbells; replica chunks validate and commit through the unchanged
-/// ConflictDetector / TxnWire commit-frame path, and chunks retire strictly in
-/// order at the frontier.
+/// first stage runs IN THE PARENT (one open transaction per chunk, writing
+/// in place with an undo log) ahead of the frontier, and max(1, NumWorkers -
+/// 1) resident replica children execute the replicated second stage on the
+/// tokens it produced. Tokens travel parent -> replica through per-replica
+/// CommitRing queues as CRC-framed records with attempt-tagged doorbells;
+/// replica chunks validate and commit through the unchanged ConflictDetector
+/// / TxnWire commit-frame path, and chunks retire strictly in order at the
+/// frontier. RecoveringLoopRunner sends a loop here under
+/// SchedulePolicy::Auto whenever it declares a split and NumWorkers >= 2.
 ///
 /// Unlike chunked speculation, the stages are NOT speculative against each
 /// other: the plan promises disjointness (see StagePipelinePlan.h), and the

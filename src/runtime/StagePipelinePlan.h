@@ -6,14 +6,12 @@
 ///
 /// \file
 /// The stage decomposition of an annotatable loop: a PS-DSWP-style split of
-/// the body into a SEQUENTIAL stage that carries the loop's cross-iteration
-/// SCC and a REPLICATED parallel stage, with one u64 token forwarded per
-/// iteration between them through an inter-stage queue. ALTER's breakable
-/// dependences become the removable PDG edges of the partition: an edge the
-/// annotation would have broken speculatively (StaleReads' stale probe
-/// order, OutOfOrder's commit order) is instead *routed through the queue*,
-/// priced by the planner as a removal cost rather than re-executed as an
-/// abort.
+/// the body into a SEQUENTIAL first stage that carries the loop's
+/// cross-iteration SCC and a REPLICATED second stage, with one u64 token
+/// forwarded per iteration from the first to the second through an
+/// inter-stage queue. The dependence the annotation would have broken
+/// speculatively is instead carried in order by the sequential stage and
+/// routed to the replicas through the queue.
 ///
 /// Contract a plan must satisfy (the executor validates speculatively and
 /// degrades to the recovery ladder on violation, so a wrong plan costs
@@ -33,73 +31,26 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <vector>
 
 namespace alter {
 
 class TxnContext;
 
-/// Which stage runs first in iteration order. SeqFirst is the classic
-/// produce/consume pipeline (Ssca2: the sequential cursor update produces a
-/// slot index the replicated weight computation consumes); ParFirst hoists
-/// a pure prefix of the body into the replicated stage and feeds its result
-/// to the sequential SCC (Genome: replicated hashing feeds the sequential
-/// table insert).
-enum class StageOrder : uint8_t {
-  SeqFirst, ///< sequential stage produces the token, replicas consume it
-  ParFirst, ///< replicas produce the token, the sequential stage consumes it
-};
-
-/// Returns "seq_first" or "par_first".
-const char *stageOrderName(StageOrder Order);
-
-/// One dependence edge the decomposition removed from the replicated
-/// stage's PDG, with the costs the planner needs to price the removal: what
-/// forwarding the value through the queue costs per iteration under the
-/// staged schedule, and what share of chunked-speculation commit attempts
-/// the UNBROKEN edge aborts (the serial SCC colliding across chunks).
-struct BreakableEdge {
-  /// Diagnostic name ("fill-cursor", "bucket-chain", ...).
-  std::string Name;
-  /// Per-iteration queue/communication cost of routing the edge between
-  /// stages instead of keeping it inside one replica.
-  uint64_t RemovalNsPerIter = 0;
-  /// Fraction of chunked commit attempts this edge makes misspeculate,
-  /// estimated from the workload's measured retry behavior (Table 4).
-  double ChunkedAbortRate = 0.0;
-};
-
 /// The stage decomposition itself. A default-constructed plan is inert
-/// (valid() is false) and the loop schedules exactly as before.
+/// (valid() is false) and the loop always runs chunked.
 struct StagePlan {
-  StageOrder Order = StageOrder::SeqFirst;
-
-  /// First stage of iteration i (in iteration order): executes its share of
-  /// the body and returns the token forwarded to the second stage. Runs in
-  /// the parent for SeqFirst plans, in a replica child for ParFirst.
+  /// Sequential stage of iteration i, run in the parent in iteration order:
+  /// executes its share of the body and returns the token forwarded to the
+  /// replicated stage.
   std::function<uint64_t(TxnContext &, int64_t)> First;
 
-  /// Second stage of iteration i: executes the rest of the body given the
-  /// forwarded token.
+  /// Replicated stage of iteration i, run in a replica child: executes the
+  /// rest of the body given the forwarded token.
   std::function<void(TxnContext &, int64_t, uint64_t)> Second;
-
-  /// Dependence edges the split removed from the replicated stage.
-  std::vector<BreakableEdge> Removed;
-
-  /// Diagnostic name of the forwarded value ("slot", "hash", ...).
-  std::string TokenName;
 
   /// True when the loop carries a usable decomposition.
   bool valid() const { return static_cast<bool>(First) &&
                               static_cast<bool>(Second); }
-
-  /// Sum of the removed edges' chunked abort rates, clamped to [0, 0.95] —
-  /// the planner's estimate of chunked retry pressure from the SCC.
-  double chunkedAbortRate() const;
-
-  /// Sum of the removed edges' per-iteration removal costs.
-  uint64_t removalNsPerIter() const;
 };
 
 /// Chunk granularity the staged schedule uses for a loop whose chunked

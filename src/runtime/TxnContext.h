@@ -276,9 +276,6 @@ public:
   // Identity
   //===--------------------------------------------------------------------===
 
-  /// Worker (arena) index executing this transaction; 0 in sequential mode.
-  unsigned workerId() const { return Worker; }
-
   /// Execution mode.
   ContextMode mode() const { return Mode; }
 
@@ -306,7 +303,6 @@ public:
   /// captureRedo pass — the log already IS the redo log. acquireObject
   /// hands out private copies here.
   void enableBufferedWrites() { BufferedWrites = true; }
-  bool bufferedWrites() const { return BufferedWrites; }
 
   /// Resets all transactional state for a fresh transaction.
   void beginTxn();

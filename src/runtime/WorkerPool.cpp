@@ -100,10 +100,18 @@ void writeDoorbell(int Fd, uint8_t Byte) {
 // Process-default transport selection
 //===----------------------------------------------------------------------===
 
-namespace {
+const char *alter::transportKindName(TransportKind Kind) {
+  switch (Kind) {
+  case TransportKind::Pipe:
+    return "pipe";
+  case TransportKind::Ring:
+    return "ring";
+  }
+  ALTER_UNREACHABLE("covered switch");
+}
 
-TransportKind &transportStorage() {
-  static TransportKind Kind = [] {
+TransportKind alter::globalTransportKind() {
+  static const TransportKind Kind = [] {
     const char *Env = std::getenv("ALTER_TRANSPORT");
     if (!Env || !*Env)
       return TransportKind::Ring;
@@ -118,24 +126,6 @@ TransportKind &transportStorage() {
     fatalError(std::string("malformed ALTER_TRANSPORT value: ") + Env);
   }();
   return Kind;
-}
-
-} // namespace
-
-const char *alter::transportKindName(TransportKind Kind) {
-  switch (Kind) {
-  case TransportKind::Pipe:
-    return "pipe";
-  case TransportKind::Ring:
-    return "ring";
-  }
-  ALTER_UNREACHABLE("covered switch");
-}
-
-TransportKind alter::globalTransportKind() { return transportStorage(); }
-
-void alter::setGlobalTransportKind(TransportKind Kind) {
-  transportStorage() = Kind;
 }
 
 //===----------------------------------------------------------------------===

@@ -22,8 +22,6 @@ bool IsForkedChild = false;
 
 void alter::markForkedChild() noexcept { IsForkedChild = true; }
 
-bool alter::inForkedChild() noexcept { return IsForkedChild; }
-
 void alter::fatalError(const std::string &Message) {
   alterLogAlways(LogLevel::Error, "fatal", "msg=\"%s\"", Message.c_str());
   if (IsForkedChild)

@@ -41,9 +41,6 @@ constexpr int ForkedChildFatalExit = 113;
 /// irreversible for the life of the process.
 void markForkedChild() noexcept;
 
-/// True once markForkedChild has been called in this process.
-bool inForkedChild() noexcept;
-
 /// Marks a point in the code that must never be reached; aborts with
 /// \p Message if it is.
 [[noreturn]] void alterUnreachableImpl(const char *Message, const char *File,

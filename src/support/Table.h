@@ -30,12 +30,6 @@ public:
   /// Appends a data row.
   void addRow(std::vector<std::string> Row);
 
-  /// Number of data rows.
-  size_t numRows() const { return Rows.size(); }
-
-  /// Number of columns.
-  size_t numColumns() const { return Header.size(); }
-
   /// Returns cell (Row, Col) of the data rows.
   const std::string &cell(size_t Row, size_t Col) const;
 

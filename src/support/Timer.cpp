@@ -6,7 +6,6 @@
 
 #include "support/Timer.h"
 
-#include <cassert>
 #include <chrono>
 #include <ctime>
 
@@ -37,18 +36,4 @@ uint64_t alter::threadCpuNowNs() {
            static_cast<uint64_t>(Ts.tv_nsec);
 #endif
   return nowNs();
-}
-
-void Timer::start() {
-  assert(!Running && "Timer::start called while already running");
-  Running = true;
-  StartNs = nowNs();
-}
-
-uint64_t Timer::stop() {
-  assert(Running && "Timer::stop called while not running");
-  const uint64_t Interval = nowNs() - StartNs;
-  TotalNs += Interval;
-  Running = false;
-  return Interval;
 }

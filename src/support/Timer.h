@@ -36,48 +36,6 @@ uint64_t cpuNowNs();
 /// the host.
 uint64_t threadCpuNowNs();
 
-/// Accumulating stopwatch. start()/stop() may be called repeatedly; the
-/// elapsed time across all completed intervals accumulates.
-class Timer {
-public:
-  /// Begins a new interval. Must not already be running.
-  void start();
-
-  /// Ends the current interval and returns its duration in nanoseconds.
-  uint64_t stop();
-
-  /// Total nanoseconds across all completed intervals.
-  uint64_t elapsedNs() const { return TotalNs; }
-
-  /// True while an interval is open.
-  bool isRunning() const { return Running; }
-
-  /// Discards all accumulated time.
-  void reset() {
-    TotalNs = 0;
-    Running = false;
-  }
-
-private:
-  uint64_t StartNs = 0;
-  uint64_t TotalNs = 0;
-  bool Running = false;
-};
-
-/// RAII interval: adds the scope's duration to the referenced counter.
-class ScopedTimerNs {
-public:
-  explicit ScopedTimerNs(uint64_t &Sink) : Sink(Sink), StartNs(nowNs()) {}
-  ~ScopedTimerNs() { Sink += nowNs() - StartNs; }
-
-  ScopedTimerNs(const ScopedTimerNs &) = delete;
-  ScopedTimerNs &operator=(const ScopedTimerNs &) = delete;
-
-private:
-  uint64_t &Sink;
-  uint64_t StartNs;
-};
-
 } // namespace alter
 
 #endif // ALTER_SUPPORT_TIMER_H

@@ -122,8 +122,6 @@ const char *alter::traceEventKindName(TraceEventKind Kind) {
     return "stage_retire";
   case TraceEventKind::StageStall:
     return "stage_stall";
-  case TraceEventKind::SchedulePick:
-    return "schedule_pick";
   case TraceEventKind::ResourceFault:
     return "resource_fault";
   case TraceEventKind::Downgrade:
@@ -271,17 +269,11 @@ LogLevel logLevelFromEnv() {
   fatalError(std::string("malformed ALTER_LOG value: ") + Env);
 }
 
-LogLevel &globalLogLevelStorage() {
-  static LogLevel Level = logLevelFromEnv();
-  return Level;
-}
-
 } // namespace
 
-LogLevel alter::globalLogLevel() { return globalLogLevelStorage(); }
-
-void alter::setGlobalLogLevel(LogLevel Level) {
-  globalLogLevelStorage() = Level;
+LogLevel alter::globalLogLevel() {
+  static const LogLevel Level = logLevelFromEnv();
+  return Level;
 }
 
 bool alter::logEnabled(LogLevel Level) {

@@ -97,15 +97,13 @@ enum class TraceEventKind : uint8_t {
               ///< first/last iteration of the range being bisected
   Quarantine, ///< tier 3: poisoned iterations ran sequentially;
               ///< Arg0 = iterations quarantined
-  // Stage pipelining (StagePipelineExecutor + schedule planner).
+  // Stage pipelining (StagePipelineExecutor).
   StageDispatch, ///< a chunk's token record was queued to a stage worker;
                  ///< Arg0 = record bytes, Arg1 = tokens carried
   StageRetire,   ///< both stage halves of a chunk committed in order;
                  ///< Arg0 = sequential-half ns, Arg1 = parallel-half ns
   StageStall,    ///< the stage feed blocked (all replicas busy or the
                  ///< retirement frontier starved); Arg0 = in-flight chunks
-  SchedulePick,  ///< the planner chose a schedule; Arg0/Arg1 = estimated
-                 ///< chunked/staged ns (0 = not estimated)
   ResourceFault, ///< an environment resource failure was contained instead
                  ///< of aborting; Arg0 = site (0 ring mmap, 1 pipe setup,
                  ///< 2 fork, 3 dispatch write)
@@ -237,9 +235,8 @@ enum class LogLevel : uint8_t { Off, Error, Warn, Info, Debug };
 /// Returns "off", "error", "warn", "info", or "debug".
 const char *logLevelName(LogLevel Level);
 
-/// The process-wide log threshold (ALTER_LOG, overridable).
+/// The process-wide log threshold (ALTER_LOG, read once on first use).
 LogLevel globalLogLevel();
-void setGlobalLogLevel(LogLevel Level);
 
 /// True when a message at \p Level would be emitted — guard any expensive
 /// argument formatting on this.

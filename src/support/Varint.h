@@ -61,16 +61,6 @@ inline int64_t zigzagDecode(uint64_t V) {
   return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
 }
 
-/// Number of bytes appendVarint would emit for \p V.
-inline size_t varintSize(uint64_t V) {
-  size_t N = 1;
-  while (V >= 0x80) {
-    V >>= 7;
-    ++N;
-  }
-  return N;
-}
-
 } // namespace alter
 
 #endif // ALTER_SUPPORT_VARINT_H

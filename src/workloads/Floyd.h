@@ -52,12 +52,6 @@ public:
   }
   int defaultChunkFactor() const override { return 16; }
 
-  /// Distance matrix access for tests.
-  double dist(int64_t I, int64_t J) const {
-    return Path[static_cast<size_t>(I * N + J)];
-  }
-  int64_t numNodes() const { return N; }
-
 private:
   int64_t N = 0;
   std::vector<double> Path;

@@ -49,53 +49,29 @@ void GenomeWorkload::setUp(size_t Index) {
       /*NumWorkers=*/8, /*BytesPerWorker=*/size_t(64) << 20);
 }
 
-void GenomeWorkload::insertSegment(TxnContext &Ctx, int64_t I, uint64_t H) {
-  const Segment &Key = Segments[static_cast<size_t>(I)];
-  // ~2 random cache lines of traffic: bucket head, probed node.
-  Ctx.noteMemoryTraffic(128);
-  Node **BucketHead = &Buckets[H & (Buckets.size() - 1)];
-  // Probe the chain. Under OutOfOrder every hop is an instrumented read;
-  // under StaleReads the probes are untracked (Table 4's 89-vs-16).
-  Node *Head = Ctx.load(BucketHead);
-  for (Node *N = Head; N; N = Ctx.load(&N->Next))
-    if (Ctx.load(&N->Key) == Key)
-      return; // duplicate
-  // Insert a fresh node at the head. Two concurrent inserts into the
-  // same bucket conflict on the head pointer and one retries.
-  auto *Fresh = static_cast<Node *>(Ctx.allocate(sizeof(Node)));
-  Ctx.storeInit(&Fresh->Key, Key);
-  Ctx.storeInit(&Fresh->Next, Head);
-  Ctx.store(BucketHead, Fresh);
-}
-
 void GenomeWorkload::run(LoopRunner &Runner) {
   LoopSpec Spec;
   Spec.Name = "genome.dedup";
   Spec.NumIterations = static_cast<int64_t>(Segments.size());
   Spec.Body = [this](TxnContext &Ctx, int64_t I) {
-    // Streaming traffic: the segment itself.
-    Ctx.noteMemoryTraffic(sizeof(Segment));
-    insertSegment(Ctx, I, hashSegment(Segments[static_cast<size_t>(I)]));
+    const Segment &Key = Segments[static_cast<size_t>(I)];
+    // Streaming traffic: the segment itself, then ~2 random cache lines:
+    // bucket head, probed node.
+    Ctx.noteMemoryTraffic(sizeof(Segment) + 128);
+    Node **BucketHead = &Buckets[hashSegment(Key) & (Buckets.size() - 1)];
+    // Probe the chain. Under OutOfOrder every hop is an instrumented read;
+    // under StaleReads the probes are untracked (Table 4's 89-vs-16).
+    Node *Head = Ctx.load(BucketHead);
+    for (Node *N = Head; N; N = Ctx.load(&N->Next))
+      if (Ctx.load(&N->Key) == Key)
+        return; // duplicate
+    // Insert a fresh node at the head. Two concurrent inserts into the
+    // same bucket conflict on the head pointer and one retries.
+    auto *Fresh = static_cast<Node *>(Ctx.allocate(sizeof(Node)));
+    Ctx.storeInit(&Fresh->Key, Key);
+    Ctx.storeInit(&Fresh->Next, Head);
+    Ctx.store(BucketHead, Fresh);
   };
-  // PS-DSWP decomposition: the pure segment hash replicates and forwards
-  // its value; the bucket probe/insert — the table SCC — stays sequential.
-  // The replicated stage touches no shared state at all, so the stages are
-  // trivially disjoint.
-  Spec.Stage.Order = StageOrder::ParFirst;
-  Spec.Stage.TokenName = "hash";
-  Spec.Stage.First = [this](TxnContext &Ctx, int64_t I) -> uint64_t {
-    Ctx.noteMemoryTraffic(sizeof(Segment));
-    return hashSegment(Segments[static_cast<size_t>(I)]);
-  };
-  Spec.Stage.Second = [this](TxnContext &Ctx, int64_t I, uint64_t H) {
-    insertSegment(Ctx, I, H);
-  };
-  // Chunked speculation only aborts on same-bucket head link-ins, which
-  // the oversampled-duplicate input makes rare (Table 4's 0.2% retries) —
-  // the hash is also a small share of the body, so the planner should keep
-  // this loop chunked.
-  Spec.Stage.Removed = {
-      {"bucket-chain", /*RemovalNsPerIter=*/2, /*ChunkedAbortRate=*/0.002}};
   Runner.runInner(Spec);
 }
 

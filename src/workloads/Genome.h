@@ -73,11 +73,6 @@ private:
     Node *Next;
   };
 
-  /// Probe-or-insert of segment \p I whose hash is \p H: the sequential
-  /// stage of the decomposed body, shared with the undecomposed Body so
-  /// the two are equivalent by construction.
-  void insertSegment(TxnContext &Ctx, int64_t I, uint64_t H);
-
   std::vector<Segment> Segments;
   std::vector<Node *> Buckets;
   std::unique_ptr<AlterAllocator> Alloc;

@@ -51,9 +51,6 @@ public:
   }
   int defaultChunkFactor() const override { return 32; }
 
-  /// Final scaled log-likelihood.
-  double logLikelihood() const { return LogLik; }
-
 private:
   int64_t NumStates = 0;
   int64_t NumSteps = 0;

@@ -15,10 +15,10 @@
 ///  - "We also parallelize K-means using threads and fine-grained
 ///    locking."
 ///
-/// Both are implemented here with real std::thread code. On this
-/// container's single core they cannot be *timed* meaningfully (Figure
-/// 8/9's manual speedup series use a documented analytic model instead),
-/// but their outputs are validated against the sequential algorithms in
+/// Both are implemented here with real std::thread code. Figure 8/9's
+/// manual speedup series sweep more processors than the host has, so they
+/// use a documented analytic model instead of timing this code; its
+/// outputs are validated against the sequential algorithms in
 /// tests/ManualBaselineTest.cpp — the code itself is the deliverable.
 ///
 //===----------------------------------------------------------------------===//

@@ -94,8 +94,6 @@ void Ssca2Workload::run(LoopRunner &Runner) {
   // generation — the dominant, pure part of the body — replicates. The
   // stages touch disjoint data (Fill/Adjacency vs Weights) and communicate
   // only through the slot token.
-  Spec.Stage.Order = StageOrder::SeqFirst;
-  Spec.Stage.TokenName = "slot";
   Spec.Stage.First = [this](TxnContext &Ctx, int64_t E) -> uint64_t {
     const int32_t Src = EdgeSrc[static_cast<size_t>(E)];
     const int32_t Dst = EdgeDst[static_cast<size_t>(E)];
@@ -113,12 +111,6 @@ void Ssca2Workload::run(LoopRunner &Runner) {
                   edgeWeight(EdgeSrc[static_cast<size_t>(E)],
                              EdgeDst[static_cast<size_t>(E)], E));
   };
-  // Chunked speculation keeps the cursor RMW inside every replica: edges
-  // sharing a hub vertex abort each other at the rates the skewed degree
-  // distribution produces. The staged schedule removes the edge by
-  // forwarding the resolved slot through the queue.
-  Spec.Stage.Removed = {
-      {"fill-cursor", /*RemovalNsPerIter=*/5, /*ChunkedAbortRate=*/0.25}};
   Runner.runInner(Spec);
 }
 

@@ -123,8 +123,8 @@ RunResult Workload::runRecovering(ParallelEngine Engine,
                                   TxnLimits Limits, CommitJournal *Journal) {
   ExecutorConfig Config =
       baseConfig(*this, Params, NumWorkers, SeqBaselineNs, Limits);
-  Config.Journal =
-      resolveJournal(Journal, *this, Params, SchedulePolicy::Auto);
+  Config.Schedule = SchedulePolicy::Chunked;
+  Config.Journal = resolveJournal(Journal, *this, Params, Config.Schedule);
   RecoveringLoopRunner Runner(Engine, Config);
   return runAlgorithm(*this, Runner);
 }

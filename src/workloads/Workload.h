@@ -122,9 +122,11 @@ public:
                         TxnLimits Limits = TxnLimits());
 
   /// Runs under \p Engine behind the sequential-recovery driver
-  /// (RecoveringLoopRunner): speculative failures fall back to sequential
-  /// re-execution of the uncommitted iterations, so the returned result is
-  /// always Success — Stats.Recovered records whether the fallback ran.
+  /// (RecoveringLoopRunner) with SchedulePolicy::Chunked, so a loop with a
+  /// stage split runs on \p Engine too: speculative failures fall back to
+  /// sequential re-execution of the uncommitted iterations, so the returned
+  /// result is always Success — Stats.Recovered records whether the
+  /// fallback ran.
   /// \p Journal, when non-null, makes committed chunks durable and enables
   /// restart recovery; when null, ALTER_JOURNAL (see maybeEnvJournal) can
   /// still attach a process-global journal.
@@ -134,9 +136,10 @@ public:
                           CommitJournal *Journal = nullptr);
 
   /// Runs behind the schedule-aware recovery driver with an explicit
-  /// SchedulePolicy: Auto lets the CostModel planner pick chunked vs staged
-  /// per loop (recorded in RunResult::ScheduleUsed), the other values force
-  /// a schedule. Chunked invocations run on threads (ParallelEngine::
+  /// SchedulePolicy: Auto runs a loop with a stage split on the stage
+  /// pipeline when \p NumWorkers >= 2 and every other loop chunked
+  /// (recorded in RunResult::ScheduleUsed); Chunked and Sequential force a
+  /// schedule. Chunked invocations run on threads (ParallelEngine::
   /// Threaded) when \p Params realize the paper annotation the §5
   /// inference certifies, at any chunk factor, and no FaultPlan is armed
   /// (faults act in forked children); otherwise they run on the pipelined

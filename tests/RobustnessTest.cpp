@@ -544,13 +544,22 @@ TEST(FaultMatrixTest, AllWorkloadsRecoverToValidOutput) {
   // The acceptance bar: with persistent kill/truncate/bit-flip faults
   // armed, every parallelizable workload in the registry still completes
   // under the recovery driver and its output validates against the
-  // sequential reference.
-  for (const std::string &Name : allWorkloadNames()) {
-    std::unique_ptr<Workload> W = makeWorkload(Name);
+  // sequential reference. runRecovering runs every loop chunked on the
+  // engine it names; one more row runs SSCA2 on its stage pipeline.
+  struct MatrixRow {
+    std::string Name;
+    bool Staged;
+  };
+  std::vector<MatrixRow> Rows;
+  for (const std::string &Name : allWorkloadNames())
+    Rows.push_back({Name, false});
+  Rows.push_back({"ssca2", true});
+  for (const MatrixRow &Row : Rows) {
+    std::unique_ptr<Workload> W = makeWorkload(Row.Name);
     const std::optional<Annotation> A = W->paperAnnotation();
     if (!A)
       continue; // labyrinth: the paper could not parallelize it
-    SCOPED_TRACE(Name);
+    SCOPED_TRACE(Row.Name + (Row.Staged ? " staged" : " chunked"));
 
     W->setUp(0);
     W->runSequential();
@@ -565,9 +574,15 @@ TEST(FaultMatrixTest, AllWorkloadsRecoverToValidOutput) {
                             /*Sticky=*/true);
 
     W->setUp(0);
-    const RunResult R = W->runRecovering(
-        ParallelEngine::ForkJoin, W->resolveAnnotation(*A), /*NumWorkers=*/2);
+    const RunResult R =
+        Row.Staged
+            ? W->runScheduled(SchedulePolicy::Auto, W->resolveAnnotation(*A),
+                              /*NumWorkers=*/2)
+            : W->runRecovering(ParallelEngine::ForkJoin,
+                               W->resolveAnnotation(*A), /*NumWorkers=*/2);
     EXPECT_EQ(R.Status, RunStatus::Success);
+    EXPECT_EQ(R.ScheduleUsed,
+              Row.Staged ? ScheduleKind::Staged : ScheduleKind::Chunked);
     EXPECT_TRUE(R.Stats.Recovered);
     EXPECT_TRUE(W->validate(Reference))
         << "recovered output must validate against sequential";
@@ -589,7 +604,7 @@ TEST(FaultMatrixTest, StagedWorkerKillDegradesThroughLadder) {
   FaultPlan::global().arm(FaultKind::ChildKill, /*Chunk=*/1, /*Sticky=*/true);
   W->setUp(0);
   const RunResult R = W->runScheduled(
-      SchedulePolicy::Staged, W->resolveAnnotation(*W->paperAnnotation()),
+      SchedulePolicy::Auto, W->resolveAnnotation(*W->paperAnnotation()),
       /*NumWorkers=*/4);
   FaultPlan::global().clear();
   EXPECT_EQ(R.Status, RunStatus::Success) << R.Detail;
@@ -616,7 +631,7 @@ TEST(FaultMatrixTest, StagedQueueCorruptionDegradesThroughLadder) {
   FaultPlan::global().arm(FaultKind::QueueFlip, /*Chunk=*/1, /*Sticky=*/true);
   W->setUp(0);
   const RunResult R = W->runScheduled(
-      SchedulePolicy::Staged, W->resolveAnnotation(*W->paperAnnotation()),
+      SchedulePolicy::Auto, W->resolveAnnotation(*W->paperAnnotation()),
       /*NumWorkers=*/4);
   FaultPlan::global().clear();
   EXPECT_EQ(R.Status, RunStatus::Success) << R.Detail;
@@ -960,7 +975,7 @@ TEST(ResourceFaultMatrixTest, StagedSetupFailureFallsBackThroughLadder) {
     FaultPlan::global().arm(Kind, /*Slot=*/0);
     W->setUp(0);
     const RunResult R = W->runScheduled(
-        SchedulePolicy::Staged, W->resolveAnnotation(*W->paperAnnotation()),
+        SchedulePolicy::Auto, W->resolveAnnotation(*W->paperAnnotation()),
         /*NumWorkers=*/4);
     EXPECT_EQ(R.Status, RunStatus::Success) << R.Detail;
     EXPECT_TRUE(W->validate(Reference))
@@ -1053,7 +1068,7 @@ TEST(ShutdownTest, SignalStormInterruptsTheStagedEngine) {
   FaultPlan::global().arm(FaultKind::SignalStorm, /*Chunk=*/1);
   W->setUp(0);
   const RunResult R = W->runScheduled(
-      SchedulePolicy::Staged, W->resolveAnnotation(*W->paperAnnotation()),
+      SchedulePolicy::Auto, W->resolveAnnotation(*W->paperAnnotation()),
       /*NumWorkers=*/4);
   FaultPlan::global().clear();
   EXPECT_EQ(R.Status, RunStatus::Interrupted) << R.Detail;

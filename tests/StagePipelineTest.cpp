@@ -5,17 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The stage-pipelined schedule and its planner:
+/// The stage-pipelined schedule and the rule that picks it:
 ///
-///  S1. Every registry workload that carries a stage decomposition
-///      produces the exact sequential output when forced onto the stage
-///      pipeline; workloads without one fall back to chunked and still
-///      validate.
-///  S2. The auto planner picks staged for the loop where the sequential
-///      lane is cheap relative to the replicated stage (SSCA2) and
-///      chunked where it is not (Genome).
-///  S3. Forcing staged at one worker degrades to chunked — a pipeline
-///      needs a replica beside the sequential lane.
+///  S1. The one registry workload that carries a stage split (SSCA2) runs
+///      staged under SchedulePolicy::Auto and produces the exact
+///      sequential output; the others run chunked and still validate.
+///  S2. Auto picks staged exactly when the loop declares a split and has
+///      at least two workers (one replica beside the sequential lane).
+///  S3. Auto decides without executing an iteration: the parent runs the
+///      sequential stage once per iteration and never the whole body.
 ///  S4. When a chunk trips the access-set cap, the pipelined engine
 ///      indicts the EARLIEST uncommitted chunk (the resume point the
 ///      degradation ladder needs), not the chunk that happened to
@@ -56,95 +54,111 @@ TEST(StageScheduleTest, ForcedStagedMatchesSequentialAcrossRegistry) {
     const std::vector<double> Reference = W->outputSignature();
 
     W->setUp(0);
-    const RunResult R = W->runScheduled(SchedulePolicy::Staged,
+    const RunResult R = W->runScheduled(SchedulePolicy::Auto,
                                         W->resolveAnnotation(*A),
                                         /*NumWorkers=*/4);
     ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
-    if (R.ScheduleUsed == ScheduleKind::Staged) {
+    if (R.ScheduleUsed == ScheduleKind::Staged)
       ++StagedRuns;
-      EXPECT_TRUE(W->validate(Reference))
-          << "staged output must equal the sequential reference";
-    } else {
-      // No stage decomposition: the driver falls back to chunked, which
-      // must still produce a valid result.
-      EXPECT_TRUE(W->validate(Reference));
-    }
+    EXPECT_TRUE(W->validate(Reference));
   }
-  EXPECT_GE(StagedRuns, 2u)
-      << "at least Genome and SSCA2 carry stage decompositions";
+  EXPECT_EQ(StagedRuns, 1u) << "SSCA2 is the only loop with a stage split";
 }
 
 //===----------------------------------------------------------------------===
-// S2/S3: the planner's per-loop choice
+// S2/S3: the auto rule
 //===----------------------------------------------------------------------===
 
 namespace {
 
-RunResult runAuto(const std::string &Name, unsigned NumWorkers,
-                  std::vector<double> *Reference = nullptr,
-                  bool *Valid = nullptr) {
-  std::unique_ptr<Workload> W = makeWorkload(Name);
-  const std::optional<Annotation> A = W->paperAnnotation();
-  EXPECT_TRUE(A.has_value());
-  if (Reference) {
-    W->setUp(0);
-    W->runSequential();
-    *Reference = W->outputSignature();
+/// The sequential reference that also notes whether any invocation's loop
+/// declares a stage split.
+class SplitProbeRunner : public SequentialLoopRunner {
+public:
+  using SequentialLoopRunner::SequentialLoopRunner;
+
+  bool runInner(const LoopSpec &Spec) override {
+    Split = Split || Spec.Stage.valid();
+    return SequentialLoopRunner::runInner(Spec);
   }
-  W->setUp(0);
-  const RunResult R =
-      W->runScheduled(SchedulePolicy::Auto, W->resolveAnnotation(*A),
-                      NumWorkers);
-  if (Valid && Reference)
-    *Valid = W->validate(*Reference);
-  return R;
-}
+
+  bool Split = false;
+};
 
 } // namespace
 
-TEST(StageScheduleTest, PlannerPicksStagedForSsca2) {
-  // The SSCA2 scatter's fill-cursor chain is a cheap sequential lane; the
-  // replicated edge-weight stage dominates, so the planner's probe sees
-  // staged beating chunked (which burns ~30% on hub aborts).
-  std::vector<double> Reference;
-  bool Valid = false;
-  const RunResult R = runAuto("ssca2", /*NumWorkers=*/4, &Reference, &Valid);
-  ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
-  EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Staged)
-      << "planner chose " << scheduleKindName(R.ScheduleUsed);
-  EXPECT_TRUE(Valid);
+TEST(StageScheduleTest, AutoStagesExactlyTheSplitLoopsAtTwoOrMoreWorkers) {
+  for (const std::string &Name : allWorkloadNames()) {
+    std::unique_ptr<Workload> W = makeWorkload(Name);
+    const std::optional<Annotation> A = W->paperAnnotation();
+    if (!A)
+      continue; // labyrinth: the paper could not parallelize it
+    W->setUp(0);
+    SplitProbeRunner Probe(W->allocator());
+    W->run(Probe);
+    const std::vector<double> Reference = W->outputSignature();
+    for (unsigned P : {1u, 3u, 4u}) {
+      SCOPED_TRACE(Name + " P=" + std::to_string(P));
+      W->setUp(0);
+      const RunResult R = W->runScheduled(SchedulePolicy::Auto,
+                                          W->resolveAnnotation(*A), P);
+      ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+      EXPECT_EQ(R.ScheduleUsed, Probe.Split && P >= 2 ? ScheduleKind::Staged
+                                                      : ScheduleKind::Chunked)
+          << "auto chose " << scheduleKindName(R.ScheduleUsed);
+      EXPECT_TRUE(W->validate(Reference));
+    }
+  }
 }
 
-TEST(StageScheduleTest, PlannerKeepsGenomeChunked) {
-  // Genome's hash-probe stage is too cheap to pay for a dedicated
-  // sequential insertion lane: the planner must keep it chunked.
-  std::vector<double> Reference;
-  bool Valid = false;
-  const RunResult R = runAuto("genome", /*NumWorkers=*/4, &Reference, &Valid);
+TEST(StageScheduleTest, AutoRunsNoIterationOutsideTheEngine) {
+  // A scatter like SSCA2's: the sequential stage bumps a shared cursor and
+  // forwards the slot, the replicas fill it. Counters live in the parent;
+  // replicas bump their own copies.
+  constexpr int64_t N = 1024;
+  int64_t Cursor = 0;
+  std::vector<int64_t> Out(N, -1);
+  int64_t BodyCalls = 0;
+  int64_t FirstCalls = 0;
+  LoopSpec Spec;
+  Spec.Name = "split.scatter";
+  Spec.NumIterations = N;
+  Spec.Body = [&](TxnContext &Ctx, int64_t I) {
+    ++BodyCalls;
+    const int64_t Slot = Ctx.load(&Cursor);
+    Ctx.store(&Cursor, Slot + 1);
+    Ctx.store(&Out[static_cast<size_t>(Slot)], 3 * I);
+  };
+  Spec.Stage.First = [&](TxnContext &Ctx, int64_t) -> uint64_t {
+    ++FirstCalls;
+    const int64_t Slot = Ctx.load(&Cursor);
+    Ctx.store(&Cursor, Slot + 1);
+    return static_cast<uint64_t>(Slot);
+  };
+  Spec.Stage.Second = [&](TxnContext &Ctx, int64_t I, uint64_t Slot) {
+    Ctx.store(&Out[Slot], 3 * I);
+  };
+  FaultPlan::global().clear();
+  ExecutorConfig Config;
+  Config.NumWorkers = 3;
+  Config.Params.ChunkFactor = 1; // staged chunks of stagedChunkFactor(1)
+  RecoveringLoopRunner Runner(ParallelEngine::Pipeline, Config);
+  ASSERT_TRUE(Runner.runInner(Spec));
+  Runner.release();
+  const RunResult &R = Runner.result();
   ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
-  EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Chunked)
-      << "planner chose " << scheduleKindName(R.ScheduleUsed);
-  EXPECT_TRUE(Valid);
-}
-
-TEST(StageScheduleTest, SingleWorkerFallsBackToChunked) {
-  std::unique_ptr<Workload> W = makeWorkload("ssca2");
-  W->setUp(0);
-  W->runSequential();
-  const std::vector<double> Reference = W->outputSignature();
-  W->setUp(0);
-  const RunResult R = W->runScheduled(
-      SchedulePolicy::Staged,
-      W->resolveAnnotation(*W->paperAnnotation()), /*NumWorkers=*/1);
-  ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
-  EXPECT_NE(R.ScheduleUsed, ScheduleKind::Staged)
-      << "one worker cannot host a replica beside the sequential lane";
-  EXPECT_TRUE(W->validate(Reference));
+  EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Staged);
+  EXPECT_FALSE(R.Stats.Recovered);
+  EXPECT_EQ(BodyCalls, 0) << "no whole-body iteration runs in the parent";
+  EXPECT_EQ(FirstCalls, N) << "the sequential stage runs once per iteration";
+  EXPECT_EQ(Cursor, N);
+  for (int64_t I = 0; I != N; ++I)
+    ASSERT_EQ(Out[static_cast<size_t>(I)], 3 * I) << "slot " << I;
 }
 
 TEST(StageScheduleTest, EnvPlanCompletesWithValidOutput) {
   // check.sh --stage drives this test with ALTER_FAULTS plans (stage-worker
-  // kill, queue-record qflip): whatever the environment armed, a forced
+  // kill, queue-record qflip): whatever the environment armed, SSCA2's
   // staged run must end in Success with the sequential output — clean when
   // no plan is set, degraded through the ladder when one is. Deliberately
   // does NOT touch FaultPlan::global(), so the env-parsed plan survives.
@@ -154,9 +168,10 @@ TEST(StageScheduleTest, EnvPlanCompletesWithValidOutput) {
   const std::vector<double> Reference = W->outputSignature();
   W->setUp(0);
   const RunResult R = W->runScheduled(
-      SchedulePolicy::Staged, W->resolveAnnotation(*W->paperAnnotation()),
+      SchedulePolicy::Auto, W->resolveAnnotation(*W->paperAnnotation()),
       /*NumWorkers=*/4);
   ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+  EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Staged);
   EXPECT_TRUE(W->validate(Reference));
 }
 

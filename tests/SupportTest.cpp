@@ -164,24 +164,6 @@ TEST(TimerTest, MonotonicNow) {
   EXPECT_LE(A, B);
 }
 
-TEST(TimerTest, AccumulatesIntervals) {
-  Timer T;
-  T.start();
-  const uint64_t First = T.stop();
-  T.start();
-  const uint64_t Second = T.stop();
-  EXPECT_EQ(T.elapsedNs(), First + Second);
-  T.reset();
-  EXPECT_EQ(T.elapsedNs(), 0u);
-}
-
-TEST(TimerTest, ScopedTimerAddsToSink) {
-  uint64_t Sink = 0;
-  { ScopedTimerNs Guard(Sink); }
-  // Zero is conceivable on a coarse clock but elapsed must be recorded.
-  EXPECT_GE(Sink, 0u);
-}
-
 //===----------------------------------------------------------------------===
 // Table
 //===----------------------------------------------------------------------===
@@ -207,7 +189,5 @@ TEST(TableTest, CellAccess) {
   TextTable T({"a"});
   T.addRow({"v0"});
   T.addRow({"v1"});
-  EXPECT_EQ(T.numRows(), 2u);
-  EXPECT_EQ(T.numColumns(), 1u);
   EXPECT_EQ(T.cell(1, 0), "v1");
 }
