@@ -111,6 +111,56 @@ TEST(StageScheduleTest, AutoStagesExactlyTheSplitLoopsAtTwoOrMoreWorkers) {
   }
 }
 
+// The table above derives each expectation from the loop; these pin the
+// registry's headline rows to the schedule they must get.
+
+namespace {
+
+RunResult runAuto(const std::string &Name, unsigned NumWorkers,
+                  bool &Valid) {
+  std::unique_ptr<Workload> W = makeWorkload(Name);
+  W->setUp(0);
+  W->runSequential();
+  const std::vector<double> Reference = W->outputSignature();
+  W->setUp(0);
+  const RunResult R = W->runScheduled(
+      SchedulePolicy::Auto, W->resolveAnnotation(*W->paperAnnotation()),
+      NumWorkers);
+  Valid = W->validate(Reference);
+  return R;
+}
+
+} // namespace
+
+TEST(StageScheduleTest, PlannerPicksStagedForSsca2) {
+  // SSCA2's scatter declares the fill-cursor chain as its sequential stage.
+  bool Valid = false;
+  const RunResult R = runAuto("ssca2", /*NumWorkers=*/4, Valid);
+  ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+  EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Staged)
+      << "auto chose " << scheduleKindName(R.ScheduleUsed);
+  EXPECT_TRUE(Valid);
+}
+
+TEST(StageScheduleTest, PlannerKeepsGenomeChunked) {
+  // Genome declares no stage split, so auto keeps it chunked.
+  bool Valid = false;
+  const RunResult R = runAuto("genome", /*NumWorkers=*/4, Valid);
+  ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+  EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Chunked)
+      << "auto chose " << scheduleKindName(R.ScheduleUsed);
+  EXPECT_TRUE(Valid);
+}
+
+TEST(StageScheduleTest, SingleWorkerFallsBackToChunked) {
+  bool Valid = false;
+  const RunResult R = runAuto("ssca2", /*NumWorkers=*/1, Valid);
+  ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+  EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Chunked)
+      << "one worker cannot host a replica beside the sequential lane";
+  EXPECT_TRUE(Valid);
+}
+
 TEST(StageScheduleTest, AutoRunsNoIterationOutsideTheEngine) {
   // A scatter like SSCA2's: the sequential stage bumps a shared cursor and
   // forwards the slot, the replicas fill it. Counters live in the parent;
