@@ -38,11 +38,12 @@
 #
 # With --metrics the sequence additionally gates the observability layer:
 # the engine x transport matrix of --profile --metrics-json runs over the
-# two fork engines and the threaded engine (schema key set must match the
-# committed BENCH_metrics.json, every histogram must satisfy
-# min <= p50 <= p99 <= max, counters.parent_commits must equal committed,
-# and the critical-path profile must reconcile to 100% +/- 1% of wall
-# clock), plus an A/B overhead run
+# two fork engines and the threaded engine, each report checked by
+# scripts/check_metrics.py (schema key set must match the committed
+# BENCH_metrics.json, the run must succeed, every histogram must satisfy
+# min <= p50 <= p90 <= p99 <= max, histograms.commit_ns.count must equal
+# committed, and the critical-path profile must reconcile to 100% +/- 1%
+# of wall clock), plus an A/B overhead run
 # asserting ALTER_METRICS=1 costs less than 1.10x the metrics-off
 # wall-clock on the sleep-dominated series.
 #
@@ -69,8 +70,10 @@
 #
 # With --trace the sequence additionally smoke-tests the telemetry layer:
 # one untraced and one ALTER_TRACE=events run of the straggler benchmark,
-# asserting the Chrome trace is well-formed JSON and that full event
-# recording costs less than 2x the untraced wall-clock.
+# asserting the Chrome trace is well-formed JSON with the counter tracks
+# derived from its events, that the attribution table names the contended
+# word, and that full event recording costs less than 2x the untraced
+# wall-clock.
 #
 # With --fault the sequence additionally exercises the graceful-degradation
 # ladder: the ladder/fault-matrix test filter, two representative
@@ -191,12 +194,12 @@ trace_stage() { # trace_stage <build-dir>
   echo "== trace smoke: ALTER_TRACE=events + --trace ($DIR) =="
   T0=$(date +%s%N)
   ALTER_TRACE=events "$BENCH" --quick --contend --trace "$TRACE_OUT" \
-    >/dev/null
+    >"$TRACE_OUT.txt"
   T1=$(date +%s%N)
   TRACED_NS=$((T1 - T0))
 
   echo "== trace smoke: validate $TRACE_OUT =="
-  python3 - "$TRACE_OUT" <<'EOF'
+  python3 - "$TRACE_OUT" "$TRACE_OUT.txt" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
@@ -206,7 +209,15 @@ assert any(e.get("name") == "chunk_exec" for e in events), \
     "trace must contain chunk_exec spans"
 slots = {e["tid"] for e in events if e.get("ph") == "X"}
 assert len(slots) >= 2, f"expected parent + worker tracks, got {slots}"
-print(f"trace OK: {len(events)} events across {len(slots)} tracks")
+tracks = {e["name"] for e in events if e.get("ph") == "C"}
+assert tracks == {"inflight_chunks", "committed", "retries", "warm_forks",
+                  "cold_forks"}, f"counter tracks derived from events: {tracks}"
+with open(sys.argv[2]) as f:
+    summary = f.read()
+assert "witness straggler.shared" in summary, \
+    "the attribution table must name the contended straggler.shared word"
+print(f"trace OK: {len(events)} events across {len(slots)} tracks, "
+      f"{len(tracks)} counter tracks, attribution names straggler.shared")
 EOF
 
   echo "untraced ${PLAIN_NS}ns vs traced ${TRACED_NS}ns"
@@ -398,11 +409,12 @@ metrics_stage() { # metrics_stage <build-dir>
 
   echo "== metrics gate: engine x transport matrix =="
   # Every cell runs the profiled representative with a metrics JSON and is
-  # validated against the committed BENCH_metrics.json schema: same key
-  # set, ordered percentiles, one parent commit counted per committed
-  # chunk, and a critical-path profile that accounts for the whole wall
-  # clock. The threaded engine ignores the transport; it runs in both
-  # columns all the same.
+  # validated by scripts/check_metrics.py (CI's metrics step runs the same
+  # checker) against the committed BENCH_metrics.json schema: same key
+  # set, a successful run, ordered percentiles, one commit timed per
+  # committed chunk, and a critical-path profile that accounts for the
+  # whole wall clock. The threaded engine ignores the transport; it runs in
+  # both columns all the same.
   local ENGINE TRANSPORT MJSON
   for ENGINE in forkjoin pipeline threaded; do
     for TRANSPORT in pipe ring; do
@@ -410,44 +422,8 @@ metrics_stage() { # metrics_stage <build-dir>
       echo "-- $ENGINE over $TRANSPORT --"
       ALTER_TRANSPORT="$TRANSPORT" "$BENCH" --quick --profile \
         --profile-engine="$ENGINE" --metrics-json "$MJSON" >/dev/null
-      python3 - "$MJSON" "$REPO_ROOT/BENCH_metrics.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    cur = json.load(f)
-with open(sys.argv[2]) as f:
-    base = json.load(f)
-def keypaths(node, prefix=""):
-    out = set()
-    for k, v in node.items():
-        path = f"{prefix}.{k}" if prefix else k
-        out.add(path)
-        if isinstance(v, dict):
-            out |= keypaths(v, path)
-    return out
-missing = keypaths(base) - keypaths(cur)
-extra = keypaths(cur) - keypaths(base)
-assert not missing and not extra, (
-    f"metrics schema drifted vs BENCH_metrics.json: "
-    f"missing={sorted(missing)} extra={sorted(extra)} — regenerate the "
-    f"baseline if the change is intentional")
-assert cur["schema"] == "alter-metrics-v1", cur["schema"]
-assert cur["status"] == "success", cur["status"]
-assert cur["counters"]["parent_commits"] == cur["committed"], (
-    f"parent_commits {cur['counters']['parent_commits']} != committed "
-    f"{cur['committed']}")
-for name, h in cur["histograms"].items():
-    if h["count"] == 0:
-        continue
-    assert h["min"] <= h["p50"] <= h["p90"] <= h["p99"] <= h["max"], (
-        f"{name}: percentiles out of order: {h}")
-prof = cur["profile"]
-assert 99.0 <= prof["coverage_pct"] <= 101.0, (
-    f"critical-path profile does not reconcile: "
-    f"coverage {prof['coverage_pct']}% of wall clock")
-nonzero = sum(1 for h in cur["histograms"].values() if h["count"])
-print(f"metrics OK: schema stable, {nonzero} live histograms, "
-      f"coverage {prof['coverage_pct']:.2f}%")
-EOF
+      python3 "$REPO_ROOT/scripts/check_metrics.py" "$MJSON" \
+        "$REPO_ROOT/BENCH_metrics.json"
     done
   done
 

@@ -19,15 +19,6 @@
 
 using namespace alter;
 
-namespace {
-
-/// Minimum trace-clock ns between timeline samples. Sampling piggybacks on
-/// the dispatch points (poll wakeups, round barriers), so this is a floor,
-/// not a period; under the seeded trace clock it is deterministic.
-constexpr uint64_t TimelineSampleFloorNs = 1'000'000;
-
-} // namespace
-
 DispatchCore::DispatchCore(const char *Engine, const LoopSpec &Spec,
                            const ExecutorConfig &Config, ParkedChild &Parked,
                            bool AllowReuse)
@@ -108,6 +99,8 @@ DispatchCore::Launch DispatchCore::launch(unsigned Slot, int64_t Chunk) {
     ++Result.Stats.WarmForks;
   else
     ++Result.Stats.ColdForks;
+  if (Config.Metrics)
+    Result.Metrics.gaugeMax(GaugeId::PeakInflight, running());
   if (Sink.events())
     Sink.event(TraceEventKind::Fork, /*Worker=*/0, Chunk, traceNowNs(), 0,
                /*Arg0=*/Slot + 1,
@@ -154,6 +147,9 @@ const std::vector<unsigned> &DispatchCore::pumpReady() {
   // doorbell on a warm ring. A truncated record is rejected by collect's
   // decode, which contains the failure to its chunk.
   Completed.clear();
+  if (Config.Metrics && Pool)
+    Result.Metrics.gaugeMax(GaugeId::PeakRingDepthBytes,
+                            Pool->ringDepthBytes());
   for (size_t I = 0; I != PollFds.size(); ++I)
     if ((PollFds[I].revents & (POLLIN | POLLHUP | POLLERR)) &&
         pumpChunkChannel(Pool.get(), PollSlots[I], Channels[PollSlots[I]]))
@@ -261,41 +257,12 @@ void DispatchCore::commit(ChildReport &Rep, int64_t Chunk, unsigned Slot) {
   // doubles as the reuse commit-gate for the slot.
   if (Pool)
     Pool->pushCommit(Slot + 1, Chunk, Rep);
-  if (Config.Metrics) {
+  if (Config.Metrics)
     Result.Metrics.record(HistogramId::CommitNs, nowNs() - CommitR0);
-    Result.Metrics.addCounter(CounterId::ParentCommits);
-  }
   Result.CommitOrder.push_back(Chunk);
   if (Sink.events())
     Sink.event(TraceEventKind::Commit, /*Worker=*/0, Chunk, CommitT0,
                traceNowNs() - CommitT0, /*Arg0=*/Rep.Log.dataBytes());
-}
-
-void DispatchCore::sample(bool Force) {
-  // No threads and zero clock reads when metrics are off. Under the seeded
-  // trace clock the samples are deterministic as long as the engine calls
-  // this a deterministic number of times.
-  if (!Config.Metrics)
-    return;
-  const uint64_t Now = traceNowNs();
-  if (!Force && Sampled && Now - LastSampleNs < TimelineSampleFloorNs)
-    return;
-  Sampled = true;
-  LastSampleNs = Now;
-  TimelineSample TS;
-  TS.TimeNs = Now;
-  TS.Committed = Result.Stats.NumCommitted;
-  TS.Retries = Result.Stats.NumRetries;
-  TS.WarmForks = Result.Stats.WarmForks;
-  TS.ColdForks = Result.Stats.ColdForks;
-  TS.InflightChunks = running();
-  TS.RingDepthBytes = Pool ? Pool->ringDepthBytes() : 0;
-  TS.BusyNs = Result.Stats.WorkerBusyNs;
-  TS.SlotNs = (nowNs() - RealStart) * Config.NumWorkers;
-  Result.Timeline.push_back(TS);
-  Result.Metrics.addCounter(CounterId::TimelineSamples);
-  Result.Metrics.gaugeMax(GaugeId::PeakInflight, TS.InflightChunks);
-  Result.Metrics.gaugeMax(GaugeId::PeakRingDepthBytes, TS.RingDepthBytes);
 }
 
 std::string DispatchCore::noteInterrupt() {
@@ -354,31 +321,7 @@ RunResult DispatchCore::finish(RunStatus Status, std::string Detail) {
     Result.Stats.addChildUsage(Pool->templateRusage());
   }
   Result.Stats.addChildUsage(Parked.takeUsage());
-  sample(/*Force=*/true);
-  // cpu_user_ns/cpu_sys_ns count the children this run reaped: the
-  // previous run's parked template, but not a successful run's own.
-  if (logEnabled(LogLevel::Info))
-    alterLog(LogLevel::Info, "run",
-             "event=run_done engine=%s schedule=%s status=%s wall_ns=%llu "
-             "occupancy=%.3f committed=%llu retries=%llu rounds=%llu "
-             "warm_forks=%llu cold_forks=%llu reuses=%llu crashes=%llu "
-             "wire_rejects=%llu resource_faults=%llu cpu_user_ns=%llu "
-             "cpu_sys_ns=%llu",
-             Engine, scheduleKindName(Result.ScheduleUsed),
-             runStatusName(Result.Status),
-             static_cast<unsigned long long>(Result.Stats.RealTimeNs),
-             Result.Stats.occupancy(),
-             static_cast<unsigned long long>(Result.Stats.NumCommitted),
-             static_cast<unsigned long long>(Result.Stats.NumRetries),
-             static_cast<unsigned long long>(Result.Stats.NumRounds),
-             static_cast<unsigned long long>(Result.Stats.WarmForks),
-             static_cast<unsigned long long>(Result.Stats.ColdForks),
-             static_cast<unsigned long long>(Result.Stats.ChildReuses),
-             static_cast<unsigned long long>(Result.Stats.NumChildCrashes),
-             static_cast<unsigned long long>(Result.Stats.NumWireRejects),
-             static_cast<unsigned long long>(Result.Stats.ResourceFaults),
-             static_cast<unsigned long long>(Result.Stats.ChildUserNs),
-             static_cast<unsigned long long>(Result.Stats.ChildSysNs));
+  Result.logRunDone(Engine);
   Sink.finish(Result);
   return std::move(Result);
 }

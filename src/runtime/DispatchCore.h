@@ -19,7 +19,6 @@
 ///    classification, and the per-report stats;
 ///  - the per-chunk fault budget;
 ///  - applying a validated commit;
-///  - the timeline sampler;
 ///  - end-of-run accounting and the run_done log line.
 ///
 /// One DispatchCore lives for one run() and owns that run's RunResult.
@@ -61,7 +60,8 @@ public:
     Interrupted, ///< an injected SignalStorm latched a shutdown request
   };
 
-  /// Launches \p Chunk on the idle \p Slot (arena index Slot + 1).
+  /// Launches \p Chunk on the idle \p Slot (arena index Slot + 1). With
+  /// metrics on, raises the peak_inflight gauge.
   Launch launch(unsigned Slot, int64_t Chunk);
 
   /// The slot's channel, valid after its launch.
@@ -79,7 +79,8 @@ public:
   int waitInFlight(int TimeoutMs);
 
   /// Pumps the channels the last waitInFlight found readable and returns
-  /// the slots whose record is now complete, in slot order.
+  /// the slots whose record is now complete, in slot order. With metrics
+  /// on, first raises the peak_ring_depth_bytes gauge.
   const std::vector<unsigned> &pumpReady();
 
   /// Kills every awaited child; its completion still arrives through
@@ -103,10 +104,6 @@ public:
   /// commit metrics, CommitOrder and the Commit event. The caller has
   /// counted it and recorded its write set with the detector.
   void commit(ChildReport &Rep, int64_t Chunk, unsigned Slot);
-
-  /// Appends a timeline sample when metrics are on, at most one per trace-
-  /// clock millisecond unless \p Force.
-  void sample(bool Force);
 
   /// Emits the Interrupt event and returns the Interrupted run's detail.
   std::string noteInterrupt();
@@ -139,8 +136,6 @@ private:
   std::vector<pollfd> PollFds;
   std::vector<unsigned> PollSlots;
   std::vector<unsigned> Completed;
-  uint64_t LastSampleNs = 0;
-  bool Sampled = false;
 };
 
 } // namespace alter

@@ -140,9 +140,8 @@ struct ExecutorConfig {
   /// Metrics collection for this run (defaults to the ALTER_METRICS-derived
   /// process setting). When on, children record per-chunk latency/size
   /// histograms and ship them in the commit frame's METRICS section, the
-  /// parent records validate/commit latencies and merges everything into
-  /// RunResult::Metrics, and the fork engines sample a timeline. When off,
-  /// that section is empty.
+  /// parent records validate/commit latencies and peak gauges and merges
+  /// everything into RunResult::Metrics. When off, that section is empty.
   bool Metrics = globalMetricsEnabled();
 
   /// Optional crash-consistent commit journal (runtime/CommitJournal.h).

@@ -188,7 +188,6 @@ RunResult ForkJoinExecutor::run(const LoopSpec &Spec) {
               return Core.containFault(Round[W].Chunk, FailWhy[W]);
             }))
       return Core.finish(RunStatus::Crash, Result.Detail);
-    Core.sample(/*Force=*/false);
   }
 
   return Core.finish(RunStatus::Success, std::string());

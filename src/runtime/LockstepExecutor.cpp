@@ -250,19 +250,7 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
     Result.Detail = std::move(Detail);
     Result.Stats.RealTimeNs = nowNs() - RealStart;
     Result.Stats.WorkerSlotNs = Result.Stats.RealTimeNs * P;
-    if (logEnabled(LogLevel::Info))
-      alterLog(LogLevel::Info, "run",
-               "event=run_done engine=lockstep schedule=%s status=%s "
-               "wall_ns=%llu sim_ns=%llu occupancy=%.3f committed=%llu "
-               "retries=%llu rounds=%llu",
-               scheduleKindName(Result.ScheduleUsed),
-               runStatusName(Result.Status),
-               static_cast<unsigned long long>(Result.Stats.RealTimeNs),
-               static_cast<unsigned long long>(Result.Stats.SimTimeNs),
-               Result.Stats.occupancy(),
-               static_cast<unsigned long long>(Result.Stats.NumCommitted),
-               static_cast<unsigned long long>(Result.Stats.NumRetries),
-               static_cast<unsigned long long>(Result.Stats.NumRounds));
+    Result.logRunDone("lockstep");
     Sink.finish(Result);
     return std::move(Result);
   };
@@ -367,11 +355,9 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
                         Chunk, Chunk * Cf,
                         std::min<int64_t>(Chunk * Cf + Cf, Spec.NumIterations));
                   Ctx.commitTxn();
-                  if (Config.Metrics) {
+                  if (Config.Metrics)
                     Result.Metrics.record(HistogramId::CommitNs,
                                           nowNs() - CommitT0);
-                    Result.Metrics.addCounter(CounterId::ParentCommits);
-                  }
                   Result.CommitOrder.push_back(Chunk);
                   if (Sink.events())
                     Sink.event(TraceEventKind::Commit, /*Worker=*/0, Chunk,

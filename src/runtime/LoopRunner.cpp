@@ -85,8 +85,6 @@ void LoopRunner::absorb(const RunResult &R) {
   Accumulated.Stats.merge(R.Stats);
   Accumulated.mergeTrace(R);
   Accumulated.Metrics.merge(R.Metrics);
-  Accumulated.Timeline.insert(Accumulated.Timeline.end(), R.Timeline.begin(),
-                              R.Timeline.end());
 }
 
 bool LoopRunner::fold(RunResult R) {

@@ -54,8 +54,8 @@ protected:
   /// the run failed.
   bool fold(RunResult R);
 
-  /// Merges one engine run's stats, trace, metrics registry and timeline
-  /// into the accumulated result.
+  /// Merges one engine run's stats, trace and metrics registry into the
+  /// accumulated result.
   void absorb(const RunResult &R);
 
   RunResult Accumulated;

@@ -222,10 +222,8 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     faultParentKillPoint(); // crash-restart: parent dies at validate
     const bool Conflicts =
         Detector.hasConflictSince(SnapshotSeq, Rep.Reads, Rep.Writes);
-    if (Config.Metrics) {
+    if (Config.Metrics)
       Result.Metrics.record(HistogramId::ValidateNs, nowNs() - ValR0);
-      Result.Metrics.addCounter(CounterId::ParentValidates);
-    }
     if (Sink.events())
       Sink.event(TraceEventKind::Validate, /*Worker=*/0, Chunk, ValT0,
                  traceNowNs() - ValT0, /*Arg0=*/Conflicts ? 1 : 0,
@@ -253,8 +251,6 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
     CatchUp = true;
     if (Core.Pool)
       Core.Pool->engageCatchUp();
-    if (Sink.counters())
-      Sink.conflict(Chunk, Detector.lastConflictWord());
     if (Sink.events())
       Sink.event(TraceEventKind::Retry, /*Worker=*/0, Chunk, traceNowNs());
     insertPending(Chunk);
@@ -375,7 +371,6 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
       // With a deadline armed, wake periodically even if no child reports,
       // so a runaway chunk cannot postpone the timeout check indefinitely.
       const int Ready = Core.waitInFlight(DeadlineNs == 0 ? -1 : 100);
-      Core.sample(/*Force=*/false);
       if (Ready < 0)
         return finish(RunStatus::Crash, "poll() failed in pipeline executor");
       for (const unsigned SlotIdx : Core.pumpReady()) {

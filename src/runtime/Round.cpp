@@ -42,18 +42,14 @@ bool alter::retireRound(std::vector<RoundTxn> &Round,
     const uintptr_t Witness =
         InOrderBroken ? 0 : Detector.lastConflictWord();
     T.Cost.CheckWords = Detector.wordsChecked() - WordsBefore;
-    if (Config.Metrics) {
+    if (Config.Metrics)
       Result.Metrics.record(HistogramId::ValidateNs, nowNs() - ValR0);
-      Result.Metrics.addCounter(CounterId::ParentValidates);
-    }
     if (Sink.events())
       Sink.event(TraceEventKind::Validate, /*Worker=*/0, T.Chunk, ValT0,
                  traceNowNs() - ValT0, /*Arg0=*/Failed ? 1 : 0,
                  /*Arg1=*/Witness);
     if (Failed) {
       ++Result.Stats.NumRetries;
-      if (Sink.counters())
-        Sink.conflict(T.Chunk, Witness);
       if (Sink.events())
         Sink.event(TraceEventKind::Retry, /*Worker=*/0, T.Chunk,
                    traceNowNs());

@@ -226,10 +226,9 @@ bool RunResult::writeMetricsJson(const std::string &Path,
   std::fprintf(F,
                "  \"transactions\": %llu,\n  \"committed\": %llu,\n"
                "  \"retries\": %llu,\n  \"warm_forks\": %llu,\n"
-               "  \"cold_forks\": %llu,\n  \"timeline_samples\": %zu,\n",
+               "  \"cold_forks\": %llu,\n",
                U(Stats.NumTransactions), U(Stats.NumCommitted),
-               U(Stats.NumRetries), U(Stats.WarmForks), U(Stats.ColdForks),
-               Timeline.size());
+               U(Stats.NumRetries), U(Stats.WarmForks), U(Stats.ColdForks));
   std::fprintf(F,
                "  \"journal_bytes\": %llu,\n  \"journal_fsyncs\": %llu,\n"
                "  \"replayed_chunks\": %llu,\n  \"recovery_ns\": %llu,\n",
@@ -284,4 +283,25 @@ bool RunResult::writeMetricsJson(const std::string &Path,
     return false;
   }
   return true;
+}
+
+void RunResult::logRunDone(const char *Engine) const {
+  if (!logEnabled(LogLevel::Info))
+    return;
+  // cpu_user_ns/cpu_sys_ns count the children this run reaped: a fork
+  // engine's previous parked template, but not a successful run's own.
+  const auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
+  alterLog(LogLevel::Info, "run",
+           "event=run_done engine=%s schedule=%s status=%s wall_ns=%llu "
+           "sim_ns=%llu occupancy=%.3f committed=%llu retries=%llu "
+           "rounds=%llu warm_forks=%llu cold_forks=%llu reuses=%llu "
+           "stalls=%llu crashes=%llu wire_rejects=%llu resource_faults=%llu "
+           "cpu_user_ns=%llu cpu_sys_ns=%llu",
+           Engine, scheduleKindName(ScheduleUsed), runStatusName(Status),
+           U(Stats.RealTimeNs), U(Stats.SimTimeNs), Stats.occupancy(),
+           U(Stats.NumCommitted), U(Stats.NumRetries), U(Stats.NumRounds),
+           U(Stats.WarmForks), U(Stats.ColdForks), U(Stats.ChildReuses),
+           U(Stats.StageStalled), U(Stats.NumChildCrashes),
+           U(Stats.NumWireRejects), U(Stats.ResourceFaults),
+           U(Stats.ChildUserNs), U(Stats.ChildSysNs));
 }

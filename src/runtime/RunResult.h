@@ -281,36 +281,9 @@ struct RunStats {
 };
 
 /// log2(words per conflict-attribution granule): 64 words = 512 bytes.
+/// traceSummary charges each failed validation to the granule of its
+/// witness word.
 constexpr unsigned GranuleShift = 6;
-
-/// Aborts attributed to one 512-byte granule: how many commit attempts a
-/// granule's data made fail validation, plus the first conflicting word the
-/// validator witnessed there (resolvable to an allocation-site label via
-/// traceLabelForWordKey). The direct input the adaptive-chunk-factor work
-/// needs: it names WHICH datum makes an annotation misspeculate.
-struct GranuleAbortStat {
-  uintptr_t GranuleKey = 0;     ///< word key >> GranuleShift
-  uintptr_t WitnessWordKey = 0; ///< first witness word seen in the granule
-  uint64_t Aborts = 0;
-};
-
-/// One snapshot of the live runtime state, taken by the parent-side
-/// timeline sampler at existing dispatch points (poll wakeups, round
-/// barriers) — no threads, and deterministic under the seeded trace clock.
-/// The counter fields are cumulative (the run's totals at sample time);
-/// rates fall out of adjacent-sample deltas. BusyNs/SlotNs derive from the
-/// real host clock and are excluded from determinism comparisons.
-struct TimelineSample {
-  uint64_t TimeNs = 0;         ///< trace-clock timestamp
-  uint64_t Committed = 0;      ///< cumulative committed chunks
-  uint64_t Retries = 0;        ///< cumulative validation retries
-  uint64_t WarmForks = 0;      ///< cumulative warm (template) forks
-  uint64_t ColdForks = 0;      ///< cumulative cold forks
-  uint64_t InflightChunks = 0; ///< chunks executing right now
-  uint64_t RingDepthBytes = 0; ///< commit-ring backlog right now
-  uint64_t BusyNs = 0;         ///< cumulative WorkerBusyNs (real time)
-  uint64_t SlotNs = 0;         ///< capacity so far: wall-so-far x workers
-};
 
 /// The post-run critical-path attribution: 100% of executor wall clock
 /// split across the phases the runtime can stall in. Derived from the
@@ -382,17 +355,12 @@ struct RunResult {
   //===--------------------------------------------------------------------===
 
   /// Merged per-run timeline: parent-side events plus the child-side events
-  /// shipped in each commit message's TRACE section. Empty below
-  /// TraceLevel::Events.
+  /// shipped in each commit message's TRACE section. Empty at
+  /// TraceLevel::Off. The counter tracks and the conflict attribution are
+  /// derived from it at report time.
   std::vector<TraceEvent> TraceEvents;
   /// Events that hit the bounded buffers and were counted instead of kept.
   uint64_t TraceEventsDropped = 0;
-  /// Conflict attribution, sorted ascending by GranuleKey. Populated from
-  /// TraceLevel::Counters.
-  std::vector<GranuleAbortStat> GranuleAborts;
-  /// Aborts with no single witness word (e.g. InOrder commit-order breakage
-  /// cascades).
-  uint64_t UnattributedAborts = 0;
 
   //===--------------------------------------------------------------------===
   // Metrics (populated when ExecutorConfig::Metrics is on)
@@ -401,22 +369,22 @@ struct RunResult {
   /// Merged metrics: child registries shipped in METRICS wire sections plus
   /// the parent's own validate/commit latencies and high-water gauges.
   MetricsRegistry Metrics;
-  /// Periodic runtime snapshots from the parent-side timeline sampler,
-  /// ordered by TimeNs. Exported as Perfetto counter tracks by
-  /// writeChromeTrace. Empty when metrics are off.
-  std::vector<TimelineSample> Timeline;
 
   /// Accumulates \p Other's telemetry into this (the trace-side companion
   /// of Stats.merge, used across outer-loop invocations).
   void mergeTrace(const RunResult &Other);
 
-  /// Writes the timeline as Chrome trace_event JSON (Perfetto-loadable, one
-  /// track per worker slot). Returns false with \p Error set on I/O errors.
+  /// Writes the timeline as Chrome trace_event JSON (Perfetto-loadable):
+  /// one track per worker slot, plus counter tracks derived from the
+  /// parent's events — inflight_chunks from poll_wake Arg1, and the running
+  /// totals committed, retries, warm_forks and cold_forks from commit,
+  /// retry and fork events. Returns false with \p Error set on I/O errors.
   bool writeChromeTrace(const std::string &Path,
                         std::string *Error = nullptr) const;
 
   /// Human-readable telemetry report: event counts per kind plus the top-N
-  /// granules ranked by aborts caused, with allocation-site labels.
+  /// granules ranked by aborts caused — the failed validate events, charged
+  /// to their witness word's granule — with allocation-site labels.
   std::string traceSummary(size_t TopN = 5) const;
 
   /// Attributes the executor wall clock to phases from the merged
@@ -434,6 +402,10 @@ struct RunResult {
   /// set is schema-stable). Returns false with \p Error set on I/O errors.
   bool writeMetricsJson(const std::string &Path,
                         std::string *Error = nullptr) const;
+
+  /// Logs the one-line end-of-run summary (ALTER_LOG=info) of a run of
+  /// the engine named \p Engine.
+  void logRunDone(const char *Engine) const;
 
   bool succeeded() const { return Status == RunStatus::Success; }
 };

@@ -402,24 +402,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     Result.Stats.SimTimeNs =
         static_cast<uint64_t>(RetireClockNs + Model.BarrierNs);
     Result.Stats.WorkerSlotNs = Result.Stats.SimTimeNs * Config.NumWorkers;
-    if (logEnabled(LogLevel::Info))
-      alterLog(LogLevel::Info, "run",
-               "event=run_done engine=staged schedule=%s status=%s "
-               "wall_ns=%llu occupancy=%.3f committed=%llu retries=%llu "
-               "stalls=%llu crashes=%llu wire_rejects=%llu "
-               "resource_faults=%llu cpu_user_ns=%llu cpu_sys_ns=%llu",
-               scheduleKindName(Result.ScheduleUsed),
-               runStatusName(Result.Status),
-               static_cast<unsigned long long>(Result.Stats.RealTimeNs),
-               Result.Stats.occupancy(),
-               static_cast<unsigned long long>(Result.Stats.NumCommitted),
-               static_cast<unsigned long long>(Result.Stats.NumRetries),
-               static_cast<unsigned long long>(Result.Stats.StageStalled),
-               static_cast<unsigned long long>(Result.Stats.NumChildCrashes),
-               static_cast<unsigned long long>(Result.Stats.NumWireRejects),
-               static_cast<unsigned long long>(Result.Stats.ResourceFaults),
-               static_cast<unsigned long long>(Result.Stats.ChildUserNs),
-               static_cast<unsigned long long>(Result.Stats.ChildSysNs));
+    Result.logRunDone("staged");
     Sink.finish(Result);
   };
 
@@ -489,8 +472,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     Result.FailedChunk = Chunk;
     CrashDetail = strprintf("stage plan violation at chunk %lld (%s)",
                             static_cast<long long>(Chunk), What);
-    if (Sink.counters())
-      Sink.conflict(Chunk, Detector.lastConflictWord());
   };
 
   auto setOverlaps = [](const AccessSet &Set,
@@ -547,7 +528,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       return false;
     }
     const uint8_t Tag = static_cast<uint8_t>(Generation);
-    const pid_t Pid = ::fork();
+    const pid_t Pid = forkFlushed();
     if (Pid < 0) {
       ::close(WorkP[0]);
       ::close(WorkP[1]);
@@ -930,9 +911,13 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       Result.Stats.BytesRead += SCS.Ctx->bytesRead();
       Result.Stats.BytesWritten += SCS.Ctx->bytesWritten();
       Result.Stats.WorkerBusyNs += SCS.SeqNs;
-      CommitBytes += SCS.Ctx->writeLog().dataBytes();
+      const uint64_t SeqLogBytes = SCS.Ctx->writeLog().dataBytes();
+      CommitBytes += SeqLogBytes;
       SCS.Ctx->captureRedo();
       SCS.Ctx->commitTxn();
+      if (Sink.events())
+        Sink.event(TraceEventKind::Commit, /*Worker=*/0, C, traceNowNs(), 0,
+                   /*Arg0=*/SeqLogBytes);
       CtxPool.push_back(std::move(SCS.Ctx));
       SeqOpen.erase(SIt);
       advanceModel(C, SeqNs, ParNs, CommitBytes, CheckWords, TokenBytes);
@@ -1049,16 +1034,21 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     // one can still die and must be noticed before the next dispatch.
     std::vector<pollfd> Fds;
     std::vector<unsigned> FdWorkers;
-    bool AnyBusy = false;
+    unsigned BusyReplicas = 0;
     for (unsigned W = 0; W != NumPar; ++W) {
       if (Workers[W].Pid <= 0)
         continue;
       Fds.push_back({Workers[W].BellR, POLLIN, 0});
       FdWorkers.push_back(W);
-      AnyBusy = AnyBusy || Workers[W].Chunk >= 0;
+      BusyReplicas += Workers[W].Chunk >= 0 ? 1 : 0;
     }
-    if (Fds.empty() || !AnyBusy) {
+    if (BusyReplicas == 0) {
+      // Nothing in flight: the idle sleep is a dispatch stall.
+      const uint64_t SleepT0 = Sink.events() ? traceNowNs() : 0;
       ::poll(nullptr, 0, 1);
+      if (Sink.events())
+        Sink.event(TraceEventKind::PollWake, /*Worker=*/0, /*Chunk=*/-1,
+                   SleepT0, traceNowNs() - SleepT0);
     } else {
       const int PollTimeoutMs = DeadlineNs == 0 ? -1 : 100;
       const uint64_t PollT0 = Sink.events() ? traceNowNs() : 0;
@@ -1069,7 +1059,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       if (Sink.events() && Ready >= 0)
         Sink.event(TraceEventKind::PollWake, /*Worker=*/0, /*Chunk=*/-1,
                    PollT0, traceNowNs() - PollT0,
-                   /*Arg0=*/static_cast<uint64_t>(Ready));
+                   /*Arg0=*/static_cast<uint64_t>(Ready),
+                   /*Arg1=*/BusyReplicas);
       if (Ready < 0)
         return crashExit(RunStatus::Crash,
                          "poll() failed in stage-pipeline executor");

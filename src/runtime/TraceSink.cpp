@@ -10,67 +10,21 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 
 using namespace alter;
 
-void TraceSink::conflict(int64_t Chunk, uintptr_t WitnessWordKey) {
-  if (!counters())
-    return;
-  alterLog(LogLevel::Debug, "conflict", "chunk=%lld witness=0x%llx",
-           static_cast<long long>(Chunk),
-           static_cast<unsigned long long>(WitnessWordKey << 3));
-  if (WitnessWordKey == 0) {
-    ++UnattributedAborts;
-    return;
-  }
-  GranuleCount &G = Granules[WitnessWordKey >> GranuleShift];
-  if (G.WitnessWordKey == 0)
-    G.WitnessWordKey = WitnessWordKey;
-  ++G.Aborts;
-}
-
-namespace {
-
-/// Merges \p Src into \p Dst, both sorted ascending by GranuleKey.
-void mergeGranuleStats(std::vector<GranuleAbortStat> &Dst,
-                       const std::vector<GranuleAbortStat> &Src) {
-  for (const GranuleAbortStat &S : Src) {
-    auto It = std::lower_bound(Dst.begin(), Dst.end(), S,
-                               [](const GranuleAbortStat &A,
-                                  const GranuleAbortStat &B) {
-                                 return A.GranuleKey < B.GranuleKey;
-                               });
-    if (It != Dst.end() && It->GranuleKey == S.GranuleKey) {
-      It->Aborts += S.Aborts;
-      if (It->WitnessWordKey == 0)
-        It->WitnessWordKey = S.WitnessWordKey;
-    } else {
-      Dst.insert(It, S);
-    }
-  }
-}
-
-} // namespace
-
 void TraceSink::finish(RunResult &Result) {
   Result.TraceEventsDropped += Buf.dropped();
-  if (Buf.events()) {
-    std::vector<TraceEvent> Events = Buf.take();
-    if (Result.TraceEvents.empty())
-      Result.TraceEvents = std::move(Events);
-    else
-      Result.TraceEvents.insert(Result.TraceEvents.end(), Events.begin(),
-                                Events.end());
-  }
-  std::vector<GranuleAbortStat> Collected;
-  Collected.reserve(Granules.size());
-  for (const auto &[Granule, G] : Granules)
-    Collected.push_back({Granule, G.WitnessWordKey, G.Aborts});
-  mergeGranuleStats(Result.GranuleAborts, Collected);
-  Result.UnattributedAborts += UnattributedAborts;
-  Granules.clear();
-  UnattributedAborts = 0;
+  if (!Buf.events())
+    return;
+  std::vector<TraceEvent> Events = Buf.take();
+  if (Result.TraceEvents.empty())
+    Result.TraceEvents = std::move(Events);
+  else
+    Result.TraceEvents.insert(Result.TraceEvents.end(), Events.begin(),
+                              Events.end());
 }
 
 uint64_t alter::traceTotalDurNs(const std::vector<TraceEvent> &Events,
@@ -90,8 +44,6 @@ void RunResult::mergeTrace(const RunResult &Other) {
   TraceEvents.insert(TraceEvents.end(), Other.TraceEvents.begin(),
                      Other.TraceEvents.end());
   TraceEventsDropped += Other.TraceEventsDropped;
-  mergeGranuleStats(GranuleAborts, Other.GranuleAborts);
-  UnattributedAborts += Other.UnattributedAborts;
 }
 
 bool RunResult::writeChromeTrace(const std::string &Path,
@@ -104,13 +56,10 @@ bool RunResult::writeChromeTrace(const std::string &Path,
   }
 
   // Normalize timestamps to the earliest event so the timeline starts at 0
-  // regardless of the clock's epoch. Timeline samples share the same clock,
-  // so they participate in the base computation when present.
+  // regardless of the clock's epoch.
   uint64_t Base = ~uint64_t(0);
   for (const TraceEvent &E : TraceEvents)
     Base = std::min(Base, E.StartNs);
-  for (const TimelineSample &S : Timeline)
-    Base = std::min(Base, S.TimeNs);
   if (Base == ~uint64_t(0))
     Base = 0;
 
@@ -161,30 +110,44 @@ bool RunResult::writeChromeTrace(const std::string &Path,
           static_cast<unsigned long long>(E.Arg1));
   }
 
-  // Counter tracks from the runtime timeline: Perfetto renders "ph":"C"
-  // events as stacked counter charts, one track per "name". tid 0 keeps the
-  // counters grouped with the parent's track.
-  struct CounterTrack {
-    const char *Name;
-    uint64_t TimelineSample::*Field;
+  // Counter tracks derived from the parent's events: Perfetto renders
+  // "ph":"C" events as counter charts, one track per name, and tid 0 keeps
+  // them grouped with the parent's track. Every track starts at 0; the
+  // running totals step at each event they count, so a track's last value
+  // is the run's total.
+  const auto Counter = [&](const char *Name, uint64_t TimeNs,
+                           uint64_t Value) {
+    std::fprintf(F,
+                 "%s  {\"name\": \"%s\", \"cat\": \"alter\", \"ph\": \"C\", "
+                 "\"ts\": %.3f, \"pid\": 0, \"tid\": 0, "
+                 "\"args\": {\"value\": %llu}}",
+                 Sep(), Name, static_cast<double>(TimeNs - Base) / 1000.0,
+                 static_cast<unsigned long long>(Value));
   };
-  static const CounterTrack Tracks[] = {
-      {"inflight_chunks", &TimelineSample::InflightChunks},
-      {"ring_depth_bytes", &TimelineSample::RingDepthBytes},
-      {"committed", &TimelineSample::Committed},
-      {"retries", &TimelineSample::Retries},
-      {"warm_forks", &TimelineSample::WarmForks},
-      {"cold_forks", &TimelineSample::ColdForks},
-  };
-  for (const CounterTrack &T : Tracks) {
-    for (const TimelineSample &S : Timeline) {
-      const double TsUs = static_cast<double>(S.TimeNs - Base) / 1000.0;
-      std::fprintf(F,
-                   "%s  {\"name\": \"%s\", \"cat\": \"alter\", \"ph\": \"C\", "
-                   "\"ts\": %.3f, \"pid\": 0, \"tid\": 0, "
-                   "\"args\": {\"value\": %llu}}",
-                   Sep(), T.Name, TsUs,
-                   static_cast<unsigned long long>(S.*(T.Field)));
+  for (const char *Name : {"inflight_chunks", "committed", "retries",
+                           "warm_forks", "cold_forks"})
+    Counter(Name, Base, 0);
+  uint64_t Committed = 0, Retries = 0, WarmForks = 0, ColdForks = 0;
+  for (const TraceEvent &E : TraceEvents) {
+    switch (E.Kind) {
+    case TraceEventKind::PollWake:
+      Counter("inflight_chunks", E.StartNs, E.Arg1);
+      break;
+    case TraceEventKind::Commit:
+      Counter("committed", E.StartNs, ++Committed);
+      break;
+    case TraceEventKind::Retry:
+      Counter("retries", E.StartNs, ++Retries);
+      break;
+    case TraceEventKind::Fork:
+      // A resident reuse (Arg1 2) counts as warm, as in RunStats.
+      if (E.Arg1 == 1 || E.Arg1 == 2)
+        Counter("warm_forks", E.StartNs, ++WarmForks);
+      else
+        Counter("cold_forks", E.StartNs, ++ColdForks);
+      break;
+    default:
+      break;
     }
   }
 
@@ -210,33 +173,55 @@ std::string RunResult::traceSummary(size_t TopN) const {
                        traceEventKindName(static_cast<TraceEventKind>(K)),
                        static_cast<unsigned long long>(Counts[K]));
 
-  if (GranuleAborts.empty() && UnattributedAborts == 0) {
+  // Conflict attribution: every failed validation is one abort, charged
+  // to the 512-byte granule of its witness word (Arg1). A zero witness —
+  // a policy conflict with no single word, e.g. an InOrder breakage
+  // cascade — is unattributed.
+  struct Granule {
+    uintptr_t WitnessWordKey = 0; ///< first witness seen in the granule
+    uint64_t Aborts = 0;
+  };
+  std::map<uintptr_t, Granule> Granules;
+  uint64_t Unattributed = 0;
+  for (const TraceEvent &E : TraceEvents) {
+    if (E.Kind != TraceEventKind::Validate || E.Arg0 == 0)
+      continue;
+    if (E.Arg1 == 0) {
+      ++Unattributed;
+      continue;
+    }
+    Granule &G = Granules[E.Arg1 >> GranuleShift];
+    if (G.Aborts++ == 0)
+      G.WitnessWordKey = E.Arg1;
+  }
+  if (Granules.empty() && Unattributed == 0) {
     Out += "conflict attribution: no aborts recorded\n";
     return Out;
   }
-  std::vector<GranuleAbortStat> Ranked = GranuleAborts;
-  std::sort(Ranked.begin(), Ranked.end(),
-            [](const GranuleAbortStat &A, const GranuleAbortStat &B) {
-              if (A.Aborts != B.Aborts)
-                return A.Aborts > B.Aborts;
-              return A.GranuleKey < B.GranuleKey;
-            });
+  std::vector<Granule> Ranked;
+  for (const auto &[Key, G] : Granules)
+    Ranked.push_back(G);
+  // Stable on the map's ascending key order, so ties list by address.
+  std::stable_sort(Ranked.begin(), Ranked.end(),
+                   [](const Granule &A, const Granule &B) {
+                     return A.Aborts > B.Aborts;
+                   });
   if (Ranked.size() > TopN)
     Ranked.resize(TopN);
   Out += strprintf("conflict attribution (top %zu granules by aborts "
                    "caused):\n",
                    Ranked.size());
-  for (const GranuleAbortStat &G : Ranked) {
-    // The granule's base byte address: granule key -> word key -> bytes.
+  for (const Granule &G : Ranked) {
+    // The granule's base byte address: word key -> granule -> bytes.
     const unsigned long long GranuleBase =
-        static_cast<unsigned long long>(G.GranuleKey)
+        static_cast<unsigned long long>(G.WitnessWordKey >> GranuleShift)
         << (GranuleShift + 3);
     Out += strprintf("  granule 0x%llx  %llu aborts  witness %s\n",
                      GranuleBase, static_cast<unsigned long long>(G.Aborts),
                      traceLabelForWordKey(G.WitnessWordKey).c_str());
   }
-  if (UnattributedAborts != 0)
+  if (Unattributed != 0)
     Out += strprintf("  (no witness word)  %llu aborts\n",
-                     static_cast<unsigned long long>(UnattributedAborts));
+                     static_cast<unsigned long long>(Unattributed));
   return Out;
 }

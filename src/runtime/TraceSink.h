@@ -7,17 +7,15 @@
 /// \file
 /// TraceSink is the parent-side collection point for one executor run: the
 /// executors record their own events (fork, poll wakeups, validation,
-/// retirement, retries, fault containment), absorb the child-side events
-/// shipped in each commit message's TRACE section, and aggregate conflict
-/// attribution — per 512-byte granule, how many aborts it caused and which
-/// word witnessed them. finish() moves everything into the RunResult,
-/// whose exporters (writeChromeTrace / traceSummary, implemented here)
-/// turn the merged timeline into a Perfetto-loadable JSON file or a
-/// human-readable attribution report.
+/// retirement, retries, fault containment) and absorb the child-side events
+/// shipped in each commit message's TRACE section. finish() moves them into
+/// the RunResult, whose exporters (writeChromeTrace / traceSummary,
+/// implemented here) derive the counter tracks and the conflict attribution
+/// from the merged timeline and turn it into a Perfetto-loadable JSON file
+/// or a human-readable attribution report.
 ///
-/// Attribution is active from TraceLevel::Counters; the timeline only at
-/// TraceLevel::Events. At TraceLevel::Off every entry point reduces to a
-/// predictable branch on a member byte.
+/// At TraceLevel::Off every entry point reduces to a predictable branch on
+/// a member byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,22 +25,15 @@
 #include "runtime/RunResult.h"
 #include "support/Trace.h"
 
-#include <map>
-
 namespace alter {
 
-/// Collects one run's events and conflict attribution (see file comment).
+/// Collects one run's events (see file comment).
 class TraceSink {
 public:
   explicit TraceSink(TraceLevel Level) : Buf(Level) {}
 
   /// True when the timeline is being recorded.
   bool events() const { return Buf.events(); }
-
-  /// True when at least attribution counters are on.
-  bool counters() const { return Buf.counters(); }
-
-  TraceLevel level() const { return Buf.level(); }
 
   /// Records one parent-side event (no-op below Events).
   void event(TraceEventKind Kind, uint32_t Worker, int64_t Chunk,
@@ -60,24 +51,11 @@ public:
                  E.Arg1);
   }
 
-  /// Charges one abort of \p Chunk to the granule containing
-  /// \p WitnessWordKey (the conflicting word the validator found). A zero
-  /// witness (policy conflicts with no single word, e.g. InOrder breakage)
-  /// is counted as unattributed.
-  void conflict(int64_t Chunk, uintptr_t WitnessWordKey);
-
-  /// Moves the collected timeline and attribution into \p Result.
+  /// Moves the collected timeline into \p Result.
   void finish(RunResult &Result);
 
 private:
-  struct GranuleCount {
-    uintptr_t WitnessWordKey = 0;
-    uint64_t Aborts = 0;
-  };
-
   TraceBuffer Buf;
-  std::map<uintptr_t, GranuleCount> Granules;
-  uint64_t UnattributedAborts = 0;
 };
 
 /// Sum of DurNs over events of \p Kind on worker tracks > 0. The bench

@@ -286,10 +286,8 @@ std::vector<uint8_t> buildChildCommitMessage(const LoopSpec &Spec,
   if (Trace.events())
     Trace.record(TraceEventKind::ChunkExec, Worker, Chunk, TraceT0, WorkNs,
                  Ctx.readSet().sizeWords(), Ctx.writeSet().sizeWords());
-  if (Metrics) {
+  if (Metrics)
     Metrics->record(HistogramId::ChunkExecNs, WorkNs);
-    Metrics->addCounter(CounterId::ChildChunks);
-  }
 
   if (Fault.Armed && Fault.Kind == FaultKind::ChildKill)
     ::raise(SIGKILL); // the injected kill lands after the work, pre-report
@@ -346,7 +344,6 @@ std::vector<uint8_t> alter::encodeCommitFrame(TxnContext &Ctx,
     Metrics->record(HistogramId::WireFrameBytes,
                     FrameHeaderBytes + 9 * sizeof(uint64_t) +
                         Body.bytes().size());
-    Metrics->addCounter(CounterId::ChildFrames);
     Metrics->serialize(MetricsBlob);
     Metrics->reset(); // each frame ships deltas since the previous one
   }

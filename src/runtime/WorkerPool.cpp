@@ -305,7 +305,7 @@ bool WorkerPool::ensureTemplate() {
   int Fds[2];
   if (::pipe(Fds) != 0)
     return false;
-  const pid_t Pid = ::fork();
+  const pid_t Pid = forkFlushed();
   if (Pid < 0) {
     ::close(Fds[0]);
     ::close(Fds[1]);
@@ -859,7 +859,7 @@ bool alter::spawnChunkChild(const LoopSpec &Spec,
   if (::pipe(Fds) != 0)
     return false;
   const pid_t ParentPid = ::getpid();
-  const pid_t Pid = ::fork();
+  const pid_t Pid = forkFlushed();
   if (Pid < 0) {
     ::close(Fds[0]);
     ::close(Fds[1]);

@@ -221,8 +221,8 @@ public:
   /// transitive CPU cost of the whole warm lineage.
   const ChildRusage &templateRusage() const { return TemplateUsage; }
 
-  /// Bytes currently buffered across all slot commit rings (parent-side
-  /// backlog gauge for the timeline sampler).
+  /// Bytes currently buffered across all slot commit rings (the parent's
+  /// peak_ring_depth_bytes gauge).
   size_t ringDepthBytes() const;
 
 private:

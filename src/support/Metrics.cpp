@@ -21,18 +21,8 @@ using namespace alter;
 
 const char *alter::counterName(CounterId Id) {
   switch (Id) {
-  case CounterId::ChildChunks:
-    return "child_chunks";
-  case CounterId::ChildFrames:
-    return "child_frames";
   case CounterId::RingWaits:
     return "ring_waits";
-  case CounterId::ParentValidates:
-    return "parent_validates";
-  case CounterId::ParentCommits:
-    return "parent_commits";
-  case CounterId::TimelineSamples:
-    return "timeline_samples";
   case CounterId::NumCounters:
     break;
   }

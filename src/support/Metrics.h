@@ -36,21 +36,21 @@ namespace alter {
 // Metric identities
 //===----------------------------------------------------------------------===
 
-/// Monotone counters (sum-merged across processes).
+/// Monotone counters (sum-merged across processes). A count that a
+/// histogram below records anyway is that histogram's Count, not a counter
+/// here: chunks executed are chunk_exec_ns, frames encoded serialize_ns,
+/// conflict checks validate_ns and commits applied commit_ns.
 enum class CounterId : unsigned {
-  ChildChunks,      ///< chunk bodies executed child-side
-  ChildFrames,      ///< commit frames encoded child-side
-  RingWaits,        ///< ring-backpressure waits (full ring, backoff taken)
-  ParentValidates,  ///< parent-side conflict checks
-  ParentCommits,    ///< parent-side commit applications
-  TimelineSamples,  ///< timeline snapshots taken by the sampler
+  RingWaits, ///< ring-backpressure waits (full ring, backoff taken)
   NumCounters
 };
 
 /// High-water gauges (max-merged across processes).
 enum class GaugeId : unsigned {
-  PeakInflight,        ///< most chunks simultaneously in flight (parent)
-  PeakRingDepthBytes,  ///< deepest commit-ring backlog observed (parent)
+  PeakInflight,        ///< most chunks simultaneously in flight (parent,
+                       ///< at each launch)
+  PeakRingDepthBytes,  ///< deepest commit-ring backlog observed (parent,
+                       ///< at each pump)
   MaxWriteLogBytes,    ///< largest single write log (child)
   NumGauges
 };

@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstdio>
 #include <unistd.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -75,6 +76,11 @@ ChildRusage ParkedChild::takeUsage() {
   return Taken;
 }
 
+pid_t alter::forkFlushed() {
+  std::fflush(nullptr);
+  return ::fork();
+}
+
 SubprocessResult
 alter::runInSandbox(const std::function<void(int WriteFd)> &Child,
                     unsigned TimeoutSec) {
@@ -87,7 +93,7 @@ alter::runInSandbox(const std::function<void(int WriteFd)> &Child,
     Result.SpawnError = "pipe";
     return Result;
   }
-  const pid_t Pid = ::fork();
+  const pid_t Pid = forkFlushed();
   if (Pid < 0) {
     ::close(Fds[0]);
     ::close(Fds[1]);

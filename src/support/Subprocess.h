@@ -52,6 +52,12 @@ struct SubprocessResult {
 SubprocessResult runInSandbox(const std::function<void(int WriteFd)> &Child,
                               unsigned TimeoutSec);
 
+/// fork() after flushing every stdio output stream. A child inherits the
+/// parent's unflushed buffers, and one that flushes them on its way out (as
+/// forked children do under ThreadSanitizer) prints that text a second
+/// time. Every fork of the parent process goes through here.
+pid_t forkFlushed();
+
 /// write() helper that retries on EINTR and loops until all bytes are
 /// written; exits the process on hard errors (child-side use only).
 void writeAllOrDie(int Fd, const void *Data, size_t Size);

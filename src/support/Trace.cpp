@@ -26,8 +26,6 @@ const char *alter::traceLevelName(TraceLevel Level) {
   switch (Level) {
   case TraceLevel::Off:
     return "off";
-  case TraceLevel::Counters:
-    return "counters";
   case TraceLevel::Events:
     return "events";
   }
@@ -40,10 +38,6 @@ bool alter::parseTraceLevel(const std::string &Text, TraceLevel &Level) {
     Lower += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
   if (Lower == "off" || Lower == "0" || Lower.empty()) {
     Level = TraceLevel::Off;
-    return true;
-  }
-  if (Lower == "counters") {
-    Level = TraceLevel::Counters;
     return true;
   }
   if (Lower == "events") {

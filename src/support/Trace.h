@@ -41,19 +41,18 @@
 namespace alter {
 
 /// How much the runtime records. Off must leave the hot paths with nothing
-/// but a predictable branch; Counters adds cheap per-event aggregation
-/// (conflict attribution); Events additionally records the full timeline.
+/// but a predictable branch; Events records the full timeline, from which
+/// the counter tracks and conflict attribution are derived at report time.
 enum class TraceLevel : uint8_t {
-  Off,      ///< no tracing; zero-cost guards only
-  Counters, ///< aggregate counters + conflict attribution, no timeline
-  Events,   ///< full timestamped event timeline (Chrome-trace exportable)
+  Off,    ///< no tracing; zero-cost guards only
+  Events, ///< full timestamped event timeline (Chrome-trace exportable)
 };
 
-/// Returns "off", "counters", or "events".
+/// Returns "off" or "events".
 const char *traceLevelName(TraceLevel Level);
 
-/// Parses "off"/"counters"/"events" (case-insensitive). Returns false and
-/// leaves \p Level untouched on anything else.
+/// Parses "off"/"events" (case-insensitive; "0" and "" also mean off).
+/// Returns false and leaves \p Level untouched on anything else.
 bool parseTraceLevel(const std::string &Text, TraceLevel &Level);
 
 /// The process-wide trace level: initialized from the ALTER_TRACE
@@ -79,10 +78,13 @@ enum class TraceEventKind : uint8_t {
   Serialize,     ///< commit-message serialization; Arg0 = payload bytes
   CommitAttempt, ///< message written to the commit pipe; Arg0 = wire bytes
   // Parent-side (executor event loop).
-  Fork,           ///< child forked for a chunk; Arg0 = worker slot
-  PollWake,       ///< poll() returned, or the threaded lock-step engine's
-                  ///< round barrier released; Dur = wait, Arg0 = ready
-                  ///< fds (workers), Arg1 = chunks in flight
+  Fork,           ///< child forked for a chunk; Arg0 = worker slot,
+                  ///< Arg1 = 0 cold, 1 warm, 2 resident reuse (warm),
+                  ///< 3 stage replica (cold)
+  PollWake,       ///< poll() returned, an idle engine slept, or the
+                  ///< threaded lock-step engine's round barrier released;
+                  ///< Dur = wait, Arg0 = ready fds (workers), Arg1 =
+                  ///< chunks in flight
   Validate,       ///< conflict check ran; Arg0 = 1 on conflict,
                   ///< Arg1 = witness word key (0 when none)
   Commit,         ///< chunk retired into committed state
@@ -148,11 +150,6 @@ public:
 
   /// True when the buffer records a timeline.
   bool events() const { return Level >= TraceLevel::Events; }
-
-  /// True when at least aggregate counters are on.
-  bool counters() const { return Level >= TraceLevel::Counters; }
-
-  TraceLevel level() const { return Level; }
 
   /// Records one event (no-op below Events level or past capacity).
   void record(TraceEventKind Kind, uint32_t Worker, int64_t Chunk,

@@ -16,6 +16,34 @@
 
 using namespace alter;
 
+namespace {
+
+/// STAMP's common_findNearestPoint: the index of the center nearest to
+/// \p Point. Its loops start on 64-byte boundaries, so the distance loop
+/// never straddles one whatever code precedes it in the binary: on a
+/// 4-vCPU Xeon host the whole kmeans run took about 25% longer when it did.
+__attribute__((noinline, optimize("align-loops=64"))) int32_t
+nearestCluster(const float *Point, const double *Clusters,
+               int64_t NumClusters, int64_t NumFeatures) {
+  int32_t Index = 0;
+  double Best = 1e300;
+  for (int64_t C = 0; C != NumClusters; ++C) {
+    const double *Center = Clusters + C * NumFeatures;
+    double Dist = 0.0;
+    for (int64_t F = 0; F != NumFeatures; ++F) {
+      const double D = static_cast<double>(Point[F]) - Center[F];
+      Dist += D * D;
+    }
+    if (Dist < Best) {
+      Best = Dist;
+      Index = static_cast<int32_t>(C);
+    }
+  }
+  return Index;
+}
+
+} // namespace
+
 std::string KmeansWorkload::inputName(size_t Index) const {
   assert(Index < numInputs() && "input index out of range");
   switch (Index) {
@@ -108,20 +136,8 @@ void KmeansWorkload::run(LoopRunner &Runner) {
     Ctx.noteMemoryTraffic(static_cast<uint64_t>(NumFeatures) *
                               (sizeof(float) + sizeof(double)) +
                           64);
-    int32_t Index = 0;
-    double Best = 1e300;
-    for (int64_t C = 0; C != NumClusters; ++C) {
-      const double *Center = &Clusters[static_cast<size_t>(C * NumFeatures)];
-      double Dist = 0.0;
-      for (int64_t F = 0; F != NumFeatures; ++F) {
-        const double D = static_cast<double>(Point[F]) - Center[F];
-        Dist += D * D;
-      }
-      if (Dist < Best) {
-        Best = Dist;
-        Index = static_cast<int32_t>(C);
-      }
-    }
+    const int32_t Index =
+        nearestCluster(Point, Clusters.data(), NumClusters, NumFeatures);
 
     // If membership changes, increase delta by 1 (additive reduction;
     // source form delta += 1.0).

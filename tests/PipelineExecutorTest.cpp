@@ -148,7 +148,6 @@ TEST(WriteLogCompactTest, RoundTripAppliesIdentically) {
 
 TEST(MetricsRegistryTest, SerializeDeserializeRoundTrips) {
   MetricsRegistry Reg;
-  Reg.addCounter(CounterId::ChildChunks, 5);
   Reg.addCounter(CounterId::RingWaits, 2);
   Reg.gaugeMax(GaugeId::MaxWriteLogBytes, 4096);
   Reg.record(HistogramId::ChunkExecNs, 0);
@@ -160,9 +159,8 @@ TEST(MetricsRegistryTest, SerializeDeserializeRoundTrips) {
   Reg.serialize(Blob);
   MetricsRegistry Back;
   ASSERT_TRUE(MetricsRegistry::deserialize(Blob.data(), Blob.size(), Back));
-  EXPECT_EQ(Back.counter(CounterId::ChildChunks), 5u);
   EXPECT_EQ(Back.counter(CounterId::RingWaits), 2u);
-  EXPECT_EQ(Back.counter(CounterId::ParentCommits), 0u);
+  EXPECT_EQ(Back.histogram(HistogramId::CommitNs).Count, 0u);
   EXPECT_EQ(Back.gauge(GaugeId::MaxWriteLogBytes), 4096u);
   const LatencyHistogram &H = Back.histogram(HistogramId::ChunkExecNs);
   EXPECT_EQ(H.Count, 3u);
@@ -243,7 +241,7 @@ TEST(CommitFrameTest, RoundTripsWithAndWithoutMetrics) {
   // and resets it (per-frame deltas).
   MetricsRegistry Reg;
   Reg.record(HistogramId::ChunkExecNs, 1234);
-  Reg.addCounter(CounterId::ChildChunks);
+  Reg.addCounter(CounterId::RingWaits);
   const std::vector<uint8_t> WithMetrics =
       encodeTestFrame(Spec, Config, Data, &Reg);
   EXPECT_EQ(frameMagic(WithMetrics), CommitFrameMagic);
@@ -252,8 +250,7 @@ TEST(CommitFrameTest, RoundTripsWithAndWithoutMetrics) {
   ChildReport Rep;
   ASSERT_TRUE(decodeChildReport(WithMetrics, Spec, Config.Params, Rep, Error))
       << Error;
-  EXPECT_EQ(Rep.Metrics.counter(CounterId::ChildChunks), 1u);
-  EXPECT_EQ(Rep.Metrics.counter(CounterId::ChildFrames), 1u);
+  EXPECT_EQ(Rep.Metrics.counter(CounterId::RingWaits), 1u);
   EXPECT_EQ(Rep.Metrics.histogram(HistogramId::ChunkExecNs).Count, 1u);
   EXPECT_EQ(Rep.Metrics.histogram(HistogramId::ChunkExecNs).Sum, 1234u);
   EXPECT_EQ(Rep.Metrics.histogram(HistogramId::SerializeNs).Count, 1u);

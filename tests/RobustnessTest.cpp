@@ -1435,9 +1435,9 @@ TEST(JournalTest, RecordThenReplayReproducesSequentialOutput) {
       const RunResult R = runJournaled(L, J.get(), Engine, /*Metrics=*/true);
       EXPECT_TRUE(L.sequentialImage());
       EXPECT_EQ(R.Stats.NumCommitted, 6u);
-      EXPECT_EQ(R.Metrics.counter(CounterId::ParentCommits),
+      EXPECT_EQ(R.Metrics.histogram(HistogramId::CommitNs).Count,
                 R.Stats.NumCommitted)
-          << "parent_commits counts every applied chunk";
+          << "commit_ns times every applied chunk";
       EXPECT_GT(R.Stats.JournalBytes, 0u);
       EXPECT_GT(R.Stats.JournalFsyncs, 0u) << "PerCommit syncs every frame";
       EXPECT_EQ(R.Stats.ReplayedChunks, 0u);

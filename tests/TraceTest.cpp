@@ -11,9 +11,10 @@
 /// TRACE section round trip through the fork engines (per-slot busy time
 /// must reconcile with WorkerBusyNs), seeded determinism of the merged
 /// timeline, conflict attribution naming the right granule, the Chrome
-/// exporter's output shape, and the EnvFault inference classification —
-/// both as a unit over synthetic RunResults and end to end with a sticky
-/// fault plan armed.
+/// exporter's output shape and the counter tracks it derives from the
+/// events on every engine, stdout written once across forks, and the
+/// EnvFault inference classification — both as a unit over synthetic
+/// RunResults and end to end with a sticky fault plan armed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,12 +26,16 @@
 #include "runtime/PipelineExecutor.h"
 #include "runtime/TraceSink.h"
 #include "support/FaultInjection.h"
+#include "support/Format.h"
+#include "support/Subprocess.h"
 #include "support/Trace.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -81,29 +86,27 @@ TEST(RunStatsTest, SaturatedCountersDoNotOverflowDerivedRates) {
 // Trace level parsing and the bounded buffer
 //===----------------------------------------------------------------------===
 
-TEST(TraceLevelTest, ParseAcceptsTheThreeLevelsCaseInsensitively) {
+TEST(TraceLevelTest, ParseAcceptsOffAndEventsCaseInsensitively) {
   TraceLevel L = TraceLevel::Off;
-  EXPECT_TRUE(parseTraceLevel("events", L));
+  EXPECT_TRUE(parseTraceLevel("EVENTS", L));
   EXPECT_EQ(L, TraceLevel::Events);
-  EXPECT_TRUE(parseTraceLevel("COUNTERS", L));
-  EXPECT_EQ(L, TraceLevel::Counters);
   EXPECT_TRUE(parseTraceLevel("Off", L));
   EXPECT_EQ(L, TraceLevel::Off);
-  L = TraceLevel::Counters;
+  L = TraceLevel::Events;
   EXPECT_FALSE(parseTraceLevel("verbose", L));
-  EXPECT_EQ(L, TraceLevel::Counters) << "failed parse must not clobber";
+  EXPECT_FALSE(parseTraceLevel("counters", L))
+      << "the counters level is gone; its attribution derives from events";
+  EXPECT_EQ(L, TraceLevel::Events) << "failed parse must not clobber";
   // An empty value (ALTER_TRACE=) means Off, as do "0" and "off".
   EXPECT_TRUE(parseTraceLevel("", L));
   EXPECT_EQ(L, TraceLevel::Off);
 }
 
 TEST(TraceBufferTest, RecordIsANoOpBelowEvents) {
-  for (TraceLevel Level : {TraceLevel::Off, TraceLevel::Counters}) {
-    TraceBuffer Buf(Level);
-    Buf.record(TraceEventKind::ChunkExec, 1, 0, 100, 50);
-    EXPECT_TRUE(Buf.buffer().empty());
-    EXPECT_EQ(Buf.dropped(), 0u);
-  }
+  TraceBuffer Buf(TraceLevel::Off);
+  Buf.record(TraceEventKind::ChunkExec, 1, 0, 100, 50);
+  EXPECT_TRUE(Buf.buffer().empty());
+  EXPECT_EQ(Buf.dropped(), 0u);
 }
 
 TEST(TraceBufferTest, CapacityBoundsTheBufferAndCountsDrops) {
@@ -280,7 +283,6 @@ TEST(WireTraceTest, OffLevelShipsNoEventsAndAllocatesNothing) {
   const RunResult R = Exec.run(Spec);
   EXPECT_EQ(R.Status, RunStatus::Success);
   EXPECT_TRUE(R.TraceEvents.empty());
-  EXPECT_TRUE(R.GranuleAborts.empty());
   EXPECT_EQ(R.TraceEventsDropped, 0u);
 }
 
@@ -291,7 +293,8 @@ TEST(WireTraceTest, OffLevelShipsNoEventsAndAllocatesNothing) {
 TEST(AttributionTest, RawConflictNamesTheLabeledGranule) {
   // Every chunk reads and writes one shared labeled word under RAW +
   // OutOfOrder: all but the first commit of a round abort, and every abort
-  // must be attributed to the shared word's granule.
+  // — every failed validate event — must be attributed to the shared
+  // word's granule.
   ScopedTraceLevel Scope(TraceLevel::Events);
   traceClearRegionLabels();
   alignas(8) static double Shared = 0.0;
@@ -311,41 +314,23 @@ TEST(AttributionTest, RawConflictNamesTheLabeledGranule) {
   const RunResult R = Exec.run(Spec);
   ASSERT_EQ(R.Status, RunStatus::Success);
   ASSERT_GT(R.Stats.NumRetries, 0u) << "the workload must actually contend";
-  ASSERT_EQ(R.GranuleAborts.size(), 1u)
-      << "one shared word => one aborting granule";
-  const GranuleAbortStat &G = R.GranuleAborts[0];
-  EXPECT_EQ(G.Aborts, R.Stats.NumRetries);
-  EXPECT_EQ(G.GranuleKey,
-            (reinterpret_cast<uintptr_t>(&Shared) >> 3) >> GranuleShift);
-  EXPECT_EQ(traceLabelForWordKey(G.WitnessWordKey), "attr.shared");
-  // The text summary surfaces the label.
+  // One shared word => one aborting granule, charged with every abort and
+  // named by the shared word's label.
+  const unsigned long long GranuleBase =
+      static_cast<unsigned long long>(
+          (reinterpret_cast<uintptr_t>(&Shared) >> 3) >> GranuleShift)
+      << (GranuleShift + 3);
   const std::string Summary = R.traceSummary();
-  EXPECT_NE(Summary.find("attr.shared"), std::string::npos) << Summary;
-  EXPECT_NE(Summary.find("conflict attribution"), std::string::npos);
-  EXPECT_EQ(R.UnattributedAborts, 0u);
-}
-
-TEST(AttributionTest, CountersLevelAttributesWithoutATimeline) {
-  ScopedTraceLevel Scope(TraceLevel::Counters);
-  alignas(8) static double Shared = 0.0;
-  Shared = 0.0;
-  LoopSpec Spec;
-  Spec.NumIterations = 8;
-  Spec.Body = [](TxnContext &Ctx, int64_t) {
-    Ctx.store(&Shared, Ctx.load(&Shared) + 1.0);
-  };
-  ExecutorConfig Config;
-  Config.NumWorkers = 4;
-  Config.Params.ChunkFactor = 1;
-  Config.Params.Conflict = ConflictPolicy::RAW;
-  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
-  Config.Trace = TraceLevel::Counters;
-  ForkJoinExecutor Exec(Config);
-  const RunResult R = Exec.run(Spec);
-  ASSERT_EQ(R.Status, RunStatus::Success);
-  EXPECT_TRUE(R.TraceEvents.empty()) << "Counters records no timeline";
-  ASSERT_GT(R.Stats.NumRetries, 0u);
-  EXPECT_FALSE(R.GranuleAborts.empty()) << "attribution still accumulates";
+  EXPECT_NE(Summary.find("conflict attribution (top 1 granules"),
+            std::string::npos)
+      << Summary;
+  EXPECT_NE(Summary.find(strprintf(
+                "granule 0x%llx  %llu aborts  witness attr.shared\n",
+                GranuleBase,
+                static_cast<unsigned long long>(R.Stats.NumRetries))),
+            std::string::npos)
+      << Summary;
+  EXPECT_EQ(Summary.find("no witness word"), std::string::npos) << Summary;
 }
 
 //===----------------------------------------------------------------------===
@@ -391,34 +376,60 @@ TEST(ChromeTraceTest, UnwritablePathReportsTheError) {
   EXPECT_FALSE(Error.empty());
 }
 
-TEST(ChromeTraceTest, TimelineSamplesExportAsCounterTracks) {
-  // The runtime timeline renders as Perfetto counter tracks ("ph":"C"),
-  // one per sampled quantity, even when there are no duration events at
-  // all (metrics on, tracing off).
-  RunResult R;
-  TimelineSample S;
-  S.TimeNs = 1000;
-  S.Committed = 3;
-  S.InflightChunks = 2;
-  S.RingDepthBytes = 4096;
-  R.Timeline.push_back(S);
-  S.TimeNs = 2000;
-  S.Committed = 5;
-  R.Timeline.push_back(S);
+namespace {
+
+/// The last value of every counter track ("ph": "C") in the Chrome trace
+/// \p R exports. The exporter writes one event per line.
+std::map<std::string, uint64_t> lastCounterValues(const RunResult &R) {
   const std::string Path = ::testing::TempDir() + "trace_test_counters.json";
+  std::string Error;
+  EXPECT_TRUE(R.writeChromeTrace(Path, &Error)) << Error;
+  std::ifstream In(Path);
+  std::map<std::string, uint64_t> Last;
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.find("\"ph\": \"C\"") == std::string::npos)
+      continue;
+    const size_t Name = Line.find("\"name\": \"") + 9;
+    const size_t Value = Line.find("\"value\": ") + 9;
+    Last[Line.substr(Name, Line.find('"', Name) - Name)] =
+        std::stoull(Line.substr(Value));
+  }
+  std::remove(Path.c_str());
+  return Last;
+}
+
+} // namespace
+
+TEST(ChromeTraceTest, TimelineSamplesExportAsCounterTracks) {
+  // The counter tracks ("ph":"C") sample the event timeline: in-flight
+  // chunks from poll_wake Arg1, running totals from commit, retry and
+  // fork events (Arg1 1 and 2 are warm forks, 0 and 3 cold).
+  RunResult R;
+  const auto Add = [&R](TraceEventKind Kind, uint64_t StartNs,
+                        uint64_t Arg1 = 0) {
+    R.TraceEvents.push_back({StartNs, 0, 0, 0, Arg1, 0, Kind});
+  };
+  Add(TraceEventKind::Fork, 1000, /*Arg1=*/0);
+  Add(TraceEventKind::Fork, 1100, /*Arg1=*/1);
+  Add(TraceEventKind::Fork, 1200, /*Arg1=*/2);
+  Add(TraceEventKind::Fork, 1300, /*Arg1=*/3);
+  Add(TraceEventKind::PollWake, 2000, /*Arg1=*/2);
+  Add(TraceEventKind::Retry, 3000);
+  Add(TraceEventKind::Commit, 4000);
+  Add(TraceEventKind::Commit, 5000);
+  Add(TraceEventKind::ChunkExec, 6000);
+  const std::string Path = ::testing::TempDir() + "trace_test_tracks.json";
   std::string Error;
   ASSERT_TRUE(R.writeChromeTrace(Path, &Error)) << Error;
   std::ifstream In(Path);
   std::stringstream Buf;
   Buf << In.rdbuf();
   const std::string Json = Buf.str();
-  EXPECT_NE(Json.find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(Json.find("\"inflight_chunks\""), std::string::npos);
-  EXPECT_NE(Json.find("\"ring_depth_bytes\""), std::string::npos);
-  EXPECT_NE(Json.find("\"committed\""), std::string::npos);
-  // Timestamps normalize against the earliest SAMPLE when no events exist:
-  // the first sample lands at ts 0.
-  EXPECT_NE(Json.find("\"ts\": 0.000"), std::string::npos);
+  // Every track starts at 0 at the earliest event, which lands at ts 0.
+  EXPECT_NE(Json.find("\"name\": \"committed\", \"cat\": \"alter\", "
+                      "\"ph\": \"C\", \"ts\": 0.000"),
+            std::string::npos);
+  EXPECT_EQ(Json.find("\"ring_depth_bytes\""), std::string::npos);
   int Braces = 0, Brackets = 0;
   for (char C : Json) {
     Braces += C == '{' ? 1 : C == '}' ? -1 : 0;
@@ -427,10 +438,73 @@ TEST(ChromeTraceTest, TimelineSamplesExportAsCounterTracks) {
   EXPECT_EQ(Braces, 0);
   EXPECT_EQ(Brackets, 0);
   std::remove(Path.c_str());
+  const std::map<std::string, uint64_t> Last = lastCounterValues(R);
+  const std::map<std::string, uint64_t> Expected = {
+      {"inflight_chunks", 2}, {"committed", 2}, {"retries", 1},
+      {"warm_forks", 2},      {"cold_forks", 2}};
+  EXPECT_EQ(Last, Expected);
+}
+
+TEST(ChromeTraceTest, CounterTracksEndAtTheRunTotalsOnEveryEngine) {
+  // The derived tracks replay the engines' own counts: on the two fork
+  // engines, the threaded engine and the stage engine the last point of
+  // each running total equals the run's RunStats.
+  ScopedTraceLevel Scope(TraceLevel::Events);
+  const auto Check = [](const RunResult &R) {
+    ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+    const std::map<std::string, uint64_t> Last = lastCounterValues(R);
+    ASSERT_EQ(Last.size(), 5u);
+    EXPECT_EQ(Last.at("committed"), R.Stats.NumCommitted);
+    EXPECT_EQ(Last.at("retries"), R.Stats.NumRetries);
+    EXPECT_EQ(Last.at("warm_forks"), R.Stats.WarmForks);
+    EXPECT_EQ(Last.at("cold_forks"), R.Stats.ColdForks);
+  };
+  // A contended loop, so that the retries track moves too.
+  alignas(8) static double Shared = 0.0;
+  LoopSpec Spec;
+  Spec.NumIterations = 16;
+  Spec.Body = [](TxnContext &Ctx, int64_t) {
+    Ctx.store(&Shared, Ctx.load(&Shared) + 1.0);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 4;
+  Config.Params.ChunkFactor = 1;
+  Config.Params.Conflict = ConflictPolicy::RAW;
+  Config.Params.CommitOrder = CommitOrderPolicy::OutOfOrder;
+  Config.Trace = TraceLevel::Events;
+  {
+    SCOPED_TRACE("forkjoin");
+    ForkJoinExecutor Exec(Config);
+    const RunResult R = Exec.run(Spec);
+    EXPECT_GT(R.Stats.NumRetries, 0u);
+    Check(R);
+  }
+  {
+    SCOPED_TRACE("pipeline");
+    PipelineExecutor Exec(Config);
+    Check(Exec.run(Spec));
+  }
+  {
+    SCOPED_TRACE("threaded");
+    LockstepExecutor Exec(Config);
+    const RunResult R = Exec.run(Spec);
+    EXPECT_GT(R.Stats.NumRetries, 0u);
+    Check(R);
+  }
+  {
+    SCOPED_TRACE("staged");
+    std::unique_ptr<Workload> W = makeWorkload("ssca2");
+    W->setUp(0);
+    const RunResult R = W->runScheduled(
+        SchedulePolicy::Auto, W->resolveAnnotation(*W->paperAnnotation()),
+        /*NumWorkers=*/3);
+    EXPECT_EQ(R.ScheduleUsed, ScheduleKind::Staged);
+    Check(R);
+  }
 }
 
 //===----------------------------------------------------------------------===
-// Metrics histograms and the runtime timeline sampler
+// Metrics histograms and the runners' telemetry
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -490,101 +564,6 @@ TEST(MetricsHistogramTest, MergeIsAssociativeAndCommutative) {
   EXPECT_GE(Left.percentile(0.50), Left.Min);
 }
 
-namespace {
-
-/// A disjoint-writes loop on the warm-pool ring transport with metrics on
-/// and tracing BELOW Events: the timeline sampler is then the only
-/// traceNowNs caller in the parent, so under the seeded deterministic
-/// clock the whole timeline must replay exactly. Two workers run chunks of
-/// 4, so each round covers 8 of the \p N iterations. \p KillChunk >= 0
-/// arms a one-shot ChildKill on that chunk (contained by the engine's
-/// retry).
-RunResult runSampledDisjoint(uint64_t ClockSeed, int64_t KillChunk = -1,
-                             int64_t N = 48) {
-  setDeterministicTraceClock(ClockSeed);
-  FaultPlan::global().clear();
-  if (KillChunk >= 0)
-    FaultPlan::global().arm(FaultKind::ChildKill, KillChunk);
-  std::vector<int64_t> Data(static_cast<size_t>(N), -1);
-  LoopSpec Spec;
-  Spec.NumIterations = N;
-  Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
-    Ctx.store(&Data[static_cast<size_t>(I)], I + 11);
-  };
-  ExecutorConfig Config;
-  Config.NumWorkers = 2;
-  Config.Params.ChunkFactor = 4;
-  Config.Trace = TraceLevel::Counters;
-  Config.Transport = TransportKind::Ring;
-  Config.Metrics = true;
-  ForkJoinExecutor Exec(Config);
-  const RunResult R = Exec.run(Spec);
-  FaultPlan::global().clear();
-  EXPECT_EQ(R.Status, RunStatus::Success);
-  for (int64_t I = 0; I != N; ++I)
-    EXPECT_EQ(Data[static_cast<size_t>(I)], I + 11);
-  return R;
-}
-
-/// Compares every deterministic TimelineSample field. BusyNs/SlotNs carry
-/// real child CPU / wall time and are exempt by design.
-void expectTimelinesEqual(const RunResult &A, const RunResult &B) {
-  ASSERT_EQ(A.Timeline.size(), B.Timeline.size());
-  for (size_t I = 0; I != A.Timeline.size(); ++I) {
-    const TimelineSample &X = A.Timeline[I];
-    const TimelineSample &Y = B.Timeline[I];
-    EXPECT_EQ(X.TimeNs, Y.TimeNs) << "sample " << I;
-    EXPECT_EQ(X.Committed, Y.Committed) << "sample " << I;
-    EXPECT_EQ(X.Retries, Y.Retries) << "sample " << I;
-    EXPECT_EQ(X.WarmForks, Y.WarmForks) << "sample " << I;
-    EXPECT_EQ(X.ColdForks, Y.ColdForks) << "sample " << I;
-    EXPECT_EQ(X.InflightChunks, Y.InflightChunks) << "sample " << I;
-    EXPECT_EQ(X.RingDepthBytes, Y.RingDepthBytes) << "sample " << I;
-  }
-}
-
-} // namespace
-
-TEST(TimelineTest, SamplerIsDeterministicUnderTheWarmPool) {
-  ScopedTraceLevel Scope(TraceLevel::Counters);
-  // ForkJoin offers a sample at every round barrier, and the seeded clock
-  // advances 1 us per read, so 1,100 rounds carry the run past the 1 ms
-  // floor once.
-  const RunResult A = runSampledDisjoint(11, /*KillChunk=*/-1, 8 * 1100);
-  const RunResult B = runSampledDisjoint(11, /*KillChunk=*/-1, 8 * 1100);
-  // The first barrier's sample, one a millisecond later, and the forced
-  // sample at the finish.
-  ASSERT_EQ(A.Timeline.size(), 3u);
-  EXPECT_GE(A.Timeline[1].TimeNs - A.Timeline[0].TimeNs, 1'000'000u)
-      << "samples are at least 1 ms apart on the trace clock";
-  EXPECT_EQ(A.Timeline.back().Committed, A.Stats.NumCommitted);
-  EXPECT_EQ(A.Metrics.counter(CounterId::TimelineSamples),
-            A.Timeline.size());
-  expectTimelinesEqual(A, B);
-  // The merged registry is deterministic in its counting dimensions too.
-  EXPECT_EQ(A.Metrics.counter(CounterId::ChildChunks),
-            B.Metrics.counter(CounterId::ChildChunks));
-  EXPECT_EQ(A.Metrics.counter(CounterId::ChildFrames),
-            B.Metrics.counter(CounterId::ChildFrames));
-  EXPECT_EQ(A.Metrics.histogram(HistogramId::ChunkExecNs).Count,
-            B.Metrics.histogram(HistogramId::ChunkExecNs).Count);
-}
-
-TEST(TimelineTest, SamplerIsDeterministicUnderFaults) {
-  // A one-shot injected kill adds a contained crash and a retry round; the
-  // fault point is positional, so two identically seeded runs must still
-  // produce identical timelines.
-  ScopedTraceLevel Scope(TraceLevel::Counters);
-  const RunResult A = runSampledDisjoint(7, /*KillChunk=*/1);
-  const RunResult B = runSampledDisjoint(7, /*KillChunk=*/1);
-  EXPECT_GT(A.Stats.NumChildCrashes, 0u);
-  ASSERT_FALSE(A.Timeline.empty());
-  expectTimelinesEqual(A, B);
-  // The final sample reflects the recovered end state: all chunks
-  // committed despite the kill.
-  EXPECT_EQ(A.Timeline.back().Committed, A.Stats.NumCommitted);
-}
-
 TEST(TimelineTest, MetricsOffLeavesNoTimelineAndNoRegistry) {
   ScopedTraceLevel Scope(TraceLevel::Off);
   std::vector<int64_t> Data(16, 0);
@@ -600,14 +579,16 @@ TEST(TimelineTest, MetricsOffLeavesNoTimelineAndNoRegistry) {
   ForkJoinExecutor Exec(Config);
   const RunResult R = Exec.run(Spec);
   EXPECT_EQ(R.Status, RunStatus::Success);
-  EXPECT_TRUE(R.Timeline.empty());
+  EXPECT_TRUE(R.TraceEvents.empty());
   EXPECT_TRUE(R.Metrics.empty());
 }
 
 TEST(TimelineTest, RunnersKeepEveryInvocationsMetricsAndTimeline) {
-  // Two invocations through each runner, metrics on: the accumulated
-  // registry holds every engine run's chunk samples and commits, and the
-  // timeline every sample the sampler counted.
+  // Two invocations through each runner, metrics and events on: the
+  // accumulated registry holds every engine run's chunk, frame, validation
+  // and commit samples (each histogram's count is that count), and the
+  // timeline every commit event.
+  ScopedTraceLevel Scope(TraceLevel::Events);
   std::vector<int64_t> Data(16, 0);
   LoopSpec Spec;
   Spec.NumIterations = 16;
@@ -618,7 +599,9 @@ TEST(TimelineTest, RunnersKeepEveryInvocationsMetricsAndTimeline) {
   Config.NumWorkers = 2;
   Config.Params.ChunkFactor = 4;
   Config.Metrics = true;
-  const auto Check = [&Spec](LoopRunner &Runner) {
+  Config.Trace = TraceLevel::Events;
+  // Only the fork engines encode a commit frame per transaction.
+  const auto Check = [&Spec](LoopRunner &Runner, bool Frames) {
     for (int Invocation = 0; Invocation != 2; ++Invocation)
       ASSERT_TRUE(Runner.runInner(Spec));
     Runner.release();
@@ -626,16 +609,20 @@ TEST(TimelineTest, RunnersKeepEveryInvocationsMetricsAndTimeline) {
     EXPECT_GE(R.Stats.NumTransactions, 8u);
     EXPECT_EQ(R.Metrics.histogram(HistogramId::ChunkExecNs).Count,
               R.Stats.NumTransactions);
-    EXPECT_EQ(R.Metrics.counter(CounterId::ParentCommits),
+    EXPECT_EQ(R.Metrics.histogram(HistogramId::SerializeNs).Count,
+              Frames ? R.Stats.NumTransactions : 0u);
+    EXPECT_EQ(R.Metrics.histogram(HistogramId::ValidateNs).Count,
+              R.Stats.NumTransactions);
+    EXPECT_EQ(R.Metrics.histogram(HistogramId::CommitNs).Count,
               R.Stats.NumCommitted);
-    EXPECT_EQ(R.Timeline.size(),
-              R.Metrics.counter(CounterId::TimelineSamples));
+    EXPECT_EQ(countKind(R.TraceEvents, TraceEventKind::Commit),
+              R.Stats.NumCommitted);
   };
   {
     SCOPED_TRACE("ExecutorLoopRunner over threads");
     LockstepExecutor Threads(Config);
     ExecutorLoopRunner Runner(Threads);
-    Check(Runner);
+    Check(Runner, /*Frames=*/false);
   }
   for (ParallelEngine Engine :
        {ParallelEngine::ForkJoin, ParallelEngine::Pipeline,
@@ -643,8 +630,62 @@ TEST(TimelineTest, RunnersKeepEveryInvocationsMetricsAndTimeline) {
     SCOPED_TRACE("RecoveringLoopRunner, engine " +
                  std::to_string(static_cast<int>(Engine)));
     RecoveringLoopRunner Runner(Engine, Config);
-    Check(Runner);
+    Check(Runner, /*Frames=*/Engine != ParallelEngine::Threaded);
   }
+}
+
+//===----------------------------------------------------------------------===
+// Buffered stdout across forks
+//===----------------------------------------------------------------------===
+
+TEST(ForkFlushTest, BufferedStdoutIsWrittenOnceAcrossForkEngineRuns) {
+  // A sandboxed process sends its stdout, fully buffered, into a file,
+  // leaves a marker in the buffer and runs both fork engines on both
+  // transports. Their children inherit the buffer: unless the parent
+  // flushes before it forks, a child that flushes stdio on its way out (as
+  // forked children do under ThreadSanitizer) writes the marker again.
+  const std::string Path = ::testing::TempDir() + "trace_test_stdout.txt";
+  const SubprocessResult Sandbox = runInSandbox(
+      [&Path](int) {
+        static char StdoutBuf[1 << 16];
+        if (!std::freopen(Path.c_str(), "w", stdout) ||
+            std::setvbuf(stdout, StdoutBuf, _IOFBF, sizeof(StdoutBuf)) != 0)
+          ::_exit(2);
+        std::fputs("fork-flush-marker\n", stdout);
+        std::vector<int64_t> Data(16, 0);
+        LoopSpec Spec;
+        Spec.NumIterations = 16;
+        Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
+          Ctx.store(&Data[static_cast<size_t>(I)], I);
+        };
+        ExecutorConfig Config;
+        Config.NumWorkers = 2;
+        Config.Params.ChunkFactor = 4;
+        bool Ok = true;
+        for (TransportKind Transport :
+             {TransportKind::Pipe, TransportKind::Ring}) {
+          Config.Transport = Transport;
+          ForkJoinExecutor Rounds(Config);
+          Ok = Ok && Rounds.run(Spec).succeeded();
+          PipelineExecutor Pipe(Config);
+          Ok = Ok && Pipe.run(Spec).succeeded();
+        }
+        std::fflush(stdout);
+        ::_exit(Ok ? 0 : 3);
+      },
+      /*TimeoutSec=*/120);
+  ASSERT_TRUE(Sandbox.Exited && Sandbox.ExitCode == 0)
+      << "exit code " << Sandbox.ExitCode << ", signal " << Sandbox.Signal;
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  const std::string Text = Buf.str();
+  size_t Markers = 0;
+  for (size_t At = Text.find("fork-flush-marker"); At != std::string::npos;
+       At = Text.find("fork-flush-marker", At + 1))
+    ++Markers;
+  EXPECT_EQ(Markers, 1u) << Text.substr(0, 200);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===
