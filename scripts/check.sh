@@ -422,8 +422,7 @@ metrics_stage() { # metrics_stage <build-dir>
       echo "-- $ENGINE over $TRANSPORT --"
       ALTER_TRANSPORT="$TRANSPORT" "$BENCH" --quick --profile \
         --profile-engine="$ENGINE" --metrics-json "$MJSON" >/dev/null
-      python3 "$REPO_ROOT/scripts/check_metrics.py" "$MJSON" \
-        "$REPO_ROOT/BENCH_metrics.json"
+      python3 "$REPO_ROOT/scripts/check_metrics.py" "$MJSON"
     done
   done
 

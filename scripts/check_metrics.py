@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Checks one alter-metrics-v1 report against the committed baseline.
 
-Usage: scripts/check_metrics.py <metrics.json> [<baseline.json>]
+Usage: scripts/check_metrics.py <metrics.json>
 
 The report (bench drivers' --metrics-json) must have exactly the key set of
-the baseline (BENCH_metrics.json at the repo root by default), name the
+the baseline, BENCH_metrics.json at the repo root, name the
 alter-metrics-v1 schema, come from a successful run, time one commit per
 committed chunk (histograms.commit_ns.count == committed), keep every
 non-empty histogram's percentiles in order (min <= p50 <= p90 <= p99 <=
@@ -28,10 +28,10 @@ def keypaths(node, prefix=""):
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
-        sys.exit("usage: check_metrics.py <metrics.json> [<baseline.json>]")
-    base_path = argv[2] if len(argv) == 3 else os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_metrics.json")
+    if len(argv) != 2:
+        sys.exit("usage: check_metrics.py <metrics.json>")
+    base_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                             "BENCH_metrics.json")
     with open(argv[1]) as f:
         cur = json.load(f)
     with open(base_path) as f:

@@ -379,9 +379,14 @@ TEST(ChromeTraceTest, UnwritablePathReportsTheError) {
 namespace {
 
 /// The last value of every counter track ("ph": "C") in the Chrome trace
-/// \p R exports. The exporter writes one event per line.
+/// \p R exports. The exporter writes one event per line. The file is named
+/// after the running test, so cases that ctest runs in parallel never
+/// share it.
 std::map<std::string, uint64_t> lastCounterValues(const RunResult &R) {
-  const std::string Path = ::testing::TempDir() + "trace_test_counters.json";
+  const std::string Path =
+      ::testing::TempDir() + "trace_test_counters_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".json";
   std::string Error;
   EXPECT_TRUE(R.writeChromeTrace(Path, &Error)) << Error;
   std::ifstream In(Path);
