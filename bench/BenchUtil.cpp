@@ -50,8 +50,6 @@ SweepSeries alter::bench::runSweep(const std::string &Name, size_t InputIndex,
     Point.NumWorkers = P;
     Point.Schedule = scheduleKindName(R.ScheduleUsed);
     Point.Status = R.Status;
-    Point.SimTimeNs = R.Stats.SimTimeNs;
-    Point.RetryRate = R.Stats.retryRate();
     Point.ChunkFactorUsed = R.ChunkFactorUsed;
     Point.Stats = R.Stats;
     Point.Speedup = R.Stats.SimTimeNs == 0
@@ -83,8 +81,6 @@ SweepSeries alter::bench::runScheduledSweep(
     const RunResult R = W->runScheduled(SchedulePolicy::Auto, Params, P);
     Point.Schedule = scheduleKindName(R.ScheduleUsed);
     Point.Status = R.Status;
-    Point.SimTimeNs = R.Stats.SimTimeNs;
-    Point.RetryRate = R.Stats.retryRate();
     Point.ChunkFactorUsed = R.ChunkFactorUsed;
     Point.Stats = R.Stats;
     Point.Speedup = R.Stats.SimTimeNs == 0
@@ -97,7 +93,7 @@ SweepSeries alter::bench::runScheduledSweep(
 }
 
 std::string alter::bench::speedupCell(const SweepPoint &Point) {
-  if (Point.SimTimeNs == 0 && Point.Stats.NumTransactions == 0 &&
+  if (Point.Stats.SimTimeNs == 0 && Point.Stats.NumTransactions == 0 &&
       Point.Speedup == 0.0)
     return "-"; // empty point (e.g. staged at one processor)
   if (Point.Status != RunStatus::Success)
@@ -256,73 +252,22 @@ void alter::bench::finalizeBenchJson() {
   std::fprintf(F, "{\n  \"records\": [");
   for (size_t I = 0; I != JsonRecords.size(); ++I) {
     const JsonRecord &R = JsonRecords[I];
-    const RunStats &S = R.Point.Stats;
-    std::fprintf(
-        F,
-        "%s\n    {\"figure\": \"%s\", \"series\": \"%s\", \"procs\": %u, "
-        "\"status\": \"%s\", \"speedup\": %.6g, \"retry_rate\": %.6g, "
-        "\"sim_time_ns\": %llu, \"real_time_ns\": %llu, "
-        "\"transactions\": %llu, \"committed\": %llu, \"retries\": %llu, "
-        "\"occupancy\": %.6g, \"straggler_stall_ns\": %llu, "
-        "\"wire_bytes\": %llu, \"wire_bytes_raw\": %llu, "
-        "\"wire_compression\": %.6g, \"chunk_factor\": %lld, "
-        "\"fork_failures\": %llu, "
-        "\"transport\": \"%s\", \"schedule\": \"%s\", "
-        "\"wire_bytes_copied\": %llu, "
-        "\"warm_forks\": %llu, \"cold_forks\": %llu, "
-        "\"child_reuses\": %llu, "
-        "\"warm_fork_rate\": %.6g, \"template_refreshes\": %llu, "
-        "\"pool_faults\": %llu, "
-        "\"child_crashes\": %llu, \"wire_rejects\": %llu, "
-        "\"recovered\": %s, \"recovered_iterations\": %llu, "
-        "\"salvaged_chunks\": %llu, \"quarantined_iterations\": %llu, "
-        "\"bisection_rounds\": %llu, "
-        "\"cpu_user_ns\": %llu, \"cpu_sys_ns\": %llu, "
-        "\"cpu_total_ns\": %llu, \"cpu_vs_wall\": %.6g, "
-        "\"max_child_rss_bytes\": %llu, "
-        "\"journal_bytes\": %llu, \"journal_fsyncs\": %llu, "
-        "\"replayed_chunks\": %llu, \"recovery_ns\": %llu}",
-        I == 0 ? "" : ",", jsonEscape(R.Figure).c_str(),
-        jsonEscape(R.Series).c_str(), R.Point.NumWorkers,
-        runStatusName(R.Point.Status), R.Point.Speedup, R.Point.RetryRate,
-        static_cast<unsigned long long>(R.Point.SimTimeNs),
-        static_cast<unsigned long long>(S.RealTimeNs),
-        static_cast<unsigned long long>(S.NumTransactions),
-        static_cast<unsigned long long>(S.NumCommitted),
-        static_cast<unsigned long long>(S.NumRetries), S.occupancy(),
-        static_cast<unsigned long long>(S.stragglerStallNs()),
-        static_cast<unsigned long long>(S.WireBytes),
-        static_cast<unsigned long long>(S.WireBytesRaw),
-        S.wireCompressionRatio(),
-        static_cast<long long>(R.Point.ChunkFactorUsed),
-        static_cast<unsigned long long>(S.NumForkFailures),
-        jsonEscape(R.Point.Transport).c_str(),
-        jsonEscape(R.Point.Schedule).c_str(),
-        static_cast<unsigned long long>(S.WireBytesCopied),
-        static_cast<unsigned long long>(S.WarmForks),
-        static_cast<unsigned long long>(S.ColdForks),
-        static_cast<unsigned long long>(S.ChildReuses), S.warmForkRate(),
-        static_cast<unsigned long long>(S.TemplateRefreshes),
-        static_cast<unsigned long long>(S.PoolFaults),
-        static_cast<unsigned long long>(S.NumChildCrashes),
-        static_cast<unsigned long long>(S.NumWireRejects),
-        S.Recovered ? "true" : "false",
-        static_cast<unsigned long long>(S.RecoveredIterations),
-        static_cast<unsigned long long>(S.SalvagedChunks),
-        static_cast<unsigned long long>(S.QuarantinedIterations),
-        static_cast<unsigned long long>(S.BisectionRounds),
-        static_cast<unsigned long long>(S.ChildUserNs),
-        static_cast<unsigned long long>(S.ChildSysNs),
-        static_cast<unsigned long long>(S.ChildUserNs + S.ChildSysNs),
-        S.RealTimeNs == 0
-            ? 0.0
-            : static_cast<double>(S.ChildUserNs + S.ChildSysNs) /
-                  static_cast<double>(S.RealTimeNs),
-        static_cast<unsigned long long>(S.MaxChildRssBytes),
-        static_cast<unsigned long long>(S.JournalBytes),
-        static_cast<unsigned long long>(S.JournalFsyncs),
-        static_cast<unsigned long long>(S.ReplayedChunks),
-        static_cast<unsigned long long>(S.RecoveryNs));
+    std::fprintf(F,
+                 "%s\n    {\"figure\": \"%s\", \"series\": \"%s\", "
+                 "\"procs\": %u, \"status\": \"%s\", \"speedup\": %.6g, "
+                 "\"chunk_factor\": %lld, \"transport\": \"%s\", "
+                 "\"schedule\": \"%s\"",
+                 I == 0 ? "" : ",", jsonEscape(R.Figure).c_str(),
+                 jsonEscape(R.Series).c_str(), R.Point.NumWorkers,
+                 runStatusName(R.Point.Status), R.Point.Speedup,
+                 static_cast<long long>(R.Point.ChunkFactorUsed),
+                 jsonEscape(R.Point.Transport).c_str(),
+                 jsonEscape(R.Point.Schedule).c_str());
+    R.Point.Stats.forEachReported(
+        [F](const char *Name, const std::string &Value) {
+          std::fprintf(F, ", \"%s\": %s", Name, Value.c_str());
+        });
+    std::fprintf(F, "}");
   }
   std::fprintf(F, "\n  ]\n}\n");
   if (std::fclose(F) != 0)

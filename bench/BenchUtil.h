@@ -34,14 +34,13 @@ namespace bench {
 struct SweepPoint {
   unsigned NumWorkers = 0;
   double Speedup = 0.0;
-  double RetryRate = 0.0;
-  uint64_t SimTimeNs = 0;
   RunStatus Status = RunStatus::Success;
   /// The chunk factor the run actually used (explicit parameter or the
   /// process-wide default), carried into the --json report.
   int64_t ChunkFactorUsed = 0;
-  /// Full per-run statistics, carried into the --json report (transaction
-  /// counts, wire bytes, worker occupancy).
+  /// Full per-run statistics, carried into the --json report (every
+  /// RunStats::forEachReported member) and read by the figures for the
+  /// modeled time and the retry rate.
   RunStats Stats;
   /// Commit transport the run used ("pipe" / "ring"), carried into the
   /// --json report. "n/a" for thread-based engines with no fork transport.
@@ -145,10 +144,11 @@ void maybeWriteMetricsReport(const RunResult &Result);
 void jsonAddPoint(const std::string &Figure, const std::string &Series,
                   const SweepPoint &Point);
 
-/// Writes the accumulated report to the --json path as a flat record array
-/// (figure, series, procs, status, speedup, txn stats, wire bytes,
-/// occupancy, fault/recovery counters). No-op when --json was not given.
-/// Call once at the bottom of main().
+/// Writes the accumulated report to the --json path as a flat record array:
+/// figure, series, procs, status, speedup, chunk_factor, transport and
+/// schedule, then every RunStats::forEachReported member under the names
+/// the alter-metrics-v1 report uses. No-op when --json was not given. Call
+/// once at the bottom of main().
 void finalizeBenchJson();
 
 } // namespace bench

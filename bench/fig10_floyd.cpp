@@ -32,7 +32,7 @@ int main(int argc, char **argv) {
   printFigure("Floyd-Warshall (StaleReads)", {Alter},
               "scales to ~2.5x; zero conflicts; exact output");
   std::printf("\nretry rate at 4 workers: %s (paper: 0%%)\n",
-              formatPercent(Alter.Points[2].RetryRate).c_str());
+              formatPercent(Alter.Points[2].Stats.retryRate()).c_str());
   finalizeBenchJson();
   return 0;
 }

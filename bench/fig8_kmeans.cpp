@@ -47,7 +47,8 @@ SweepSeries manualSeries(const std::string &Label, uint64_t SeqNs) {
     const double T = (1.0 + LockingOverhead) / static_cast<double>(P) +
                      0.01; // residual serial fraction
     Point.Speedup = 1.0 / T;
-    Point.SimTimeNs = static_cast<uint64_t>(static_cast<double>(SeqNs) * T);
+    Point.Stats.SimTimeNs =
+        static_cast<uint64_t>(static_cast<double>(SeqNs) * T);
     Series.Points.push_back(Point);
   }
   return Series;

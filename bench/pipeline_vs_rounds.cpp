@@ -232,8 +232,6 @@ SweepPoint measure(StragglerLoop &Loop, Executor &Exec, unsigned P,
   Point.NumWorkers = P;
   Point.Schedule = scheduleKindName(R.ScheduleUsed);
   Point.Status = R.Status;
-  Point.SimTimeNs = R.Stats.SimTimeNs;
-  Point.RetryRate = R.Stats.retryRate();
   Point.ChunkFactorUsed = R.ChunkFactorUsed;
   Point.Stats = R.Stats;
   Point.Transport = transportKindName(Transport);
@@ -289,8 +287,6 @@ SweepPoint measureRecovering(StragglerLoop &Loop, ParallelEngine Engine,
   Point.NumWorkers = P;
   Point.Schedule = scheduleKindName(R.ScheduleUsed);
   Point.Status = R.Status;
-  Point.SimTimeNs = R.Stats.SimTimeNs;
-  Point.RetryRate = R.Stats.retryRate();
   Point.ChunkFactorUsed = R.ChunkFactorUsed;
   Point.Stats = R.Stats;
   Point.Transport = transportKindName(Config.Transport);

@@ -35,10 +35,10 @@ void report(const InferenceEngine &Engine, const std::string &Name) {
   auto Show = [](const CandidateReport &Rep) {
     std::printf("  %-22s %-9s", Rep.Cand.str().c_str(),
                 inferenceOutcomeName(Rep.Outcome));
-    if (Rep.NumTransactions != 0)
+    if (Rep.Stats.NumTransactions != 0)
       std::printf("  (retry %s, %llu txns)",
-                  formatPercent(Rep.RetryRate).c_str(),
-                  static_cast<unsigned long long>(Rep.NumTransactions));
+                  formatPercent(Rep.Stats.retryRate()).c_str(),
+                  static_cast<unsigned long long>(Rep.Stats.NumTransactions));
     std::printf("\n");
   };
   Show(R.Tls);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 #include <unistd.h>
 
 using namespace alter;
@@ -74,22 +75,13 @@ constexpr int CandidateChunkFactor = 16;
 /// (reproduces the paper's AggloClust out-of-memory crash).
 constexpr size_t CandidateAccessSetBytes = 160 << 10;
 
-/// Wire format of the child's report (all little-endian u64/f64 slots).
-struct WireReport {
-  uint64_t Outcome;
-  uint64_t NumTransactions;
-  uint64_t NumRetries;
-  double RetryRate;
-  double ReadSetWordsMean;
-  double WriteSetWordsMean;
-  uint64_t SimTimeNs;
-  uint64_t SeqTimeNs;
-  uint64_t EnvFaults;
-  uint64_t Recovered;
-};
+// The child writes its CandidateReport to the parent as raw bytes. Parent
+// and child are forks of one binary, so the layout agrees by construction.
+static_assert(std::is_trivially_copyable_v<RunStats>);
+static_assert(std::is_trivially_copyable_v<CandidateReport>);
 
-/// Runs the candidate end to end inside the child process and emits a
-/// WireReport. Never returns.
+/// Runs the candidate end to end inside the child process and writes its
+/// CandidateReport to \p WriteFd. Never returns.
 [[noreturn]] void runCandidateChild(const std::string &Name,
                                     const Candidate &Cand, int WriteFd) {
   // Reference execution on a private instance: deterministic setup means
@@ -150,19 +142,8 @@ struct WireReport {
           DeadlineFactor * static_cast<double>(BaselineNs))
     Outcome = InferenceOutcome::Timeout;
 
-  WireReport Wire;
-  Wire.Outcome = static_cast<uint64_t>(Outcome);
-  Wire.NumTransactions = R.Stats.NumTransactions;
-  Wire.NumRetries = R.Stats.NumRetries;
-  Wire.RetryRate = R.Stats.retryRate();
-  Wire.ReadSetWordsMean = R.Stats.ReadSetWords.mean();
-  Wire.WriteSetWordsMean = R.Stats.WriteSetWords.mean();
-  Wire.SimTimeNs = R.Stats.SimTimeNs;
-  Wire.SeqTimeNs = BaselineNs;
-  Wire.EnvFaults = R.Stats.NumForkFailures + R.Stats.NumChildCrashes +
-                   R.Stats.NumWireRejects;
-  Wire.Recovered = R.Stats.Recovered ? 1 : 0;
-  writeAllOrDie(WriteFd, &Wire, sizeof(Wire));
+  const CandidateReport Report{Cand, Outcome, R.Stats};
+  writeAllOrDie(WriteFd, &Report, sizeof(Report));
   _exit(0);
 }
 
@@ -180,7 +161,6 @@ CandidateReport InferenceEngine::evaluateCandidate(const std::string &Name,
     // The sandbox never launched (pipe/fork exhaustion in OUR process):
     // indict the environment, not the candidate.
     Report.Outcome = InferenceOutcome::EnvFault;
-    Report.EnvFaults = 1;
     return Report;
   }
   if (Sandbox.TimedOut) {
@@ -188,24 +168,13 @@ CandidateReport InferenceEngine::evaluateCandidate(const std::string &Name,
     return Report;
   }
   if (!Sandbox.Exited || Sandbox.ExitCode != 0 ||
-      Sandbox.Output.size() != sizeof(WireReport)) {
+      Sandbox.Output.size() != sizeof(CandidateReport)) {
     // Abnormal death (signal, allocator exhaustion, short write): the
     // candidate crashed the program.
     Report.Outcome = InferenceOutcome::Crash;
     return Report;
   }
-  WireReport Wire;
-  std::memcpy(&Wire, Sandbox.Output.data(), sizeof(Wire));
-  Report.Outcome = static_cast<InferenceOutcome>(Wire.Outcome);
-  Report.NumTransactions = Wire.NumTransactions;
-  Report.NumRetries = Wire.NumRetries;
-  Report.RetryRate = Wire.RetryRate;
-  Report.ReadSetWordsMean = Wire.ReadSetWordsMean;
-  Report.WriteSetWordsMean = Wire.WriteSetWordsMean;
-  Report.SimTimeNs = Wire.SimTimeNs;
-  Report.SeqTimeNs = Wire.SeqTimeNs;
-  Report.EnvFaults = Wire.EnvFaults;
-  Report.Recovered = Wire.Recovered != 0;
+  std::memcpy(&Report, Sandbox.Output.data(), sizeof(Report));
   return Report;
 }
 

@@ -65,25 +65,14 @@ struct InferenceConfig {
   unsigned SandboxTimeoutSec = 120;
 };
 
-/// Result of evaluating one candidate.
+/// Result of evaluating one candidate. The sandboxed child writes it whole
+/// to its parent as raw bytes, so it stays trivially copyable.
 struct CandidateReport {
   Candidate Cand;
   InferenceOutcome Outcome = InferenceOutcome::Crash;
-  /// Failed-commit fraction observed (0 when the run died early).
-  double RetryRate = 0.0;
-  /// Scalar statistics shipped back from the sandbox.
-  uint64_t NumTransactions = 0;
-  uint64_t NumRetries = 0;
-  double ReadSetWordsMean = 0.0;
-  double WriteSetWordsMean = 0.0;
-  uint64_t SimTimeNs = 0;
-  uint64_t SeqTimeNs = 0;
-  /// Infrastructure faults (fork failures + child crashes + wire rejects)
-  /// the runtime observed during the evaluation — nonzero values mean an
-  /// EnvFault classification indicts the environment, not the candidate.
-  uint64_t EnvFaults = 0;
-  /// True when the run only completed via the sequential-recovery path.
-  bool Recovered = false;
+  /// The candidate run's statistics (all 0 when the sandbox died before
+  /// reporting).
+  RunStats Stats;
 };
 
 /// Complete inference result for one loop (one Table 3 row, plus the

@@ -197,20 +197,14 @@ bool DispatchCore::collect(unsigned Slot, ChildReport &Rep,
     Why = "rejected commit message: " + Error;
     return false;
   }
-  // A blown access set still shows in the telemetry: the run dies of it,
-  // and the read-set growth that killed it must stay visible.
-  Result.Stats.ReadSetWords.add(static_cast<double>(Rep.Reads.sizeWords()));
-  Result.Stats.WriteSetWords.add(static_cast<double>(Rep.Writes.sizeWords()));
+  // A blown access set still counts: the run dies of it, and the set
+  // growth that killed it must stay visible.
+  Result.Stats.countTransaction(Rep.Counts);
   Sink.absorbChild(Rep.Trace);
   if (Config.Metrics)
     Result.Metrics.merge(Rep.Metrics);
   if (Rep.LimitExceeded)
     return true;
-  ++Result.Stats.NumTransactions;
-  Result.Stats.InstrReadCalls += Rep.InstrReadCalls;
-  Result.Stats.InstrWriteCalls += Rep.InstrWriteCalls;
-  Result.Stats.BytesRead += Rep.BytesRead;
-  Result.Stats.BytesWritten += Rep.BytesWritten;
   Result.Stats.WireBytes += Rep.WireBytes;
   Result.Stats.WireBytesRaw += Rep.RawWireBytes;
   Result.Stats.WorkerBusyNs += Rep.WorkNs;

@@ -316,6 +316,8 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
         Result.Metrics.record(HistogramId::WriteLogBytes,
                               Ctx.writeLog().dataBytes());
       }
+      // A blown access set still counts, as on the fork engines.
+      Result.Stats.countTransaction(Ctx.counts());
       if (Ctx.limitExceeded()) {
         Result.FailedChunk = Round[W].Chunk;
         for (unsigned V = 0; V != RoundSize; ++V)
@@ -328,15 +330,6 @@ RunResult LockstepExecutor::run(const LoopSpec &Spec) {
       }
       Round[W].Reads = &Ctx.readSet();
       Round[W].Writes = &Ctx.writeSet();
-      ++Result.Stats.NumTransactions;
-      Result.Stats.ReadSetWords.add(
-          static_cast<double>(Ctx.readSet().sizeWords()));
-      Result.Stats.WriteSetWords.add(
-          static_cast<double>(Ctx.writeSet().sizeWords()));
-      Result.Stats.InstrReadCalls += Ctx.instrReadCalls();
-      Result.Stats.InstrWriteCalls += Ctx.instrWriteCalls();
-      Result.Stats.BytesRead += Ctx.bytesRead();
-      Result.Stats.BytesWritten += Ctx.bytesWritten();
     }
 
     // Step 2c: validate and commit one after another in deterministic

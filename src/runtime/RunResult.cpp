@@ -42,49 +42,57 @@ const char *alter::scheduleKindName(ScheduleKind Kind) {
   ALTER_UNREACHABLE("covered switch");
 }
 
+namespace {
+
+// The three ALTER_RUN_STATS merge rules. Or takes only the bool flag, Sum
+// and Max only counts, so a row with the wrong rule does not compile.
+void mergeSum(uint64_t &Into, uint64_t From) { Into += From; }
+void mergeMax(uint64_t &Into, uint64_t From) { Into = std::max(Into, From); }
+void mergeOr(bool &Into, bool From) { Into = Into || From; }
+
+using StatEmitter = std::function<void(const char *, const std::string &)>;
+
+void emitStat(const StatEmitter &Emit, const char *Name, uint64_t Value) {
+  Emit(Name, std::to_string(Value));
+}
+void emitStat(const StatEmitter &Emit, const char *Name, bool Value) {
+  Emit(Name, Value ? "true" : "false");
+}
+void emitStat(const StatEmitter &Emit, const char *Name, double Value) {
+  Emit(Name, strprintf("%.6g", Value));
+}
+
+} // namespace
+
+void RunStats::countTransaction(const TxnCounts &Txn) {
+  ++NumTransactions;
+  ReadSetWords.add(static_cast<double>(Txn.ReadSetWords));
+  WriteSetWords.add(static_cast<double>(Txn.WriteSetWords));
+  InstrReadCalls += Txn.InstrReadCalls;
+  InstrWriteCalls += Txn.InstrWriteCalls;
+  BytesRead += Txn.BytesRead;
+  BytesWritten += Txn.BytesWritten;
+}
+
 void RunStats::merge(const RunStats &Other) {
-  NumTransactions += Other.NumTransactions;
-  NumCommitted += Other.NumCommitted;
-  NumRetries += Other.NumRetries;
-  NumRounds += Other.NumRounds;
+#define ALTER_MERGE_STAT(Member, Name, Rule) merge##Rule(Member, Other.Member);
+  ALTER_RUN_STATS(ALTER_MERGE_STAT)
+#undef ALTER_MERGE_STAT
   ReadSetWords.merge(Other.ReadSetWords);
   WriteSetWords.merge(Other.WriteSetWords);
-  InstrReadCalls += Other.InstrReadCalls;
-  InstrWriteCalls += Other.InstrWriteCalls;
-  BytesRead += Other.BytesRead;
-  BytesWritten += Other.BytesWritten;
-  SimTimeNs += Other.SimTimeNs;
-  RealTimeNs += Other.RealTimeNs;
-  WireBytes += Other.WireBytes;
-  WireBytesRaw += Other.WireBytesRaw;
-  WireBytesCopied += Other.WireBytesCopied;
-  WarmForks += Other.WarmForks;
-  ColdForks += Other.ColdForks;
-  ChildReuses += Other.ChildReuses;
-  TemplateRefreshes += Other.TemplateRefreshes;
-  PoolFaults += Other.PoolFaults;
-  StageStalled += Other.StageStalled;
-  QueueDepthPeak = std::max(QueueDepthPeak, Other.QueueDepthPeak);
-  WorkerBusyNs += Other.WorkerBusyNs;
-  WorkerSlotNs += Other.WorkerSlotNs;
-  ChildUserNs += Other.ChildUserNs;
-  ChildSysNs += Other.ChildSysNs;
-  MaxChildRssBytes = std::max(MaxChildRssBytes, Other.MaxChildRssBytes);
-  NumForkFailures += Other.NumForkFailures;
-  NumChildCrashes += Other.NumChildCrashes;
-  NumWireRejects += Other.NumWireRejects;
-  RecoveredIterations += Other.RecoveredIterations;
-  SalvagedChunks += Other.SalvagedChunks;
-  QuarantinedIterations += Other.QuarantinedIterations;
-  BisectionRounds += Other.BisectionRounds;
-  ResourceFaults += Other.ResourceFaults;
-  TransportDowngrades += Other.TransportDowngrades;
-  ParallelismDowngrades += Other.ParallelismDowngrades;
-  Recovered |= Other.Recovered;
-  JournalBytes += Other.JournalBytes;
-  JournalFsyncs += Other.JournalFsyncs;
-  ReplayedChunks += Other.ReplayedChunks;
-  RecoveryNs += Other.RecoveryNs;
+}
+
+void RunStats::forEachReported(const StatEmitter &Emit) const {
+#define ALTER_EMIT_STAT(Member, Name, Rule) emitStat(Emit, Name, Member);
+  ALTER_RUN_STATS(ALTER_EMIT_STAT)
+#undef ALTER_EMIT_STAT
+  emitStat(Emit, "occupancy", occupancy());
+  emitStat(Emit, "retry_rate", retryRate());
+  emitStat(Emit, "straggler_stall_ns", stragglerStallNs());
+  emitStat(Emit, "wire_compression", wireCompressionRatio());
+  emitStat(Emit, "warm_fork_rate", warmForkRate());
+  emitStat(Emit, "cpu_total_ns", ChildUserNs + ChildSysNs);
+  emitStat(Emit, "cpu_vs_wall", cpuVsWall());
 }
 
 //===----------------------------------------------------------------------===
@@ -188,12 +196,7 @@ std::string RunResult::profileTable() const {
   Out += strprintf("cpu vs wall: user %.2f ms + sys %.2f ms over %.2f ms "
                    "wall (%.2fx), max child rss %.1f MiB\n",
                    Stats.ChildUserNs / 1e6, Stats.ChildSysNs / 1e6,
-                   P.WallNs / 1e6,
-                   P.WallNs == 0
-                       ? 0.0
-                       : static_cast<double>(Stats.ChildUserNs +
-                                             Stats.ChildSysNs) /
-                             static_cast<double>(P.WallNs),
+                   P.WallNs / 1e6, Stats.cpuVsWall(),
                    Stats.MaxChildRssBytes / (1024.0 * 1024.0));
   return Out;
 }
@@ -211,29 +214,9 @@ bool RunResult::writeMetricsJson(const std::string &Path,
   std::fprintf(F, "{\n  \"schema\": \"alter-metrics-v1\",\n");
   std::fprintf(F, "  \"status\": \"%s\",\n  \"schedule\": \"%s\",\n",
                runStatusName(Status), scheduleKindName(ScheduleUsed));
-  std::fprintf(F,
-               "  \"wall_ns\": %llu,\n  \"sim_time_ns\": %llu,\n"
-               "  \"worker_busy_ns\": %llu,\n  \"worker_slot_ns\": %llu,\n"
-               "  \"occupancy\": %.6g,\n",
-               U(Stats.RealTimeNs), U(Stats.SimTimeNs),
-               U(Stats.WorkerBusyNs), U(Stats.WorkerSlotNs),
-               Stats.occupancy());
-  std::fprintf(F,
-               "  \"cpu_user_ns\": %llu,\n  \"cpu_sys_ns\": %llu,\n"
-               "  \"max_child_rss_bytes\": %llu,\n",
-               U(Stats.ChildUserNs), U(Stats.ChildSysNs),
-               U(Stats.MaxChildRssBytes));
-  std::fprintf(F,
-               "  \"transactions\": %llu,\n  \"committed\": %llu,\n"
-               "  \"retries\": %llu,\n  \"warm_forks\": %llu,\n"
-               "  \"cold_forks\": %llu,\n",
-               U(Stats.NumTransactions), U(Stats.NumCommitted),
-               U(Stats.NumRetries), U(Stats.WarmForks), U(Stats.ColdForks));
-  std::fprintf(F,
-               "  \"journal_bytes\": %llu,\n  \"journal_fsyncs\": %llu,\n"
-               "  \"replayed_chunks\": %llu,\n  \"recovery_ns\": %llu,\n",
-               U(Stats.JournalBytes), U(Stats.JournalFsyncs),
-               U(Stats.ReplayedChunks), U(Stats.RecoveryNs));
+  Stats.forEachReported([F](const char *Name, const std::string &Value) {
+    std::fprintf(F, "  \"%s\": %s,\n", Name, Value.c_str());
+  });
   std::fprintf(F,
                "  \"profile\": {\"wall_ns\": %llu, "
                "\"dispatch_stall_ns\": %llu, \"child_exec_ns\": %llu, "
@@ -290,18 +273,12 @@ void RunResult::logRunDone(const char *Engine) const {
     return;
   // cpu_user_ns/cpu_sys_ns count the children this run reaped: a fork
   // engine's previous parked template, but not a successful run's own.
-  const auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
+  std::string Fields;
+  Stats.forEachReported([&Fields](const char *Name, const std::string &Value) {
+    Fields += strprintf(" %s=%s", Name, Value.c_str());
+  });
   alterLog(LogLevel::Info, "run",
-           "event=run_done engine=%s schedule=%s status=%s wall_ns=%llu "
-           "sim_ns=%llu occupancy=%.3f committed=%llu retries=%llu "
-           "rounds=%llu warm_forks=%llu cold_forks=%llu reuses=%llu "
-           "stalls=%llu crashes=%llu wire_rejects=%llu resource_faults=%llu "
-           "cpu_user_ns=%llu cpu_sys_ns=%llu",
-           Engine, scheduleKindName(ScheduleUsed), runStatusName(Status),
-           U(Stats.RealTimeNs), U(Stats.SimTimeNs), Stats.occupancy(),
-           U(Stats.NumCommitted), U(Stats.NumRetries), U(Stats.NumRounds),
-           U(Stats.WarmForks), U(Stats.ColdForks), U(Stats.ChildReuses),
-           U(Stats.StageStalled), U(Stats.NumChildCrashes),
-           U(Stats.NumWireRejects), U(Stats.ResourceFaults),
-           U(Stats.ChildUserNs), U(Stats.ChildSysNs));
+           "event=run_done engine=%s schedule=%s status=%s%s", Engine,
+           scheduleKindName(ScheduleUsed), runStatusName(Status),
+           Fields.c_str());
 }

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,22 @@ enum class ScheduleKind : uint8_t {
 /// Returns "unknown", "sequential", "chunked", or "staged".
 const char *scheduleKindName(ScheduleKind Kind);
 
-/// Statistics accumulated over one or more loop executions.
+/// One transaction attempt's footprint as RunStats::countTransaction
+/// folds it: a TxnContext reports its own (TxnContext::counts), and a
+/// forked child's arrives in its commit frame (ChildReport::Counts).
+struct TxnCounts {
+  uint64_t ReadSetWords = 0;
+  uint64_t WriteSetWords = 0;
+  uint64_t InstrReadCalls = 0;
+  uint64_t InstrWriteCalls = 0;
+  uint64_t BytesRead = 0;
+  uint64_t BytesWritten = 0;
+};
+
+/// Statistics accumulated over one or more loop executions. Every field
+/// but the two set-size distributions and the three that always read 0
+/// (BloomChecks, BloomSkips, TemplateRefreshes) is a row of
+/// ALTER_RUN_STATS below, which drives merge() and every report.
 struct RunStats {
   /// Transactions that attempted to commit (including retries of the same
   /// chunk; a chunk retried twice counts three attempts).
@@ -94,8 +110,9 @@ struct RunStats {
   //===--------------------------------------------------------------------===
 
   /// Conflict checks are exact and no engine prefilters them, so these two
-  /// stay 0 and merge() skips them; the benchmark ledger (perfbench) is
-  /// their last reader.
+  /// stay 0, and they are not in the stats table (ALTER_RUN_STATS): merge()
+  /// and the reports skip them. The benchmark ledger (perfbench) is their
+  /// last reader.
   uint64_t BloomChecks = 0;
   uint64_t BloomSkips = 0;
   /// Bytes actually shipped child -> parent over the commit pipes
@@ -125,7 +142,8 @@ struct RunStats {
   /// Counted inside WarmForks — a reuse is the warmest possible path.
   uint64_t ChildReuses = 0;
   /// Scheduled template respawns. No engine schedules one, so this stays
-  /// 0; the benchmark ledger (perfbench) and bench JSON still report it.
+  /// 0, and like the two Bloom counts it is not in the stats table; the
+  /// benchmark ledger (perfbench) is its last reader.
   uint64_t TemplateRefreshes = 0;
   /// Pool infrastructure faults absorbed without failing any chunk:
   /// template spawn failures, a dead template discovered on use, and
@@ -142,8 +160,8 @@ struct RunStats {
   /// the retirement frontier starved waiting on one straggling replica.
   uint64_t StageStalled = 0;
   /// Peak number of chunks in flight between the two stages (dispatched
-  /// into an inter-stage queue but not yet retired). merge() takes the max:
-  /// it is a high-water mark, not a count.
+  /// into an inter-stage queue but not yet retired). A high-water mark, not
+  /// a count: merge() takes the max.
   uint64_t QueueDepthPeak = 0;
 
   //===--------------------------------------------------------------------===
@@ -269,6 +287,15 @@ struct RunStats {
            static_cast<double>(NumTransactions);
   }
 
+  /// Reaped children's CPU time over the run's wall clock: about 1 when
+  /// the children serialized, about P when they really ran P-wide.
+  double cpuVsWall() const {
+    if (RealTimeNs == 0)
+      return 0.0;
+    return static_cast<double>(ChildUserNs + ChildSysNs) /
+           static_cast<double>(RealTimeNs);
+  }
+
   /// Adds one reaped child's (or template lineage's) wait4 accounting.
   void addChildUsage(const ChildRusage &Usage) {
     ChildUserNs += Usage.UserNs;
@@ -276,9 +303,72 @@ struct RunStats {
     MaxChildRssBytes = std::max(MaxChildRssBytes, Usage.MaxRssBytes);
   }
 
-  /// Accumulates \p Other into this (used across outer-loop invocations).
+  /// Counts one transaction attempt with its footprint \p Txn. Every
+  /// engine counts its transactions through here.
+  void countTransaction(const TxnCounts &Txn);
+
+  /// Accumulates \p Other into this (used across outer-loop invocations):
+  /// each ALTER_RUN_STATS row by its merge rule, and the two set-size
+  /// distributions.
   void merge(const RunStats &Other);
+
+  /// Calls \p Emit(Name, Value) for each ALTER_RUN_STATS row in table
+  /// order, then for the derived ratios occupancy, retry_rate,
+  /// straggler_stall_ns, wire_compression, warm_fork_rate, cpu_total_ns and
+  /// cpu_vs_wall. Value is the number as JSON text (recovered is true or
+  /// false). The bench --json record, the alter-metrics-v1 report and the
+  /// run_done log all print the statistics through it.
+  void forEachReported(
+      const std::function<void(const char *Name, const std::string &Value)>
+          &Emit) const;
 };
+
+/// The reported RunStats fields, once: X(Member, "name", Merge) per row.
+/// "name" is the field's key in the bench --json record and in the
+/// alter-metrics-v1 report, and its key= in the run_done log line. Merge is
+/// how RunStats::merge folds the field across invocations: Sum, Max for a
+/// high-water mark, or Or for the Recovered flag. A new reported field is
+/// one RunStats member plus one row here.
+#define ALTER_RUN_STATS(X)                                                     \
+  X(NumTransactions, "transactions", Sum)                                      \
+  X(NumCommitted, "committed", Sum)                                            \
+  X(NumRetries, "retries", Sum)                                                \
+  X(NumRounds, "rounds", Sum)                                                  \
+  X(InstrReadCalls, "instr_read_calls", Sum)                                   \
+  X(InstrWriteCalls, "instr_write_calls", Sum)                                 \
+  X(BytesRead, "bytes_read", Sum)                                              \
+  X(BytesWritten, "bytes_written", Sum)                                        \
+  X(SimTimeNs, "sim_time_ns", Sum)                                             \
+  X(RealTimeNs, "real_time_ns", Sum)                                           \
+  X(WireBytes, "wire_bytes", Sum)                                              \
+  X(WireBytesRaw, "wire_bytes_raw", Sum)                                       \
+  X(WireBytesCopied, "wire_bytes_copied", Sum)                                 \
+  X(WarmForks, "warm_forks", Sum)                                              \
+  X(ColdForks, "cold_forks", Sum)                                              \
+  X(ChildReuses, "child_reuses", Sum)                                          \
+  X(PoolFaults, "pool_faults", Sum)                                            \
+  X(StageStalled, "stage_stalls", Sum)                                         \
+  X(QueueDepthPeak, "queue_depth_peak", Max)                                   \
+  X(WorkerBusyNs, "worker_busy_ns", Sum)                                       \
+  X(WorkerSlotNs, "worker_slot_ns", Sum)                                       \
+  X(ChildUserNs, "cpu_user_ns", Sum)                                           \
+  X(ChildSysNs, "cpu_sys_ns", Sum)                                             \
+  X(MaxChildRssBytes, "max_child_rss_bytes", Max)                              \
+  X(NumForkFailures, "fork_failures", Sum)                                     \
+  X(NumChildCrashes, "child_crashes", Sum)                                     \
+  X(NumWireRejects, "wire_rejects", Sum)                                       \
+  X(RecoveredIterations, "recovered_iterations", Sum)                          \
+  X(SalvagedChunks, "salvaged_chunks", Sum)                                    \
+  X(QuarantinedIterations, "quarantined_iterations", Sum)                      \
+  X(BisectionRounds, "bisection_rounds", Sum)                                  \
+  X(ResourceFaults, "resource_faults", Sum)                                    \
+  X(TransportDowngrades, "transport_downgrades", Sum)                          \
+  X(ParallelismDowngrades, "parallelism_downgrades", Sum)                      \
+  X(Recovered, "recovered", Or)                                                \
+  X(JournalBytes, "journal_bytes", Sum)                                        \
+  X(JournalFsyncs, "journal_fsyncs", Sum)                                      \
+  X(ReplayedChunks, "replayed_chunks", Sum)                                    \
+  X(RecoveryNs, "recovery_ns", Sum)
 
 /// log2(words per conflict-attribution granule): 64 words = 512 bytes.
 /// traceSummary charges each failed validation to the granule of its
@@ -397,14 +487,16 @@ struct RunResult {
   std::string profileTable() const;
 
   /// Writes the stable machine-readable metrics report ("alter-metrics-v1"
-  /// schema): run stats, CPU accounting, the phase profile, and every
-  /// counter/gauge/histogram (all ids present even when empty, so the key
-  /// set is schema-stable). Returns false with \p Error set on I/O errors.
+  /// schema): status and schedule, every RunStats::forEachReported member,
+  /// the phase profile, and every counter/gauge/histogram (all ids present
+  /// even when empty, so the key set is schema-stable). Returns false with
+  /// \p Error set on I/O errors.
   bool writeMetricsJson(const std::string &Path,
                         std::string *Error = nullptr) const;
 
   /// Logs the one-line end-of-run summary (ALTER_LOG=info) of a run of
-  /// the engine named \p Engine.
+  /// the engine named \p Engine: its schedule and status, then every
+  /// RunStats::forEachReported member as name=value.
   void logRunDone(const char *Engine) const;
 
   bool succeeded() const { return Status == RunStatus::Success; }

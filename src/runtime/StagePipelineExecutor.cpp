@@ -724,15 +724,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
 
   // Absorbs one replica's decoded report into the run statistics.
   auto absorbReport = [&](const ChildReport &Rep) {
-    ++Result.Stats.NumTransactions;
-    Result.Stats.ReadSetWords.add(
-        static_cast<double>(Rep.Reads.sizeWords()));
-    Result.Stats.WriteSetWords.add(
-        static_cast<double>(Rep.Writes.sizeWords()));
-    Result.Stats.InstrReadCalls += Rep.InstrReadCalls;
-    Result.Stats.InstrWriteCalls += Rep.InstrWriteCalls;
-    Result.Stats.BytesRead += Rep.BytesRead;
-    Result.Stats.BytesWritten += Rep.BytesWritten;
+    Result.Stats.countTransaction(Rep.Counts);
     Result.Stats.WireBytes += Rep.WireBytes;
     Result.Stats.WireBytesRaw += Rep.RawWireBytes;
     Result.Stats.WorkerBusyNs += Rep.WorkNs;
@@ -793,6 +785,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
                  SW.Buf.begin() + static_cast<std::ptrdiff_t>(FrameLen));
     const int64_t C = SW.Chunk;
     SW.Chunk = -1;
+    // A blown access set still counts, as on the other engines.
+    absorbReport(Rep);
     if (Rep.LimitExceeded) {
       Crashed = true;
       Result.FailedChunk = C;
@@ -801,7 +795,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
           W, static_cast<long long>(C));
       return;
     }
-    absorbReport(Rep);
     Arrived.emplace(C, StageArrival{std::move(Rep), W});
     LastProgressNs = nowNs();
   };
@@ -900,16 +893,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       // Retire the sequential half: its writes are already in place, so
       // capture them as redo and commit (reduction merges, deferred frees)
       // without restoring.
-      ++Result.Stats.NumTransactions;
+      Result.Stats.countTransaction(SCS.Ctx->counts());
       ++Result.Stats.NumCommitted;
-      Result.Stats.ReadSetWords.add(
-          static_cast<double>(SCS.Ctx->readSet().sizeWords()));
-      Result.Stats.WriteSetWords.add(
-          static_cast<double>(SCS.Ctx->writeSet().sizeWords()));
-      Result.Stats.InstrReadCalls += SCS.Ctx->instrReadCalls();
-      Result.Stats.InstrWriteCalls += SCS.Ctx->instrWriteCalls();
-      Result.Stats.BytesRead += SCS.Ctx->bytesRead();
-      Result.Stats.BytesWritten += SCS.Ctx->bytesWritten();
       Result.Stats.WorkerBusyNs += SCS.SeqNs;
       const uint64_t SeqLogBytes = SCS.Ctx->writeLog().dataBytes();
       CommitBytes += SeqLogBytes;

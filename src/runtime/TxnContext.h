@@ -45,6 +45,7 @@
 #include "memory/WriteLog.h"
 #include "runtime/LoopSpec.h"
 #include "runtime/ReductionOps.h"
+#include "runtime/RunResult.h"
 #include "runtime/RuntimeParams.h"
 
 #include <cstddef>
@@ -373,6 +374,12 @@ public:
   uint64_t instrWriteCalls() const { return InstrWriteCalls; }
   uint64_t bytesRead() const { return BytesRead; }
   uint64_t bytesWritten() const { return BytesWritten; }
+
+  /// This transaction's footprint, for RunStats::countTransaction.
+  TxnCounts counts() const {
+    return {Reads.sizeWords(), Writes.sizeWords(), InstrReadCalls,
+            InstrWriteCalls,   BytesRead,          BytesWritten};
+  }
 
 private:
   void loadBytes(const void *Addr, void *Out, size_t Size);

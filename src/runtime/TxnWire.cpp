@@ -637,10 +637,10 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
   Rep = ChildReport();
   Rep.LimitExceeded = R.u64() != 0;
   Rep.WorkNs = R.u64();
-  Rep.InstrReadCalls = R.u64();
-  Rep.InstrWriteCalls = R.u64();
-  Rep.BytesRead = R.u64();
-  Rep.BytesWritten = R.u64();
+  Rep.Counts.InstrReadCalls = R.u64();
+  Rep.Counts.InstrWriteCalls = R.u64();
+  Rep.Counts.BytesRead = R.u64();
+  Rep.Counts.BytesWritten = R.u64();
   Rep.MemTrafficBytes = R.u64();
   Rep.BumpOffset = R.u64();
   Rep.RawWireBytes = R.u64();
@@ -659,6 +659,8 @@ bool alter::decodeChildReport(const std::vector<uint8_t> &Bytes,
     return false;
   }
   R.raw(Consumed);
+  Rep.Counts.ReadSetWords = Rep.Reads.sizeWords();
+  Rep.Counts.WriteSetWords = Rep.Writes.sizeWords();
   const uint64_t LogBytes = R.u64();
   if (R.failed() || LogBytes > R.remaining()) {
     Error = "corrupt write log length";

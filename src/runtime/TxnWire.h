@@ -67,10 +67,9 @@ namespace alter {
 struct ChildReport {
   bool LimitExceeded = false;
   uint64_t WorkNs = 0;
-  uint64_t InstrReadCalls = 0;
-  uint64_t InstrWriteCalls = 0;
-  uint64_t BytesRead = 0;
-  uint64_t BytesWritten = 0;
+  /// The transaction's footprint: the four counts shipped in the frame,
+  /// and the sizes of the decoded Reads and Writes.
+  TxnCounts Counts;
   uint64_t MemTrafficBytes = 0;
   uint64_t BumpOffset = 0;
   /// Bytes the uncompressed wire format would have occupied (child-side

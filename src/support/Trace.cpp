@@ -278,11 +278,12 @@ namespace {
 
 void logLineV(LogLevel Level, const char *Subsystem, const char *Fmt,
               va_list Args) {
-  char Message[1024];
+  // run_done, the longest line, prints about 1 KiB of statistics.
+  char Message[2048];
   std::vsnprintf(Message, sizeof(Message), Fmt, Args);
   // One write per line keeps lines whole even with forked children logging
   // concurrently to the shared stderr.
-  char Line[1200];
+  char Line[2176];
   const int N =
       std::snprintf(Line, sizeof(Line), "alter level=%s sub=%s %s\n",
                     logLevelName(Level), Subsystem, Message);

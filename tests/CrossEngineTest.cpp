@@ -69,6 +69,20 @@ ALTER_PROPERTY(CrossEngine, ForkJoinMatchesLockstepUnderPaperAnnotation,
   EXPECT_EQ(ForkJoin.Stats.NumTransactions, Lockstep.Stats.NumTransactions);
   EXPECT_EQ(ForkJoin.Stats.NumRetries, Lockstep.Stats.NumRetries)
       << "identical conflict schedules (§4.3)";
+  // The same transactions fold into RunStats::countTransaction, ForkJoin's
+  // from the commit frames and Lockstep's in process. The set-size sums
+  // are sums of whole numbers, so they compare exactly in any order.
+  const RunStats &F = ForkJoin.Stats, &L = Lockstep.Stats;
+  EXPECT_EQ(F.InstrReadCalls, L.InstrReadCalls);
+  EXPECT_EQ(F.InstrWriteCalls, L.InstrWriteCalls);
+  EXPECT_EQ(F.BytesRead, L.BytesRead);
+  EXPECT_EQ(F.BytesWritten, L.BytesWritten);
+  EXPECT_EQ(F.ReadSetWords.count(), L.ReadSetWords.count());
+  EXPECT_EQ(F.ReadSetWords.sum(), L.ReadSetWords.sum());
+  EXPECT_EQ(F.WriteSetWords.count(), L.WriteSetWords.count());
+  EXPECT_EQ(F.WriteSetWords.sum(), L.WriteSetWords.sum());
+  EXPECT_DOUBLE_EQ(F.ReadSetWords.mean(), L.ReadSetWords.mean());
+  EXPECT_DOUBLE_EQ(F.WriteSetWords.mean(), L.WriteSetWords.mean());
   EXPECT_EQ(ForkJoin.CommitOrder, Lockstep.CommitOrder)
       << "identical commit orders";
 }

@@ -264,7 +264,7 @@ TEST(CommitFrameTest, RoundTripsWithAndWithoutMetrics) {
 
   // The two reports agree on everything the commit path consumes.
   EXPECT_EQ(RepPlain.WorkNs, Rep.WorkNs);
-  EXPECT_EQ(RepPlain.BytesWritten, Rep.BytesWritten);
+  EXPECT_EQ(RepPlain.Counts.BytesWritten, Rep.Counts.BytesWritten);
   EXPECT_EQ(RepPlain.Writes.sizeWords(), Rep.Writes.sizeWords());
   EXPECT_EQ(RepPlain.Log.numEntries(), Rep.Log.numEntries());
 

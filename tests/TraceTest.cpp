@@ -6,7 +6,9 @@
 ///
 /// \file
 /// The observability layer end to end: RunStats edge cases (zero
-/// denominators, saturated counters), trace-level parsing, the bounded
+/// denominators, saturated counters), its merge and transaction fold, one
+/// run's bench --json record against its metrics report, trace-level
+/// parsing, the bounded
 /// event buffer, the deterministic trace clock, region labels, the wire
 /// TRACE section round trip through the fork engines (per-slot busy time
 /// must reconcile with WorkerBusyNs), seeded determinism of the merged
@@ -18,6 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchUtil.h"
 #include "inference/Outcome.h"
 #include "memory/AccessSet.h"
 #include "runtime/ForkJoinExecutor.h"
@@ -80,6 +83,191 @@ TEST(RunStatsTest, SaturatedCountersDoNotOverflowDerivedRates) {
   EXPECT_EQ(S.stragglerStallNs(), 0u) << "busy > slot must clamp, not wrap";
   S.WorkerSlotNs = 1;
   EXPECT_EQ(S.stragglerStallNs(), 0u);
+}
+
+namespace {
+
+// Distinct values for one ALTER_RUN_STATS row on both sides of a merge;
+// which side holds the larger value alternates row by row, so a Max row
+// must pick per row.
+void assignDistinct(uint64_t &A, uint64_t &B, uint64_t &Row) {
+  const uint64_t Lo = 1000 * ++Row, Hi = Lo + 7;
+  A = Row % 2 ? Lo : Hi;
+  B = Row % 2 ? Hi : Lo;
+}
+void assignDistinct(bool &A, bool &B, uint64_t &) {
+  A = false;
+  B = true;
+}
+
+void expectSum(uint64_t M, uint64_t A, uint64_t B, const char *Name) {
+  EXPECT_EQ(M, A + B) << Name;
+}
+void expectMax(uint64_t M, uint64_t A, uint64_t B, const char *Name) {
+  EXPECT_EQ(M, std::max(A, B)) << Name;
+}
+void expectOr(bool M, bool A, bool B, const char *Name) {
+  EXPECT_EQ(M, A || B) << Name;
+}
+
+} // namespace
+
+TEST(RunStatsTest, MergeFollowsTheTable) {
+  RunStats A, B;
+  uint64_t Row = 0;
+#define ALTER_ASSIGN_STAT(Member, Name, Rule)                                  \
+  assignDistinct(A.Member, B.Member, Row);
+  ALTER_RUN_STATS(ALTER_ASSIGN_STAT)
+#undef ALTER_ASSIGN_STAT
+  A.ReadSetWords.add(2);
+  A.ReadSetWords.add(4);
+  B.ReadSetWords.add(9);
+  B.WriteSetWords.add(1);
+
+  RunStats M = A;
+  M.merge(B);
+  std::map<std::string, std::string> RuleOf;
+#define ALTER_EXPECT_STAT(Member, Name, Rule)                                  \
+  expect##Rule(M.Member, A.Member, B.Member, Name);                            \
+  EXPECT_TRUE(RuleOf.emplace(Name, #Rule).second) << "duplicate name " << Name;
+  ALTER_RUN_STATS(ALTER_EXPECT_STAT)
+#undef ALTER_EXPECT_STAT
+  std::vector<std::string> NotSummed;
+  for (const auto &[Name, Rule] : RuleOf)
+    if (Rule != "Sum")
+      NotSummed.push_back(Name + ":" + Rule);
+  EXPECT_EQ(NotSummed,
+            (std::vector<std::string>{"max_child_rss_bytes:Max",
+                                      "queue_depth_peak:Max", "recovered:Or"}))
+      << "only the high-water marks take the max, and the flag the or";
+  EXPECT_EQ(M.ReadSetWords.count(), 3u);
+  EXPECT_EQ(M.ReadSetWords.sum(), 15.0);
+  EXPECT_EQ(M.ReadSetWords.min(), 2.0);
+  EXPECT_EQ(M.ReadSetWords.max(), 9.0);
+  EXPECT_EQ(M.WriteSetWords.count(), 1u);
+  EXPECT_EQ(M.WriteSetWords.mean(), 1.0);
+
+  for (bool L : {false, true})
+    for (bool R : {false, true}) {
+      RunStats X, Y;
+      X.Recovered = L;
+      Y.Recovered = R;
+      X.merge(Y);
+      EXPECT_EQ(X.Recovered, L || R) << L << " | " << R;
+    }
+}
+
+TEST(RunStatsTest, CountTransactionFoldsTheFootprint) {
+  RunStats S;
+  S.countTransaction({/*ReadSetWords=*/3, /*WriteSetWords=*/2,
+                      /*InstrReadCalls=*/5, /*InstrWriteCalls=*/7,
+                      /*BytesRead=*/11, /*BytesWritten=*/13});
+  S.countTransaction({1, 4, 1, 1, 1, 1});
+  EXPECT_EQ(S.NumTransactions, 2u);
+  EXPECT_EQ(S.ReadSetWords.sum(), 4.0);
+  EXPECT_EQ(S.WriteSetWords.max(), 4.0);
+  EXPECT_EQ(S.InstrReadCalls, 6u);
+  EXPECT_EQ(S.InstrWriteCalls, 8u);
+  EXPECT_EQ(S.BytesRead, 12u);
+  EXPECT_EQ(S.BytesWritten, 14u);
+  EXPECT_EQ(S.NumCommitted, 0u) << "committing is the engine's call";
+}
+
+namespace {
+
+/// The scalar `"key": value` members of the first bench --json record
+/// (\p OneLine: the record is one line) or of the alter-metrics-v1
+/// report's top level (one member per line; lines that open a nested
+/// object are skipped, and its members are indented deeper).
+std::map<std::string, std::string> flatMembers(const std::string &Text,
+                                               bool OneLine) {
+  std::map<std::string, std::string> Out;
+  std::istringstream Lines(Text);
+  for (std::string Line; std::getline(Lines, Line);) {
+    if (OneLine ? Line.find("\"figure\"") == std::string::npos
+                : Line.rfind("  \"", 0) != 0 ||
+                      Line.find('{') != std::string::npos)
+      continue;
+    // No key or value contains a quote-colon, a comma or a brace.
+    for (size_t Key = Line.find('"'); Key != std::string::npos;) {
+      const size_t Colon = Line.find("\": ", Key);
+      const size_t End = Line.find_first_of(",}", Colon);
+      Out[Line.substr(Key + 1, Colon - Key - 1)] =
+          Line.substr(Colon + 3, End == std::string::npos ? std::string::npos
+                                                          : End - Colon - 3);
+      Key = End == std::string::npos ? End : Line.find('"', End);
+    }
+    if (OneLine)
+      break;
+  }
+  return Out;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+} // namespace
+
+TEST(RunStatsTest, BenchRecordAndMetricsReportCarryTheSameStats) {
+  // One bench driver's life: the shared flags, one measured run, its point
+  // in the --json record and its --metrics-json report.
+  const std::string Dir = ::testing::TempDir();
+  std::string BenchPath = Dir + "run_stats_bench.json";
+  std::string MetricsPath = Dir + "run_stats_metrics.json";
+  std::string Prog = "trace_test", JsonFlag = "--json",
+              MetricsFlag = "--metrics-json";
+  char *Argv[] = {Prog.data(), JsonFlag.data(), BenchPath.data(),
+                  MetricsFlag.data(), MetricsPath.data()};
+  bench::initBenchArgs(5, Argv);
+  std::vector<int64_t> Data(16, 0);
+  LoopSpec Spec;
+  Spec.NumIterations = 16;
+  Spec.Body = [&Data](TxnContext &Ctx, int64_t I) {
+    Ctx.store(&Data[static_cast<size_t>(I)], Ctx.load(&Data[0]) + I);
+  };
+  ExecutorConfig Config;
+  Config.NumWorkers = 2;
+  Config.Params.ChunkFactor = 2;
+  PipelineExecutor Exec(Config);
+  const RunResult R = Exec.run(Spec);
+  ASSERT_EQ(R.Status, RunStatus::Success) << R.Detail;
+  bench::SweepPoint Point;
+  Point.NumWorkers = Config.NumWorkers;
+  Point.Stats = R.Stats;
+  bench::jsonAddPoint("run_stats_test", "pipeline", Point);
+  bench::maybeWriteMetricsReport(R);
+  bench::finalizeBenchJson();
+  setGlobalTraceLevel(TraceLevel::Off);
+  setGlobalMetricsEnabled(false);
+
+  std::map<std::string, std::string> Record =
+      flatMembers(readFile(BenchPath), /*OneLine=*/true);
+  std::map<std::string, std::string> Report =
+      flatMembers(readFile(MetricsPath), /*OneLine=*/false);
+  for (const char *Wrapper : {"figure", "series", "procs", "speedup",
+                              "chunk_factor", "transport"})
+    EXPECT_EQ(Record.erase(Wrapper), 1u) << Wrapper;
+  EXPECT_EQ(Report.erase("schema"), 1u);
+  Record.erase("status");
+  Record.erase("schedule");
+  Report.erase("status");
+  Report.erase("schedule");
+  EXPECT_EQ(Record, Report);
+  size_t Reported = 0;
+  R.Stats.forEachReported([&](const char *Name, const std::string &Value) {
+    ++Reported;
+    EXPECT_EQ(Report[Name], Value) << Name;
+  });
+  EXPECT_EQ(Report.size(), Reported);
+  EXPECT_EQ(Report["transactions"], std::to_string(R.Stats.NumTransactions));
+  EXPECT_EQ(Report["real_time_ns"], std::to_string(R.Stats.RealTimeNs));
+  EXPECT_EQ(Report["recovered"], "false");
+  std::remove(BenchPath.c_str());
+  std::remove(MetricsPath.c_str());
 }
 
 //===----------------------------------------------------------------------===
