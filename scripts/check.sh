@@ -19,7 +19,9 @@
 # then compared against the committed BENCH_pipeline.json baseline: any
 # sleep-dominated series more than 1.5x slower than the baseline fails the
 # check (the compute-bound -small- transport rows are host-dependent and
-# covered by BENCH_transport.json instead).
+# covered by BENCH_transport.json instead). A second quick run with
+# ALTER_LOG=info checks that every pipeline-engine run_done line logs its
+# modeled clock as its real time (scripts/check_run_done.py).
 #
 # With --stage the sequence additionally exercises the PS-DSWP stage
 # pipeline: the stage-schedule test binary (the auto rule, staged output
@@ -142,6 +144,11 @@ run_stage() { # run_stage <build-dir> <extra cmake args...>
   echo "== bench smoke (pipeline vs rounds, quick, with faults) ($DIR) =="
   local JSON_OUT="$DIR/pipeline_vs_rounds.quick.json"
   "$DIR/bench/pipeline_vs_rounds" --quick --fault --json "$JSON_OUT"
+
+  echo "== run_done smoke (pipeline sim_time_ns is its real time) ($DIR) =="
+  ALTER_LOG=info "$DIR/bench/pipeline_vs_rounds" --quick >/dev/null \
+    2>"$DIR/run_done.log"
+  python3 "$REPO_ROOT/scripts/check_run_done.py" "$DIR/run_done.log"
 }
 
 # Interleaved pairs per overhead A/B: one pair of single runs cannot resolve

@@ -81,6 +81,8 @@ void WriteLog::record(void *Addr, const void *Bytes, size_t Size) {
       Slot = (Slot + 1) & Mask;
   }
   Entries.push_back({Key, Size, Data.size()});
+  SpanLo = std::min(SpanLo, Key);
+  SpanHi = std::max<uintptr_t>(SpanHi, Key + Size);
   const uint8_t *Src = static_cast<const uint8_t *>(Bytes);
   Data.insert(Data.end(), Src, Src + Size);
   Slots[Slot] = static_cast<int32_t>(Entries.size() - 1);
@@ -207,6 +209,8 @@ void WriteLog::apply() const {
 void WriteLog::overlayRange(const void *Addr, size_t Size, void *Buf) const {
   const uintptr_t Lo = reinterpret_cast<uintptr_t>(Addr);
   const uintptr_t Hi = Lo + Size;
+  if (Hi <= SpanLo || Lo >= SpanHi)
+    return; // no entry can overlap
   for (const Entry &E : Entries) {
     const uintptr_t ELo = E.Addr;
     const uintptr_t EHi = E.Addr + E.Size;
@@ -228,6 +232,8 @@ void WriteLog::clear() {
   std::fill(std::begin(Bloom), std::end(Bloom), 0);
   LargeEntries = false;
   MaxSmallEntry = 0;
+  SpanLo = UINTPTR_MAX;
+  SpanHi = 0;
 }
 
 size_t WriteLog::serializedSize() const {

@@ -73,7 +73,8 @@ public:
   /// Overlays any buffered stores intersecting [Addr, Addr + Size) onto
   /// \p Buf, which the caller has pre-filled with the committed bytes of
   /// that range. This gives range reads (readRange) read-your-own-writes
-  /// semantics without per-element lookups.
+  /// semantics without per-element lookups, and returns at once for a
+  /// range outside the span of the log's entries.
   void overlayRange(const void *Addr, size_t Size, void *Buf) const;
 
   /// Number of distinct buffered entries.
@@ -182,6 +183,9 @@ private:
   /// wider than 64 bytes set LargeEntries instead of individual bits.
   uint64_t Bloom[128] = {};
   bool LargeEntries = false;
+  /// [lowest entry start, highest entry end) byte span of the entries.
+  uintptr_t SpanLo = UINTPTR_MAX;
+  uintptr_t SpanHi = 0;
 };
 
 } // namespace alter

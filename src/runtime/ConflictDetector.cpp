@@ -16,7 +16,8 @@ bool ConflictDetector::setsConflict(const AccessSet &A,
                                     const AccessSet &B) const {
   if (A.empty() || B.empty())
     return false;
-  // The check probes the smaller array against the larger table.
+  // Charged as §4.1's probe of the smaller array against the larger hash
+  // set, whatever the run merge below actually compares.
   WordsChecked += std::min(A.sizeWords(), B.sizeWords());
   const uintptr_t Witness = A.firstCommonWord(B);
   if (Witness == 0)
@@ -58,9 +59,12 @@ void ConflictDetector::resetRound() { CommittedWrites.clear(); }
 
 uint64_t ConflictDetector::recordCommitEpoch(const AccessSet &Writes) {
   ++CommitSeqCounter;
-  // NONE never validates, so storing epochs would only burn memory.
-  if (Policy != ConflictPolicy::NONE && !Writes.empty())
+  // NONE never validates, so storing epochs would only burn memory. An
+  // epoch keeps normalized runs, so no later check has to sort them.
+  if (Policy != ConflictPolicy::NONE && !Writes.empty()) {
     Epochs.push_back({CommitSeqCounter, Writes});
+    Epochs.back().Writes.normalize();
+  }
   return CommitSeqCounter;
 }
 

@@ -25,9 +25,11 @@
 ///    carries its own snapshot sequence number and validates against
 ///    exactly the commits that retired after it forked.
 ///
-/// Every set-vs-set check is exact, as in §4.1: the smaller set's dense
-/// word array is probed against the larger set's hash table, so a check
-/// costs the smaller set's size and finds a witness word on conflict.
+/// Every set-vs-set check is exact, as in §4.1: it merges the two sets'
+/// sorted word runs (AccessSet), skipping runs that end before the other
+/// set's current one, and returns the lowest shared word as the witness on
+/// conflict. The round union and the epochs hold runs too, so recording a
+/// commit is one merge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,13 +92,14 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Words compared by conflict checks so far (cost-model input): the
-  /// smaller set's size for every check of two non-empty sets.
+  /// smaller set's distinct-word count for every check of two non-empty
+  /// sets, the cost of §4.1's array-against-hash-set probe.
   uint64_t wordsChecked() const { return WordsChecked; }
 
   /// Active policy.
   ConflictPolicy policy() const { return Policy; }
 
-  /// Witness of the most recent conflicting query: one word key shared by
+  /// Witness of the most recent conflicting query: the lowest word key shared by
   /// the transaction's checked set and the committed writes (0 when the
   /// last query found no conflict). Conflict attribution resolves it to a
   /// granule and an allocation-site label. Valid until the next

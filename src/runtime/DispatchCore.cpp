@@ -270,7 +270,8 @@ std::string DispatchCore::noteInterrupt() {
                    static_cast<long long>(NumChunks));
 }
 
-RunResult DispatchCore::finish(RunStatus Status, std::string Detail) {
+RunResult DispatchCore::finish(RunStatus Status, std::string Detail,
+                               bool SimIsReal) {
   // Nothing of an unfinished run outlives it: SIGKILL what is still
   // running and reap the cold children. Warm children are the template's
   // to reap; the retirement below takes care of them.
@@ -293,6 +294,8 @@ RunResult DispatchCore::finish(RunStatus Status, std::string Detail) {
   Result.Status = Status;
   Result.Detail = std::move(Detail);
   Result.Stats.RealTimeNs = nowNs() - RealStart;
+  if (SimIsReal)
+    Result.Stats.SimTimeNs = Result.Stats.RealTimeNs;
   Result.Stats.WorkerSlotNs = Result.Stats.RealTimeNs * Config.NumWorkers;
   if (Pool) {
     Result.Stats.PoolFaults = Pool->poolFaults();

@@ -109,9 +109,11 @@ public:
   std::string noteInterrupt();
 
   /// Ends the run: kills and reaps whatever is still running, fills the
-  /// end-of-run stats, parks a successful run's template (retires any
-  /// other's), logs run_done, and returns the result.
-  RunResult finish(RunStatus Status, std::string Detail);
+  /// end-of-run stats (with \p SimIsReal, the modeled clock is the real
+  /// one), parks a successful run's template (retires any other's), logs
+  /// run_done, and returns the result.
+  RunResult finish(RunStatus Status, std::string Detail,
+                   bool SimIsReal = false);
 
   const LoopSpec &Spec;
   const ExecutorConfig &Config;

@@ -116,9 +116,7 @@ RunResult PipelineExecutor::run(const LoopSpec &Spec) {
   // Every exit path: the real parallel engine's modeled clock is its real
   // clock.
   auto finish = [&](RunStatus Status, std::string Detail) {
-    RunResult R = Core.finish(Status, std::move(Detail));
-    R.Stats.SimTimeNs = R.Stats.RealTimeNs;
-    return R;
+    return Core.finish(Status, std::move(Detail), /*SimIsReal=*/true);
   };
 
   auto insertPending = [&](int64_t Chunk) {

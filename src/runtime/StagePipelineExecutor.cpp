@@ -36,7 +36,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include <poll.h>
@@ -178,8 +177,9 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
     _exit(StageQueueRejectExit);
   for (int64_t I = Cmd.First; I != Cmd.Last; ++I)
     Spec.Stage.Second(Ctx, I, Cmd.Tokens[static_cast<size_t>(I - Cmd.First)]);
-  // No captureRedo pass: the replica's buffered write log already holds
-  // the final values (see runStageChild).
+  // The buffered write log already holds the final values (see
+  // runStageChild); captureRedo normalizes the sets for the wire.
+  Ctx.captureRedo();
   const uint64_t WorkNs = cpuNowNs() - T0;
   if (Trace.events())
     Trace.record(TraceEventKind::ChunkExec, Worker, Cmd.Chunk, TraceT0,
@@ -218,11 +218,11 @@ void runStageChunk(const LoopSpec &Spec, TxnContext &Ctx,
   };
 
   // One context for the replica's whole generation: beginTxn() per chunk
-  // reuses the warm access-set and log capacity (cold hash-table growth
-  // would otherwise dominate small chunks). Writes are buffered — they
-  // exist only to be shipped on the commit wire, so skipping the undo
-  // snapshot and the in-place store keeps the child's COW image clean and
-  // makes the captureRedo pass unnecessary.
+  // reuses the warm access-set and log capacity (cold growth would
+  // otherwise dominate small chunks). Writes are buffered — they exist
+  // only to be shipped on the commit wire, so skipping the undo snapshot
+  // and the in-place store keeps the child's COW image clean, and the log
+  // needs no redo capture from memory.
   TxnContext Ctx(ContextMode::Transactional, &Config.Params, &Spec,
                  Config.Allocator, Worker, Config.Limits);
   Ctx.enableBufferedWrites();
@@ -369,11 +369,11 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   };
   std::map<int64_t, StageArrival> Arrived;    // replica reports by chunk
   std::map<int64_t, unsigned> FaultCounts;
-  // Cross-stage footprints for the plan-contract checks (word keys). Kept
-  // across restarts: rolled-back halves re-execute deterministically, so
-  // stale entries are a conservative superset.
-  std::unordered_set<uintptr_t> SeqReadWords;
-  std::unordered_set<uintptr_t> ParWriteWords;
+  // Cross-stage footprints for the plan-contract checks. Kept across
+  // restarts: rolled-back halves re-execute deterministically, so stale
+  // words are a conservative superset.
+  AccessHistory SeqReadWords;
+  AccessHistory ParWriteWords;
 
   int64_t Frontier = 0;     // next chunk to retire
   int64_t NextSeq = 0;      // next sequential half to execute
@@ -472,14 +472,6 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     Result.FailedChunk = Chunk;
     CrashDetail = strprintf("stage plan violation at chunk %lld (%s)",
                             static_cast<long long>(Chunk), What);
-  };
-
-  auto setOverlaps = [](const AccessSet &Set,
-                        const std::unordered_set<uintptr_t> &Words) {
-    for (uintptr_t Key : Set.words())
-      if (Words.count(Key))
-        return true;
-    return false;
   };
 
   auto forkWorker = [&](unsigned W) -> bool {
@@ -638,8 +630,8 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
           static_cast<long long>(C));
       return;
     }
-    if (setOverlaps(SCS.Ctx->readSet(), ParWriteWords) ||
-        setOverlaps(SCS.Ctx->writeSet(), ParWriteWords)) {
+    if (ParWriteWords.intersects(SCS.Ctx->readSet()) ||
+        ParWriteWords.intersects(SCS.Ctx->writeSet())) {
       SeqOpen.emplace(C, std::move(SCS)); // rolled back by the crash exit
       planViolation(C, "sequential stage touched replica-stage writes");
       return;
@@ -647,8 +639,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
     // Publish the half's writes as a commit epoch so every replica
     // validation from this generation sees them.
     Detector.recordCommitEpoch(SCS.Ctx->writeSet());
-    for (uintptr_t Key : SCS.Ctx->readSet().words())
-      SeqReadWords.insert(Key);
+    SeqReadWords.insert(SCS.Ctx->readSet());
     SeqOpen.emplace(C, std::move(SCS));
   };
 
@@ -832,8 +823,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
   auto commitParHalf = [&](StageArrival &A, int64_t C) {
     ++Result.Stats.NumCommitted;
     Detector.recordCommitEpoch(A.Rep.Writes);
-    for (uintptr_t Key : A.Rep.Writes.words())
-      ParWriteWords.insert(Key);
+    ParWriteWords.insert(A.Rep.Writes);
     A.Rep.Log.apply();
     for (unsigned I = 0; I != A.Rep.Slots.size(); ++I)
       if (A.Rep.Slots[I].Active && A.Rep.Slots[I].Touched)
@@ -859,7 +849,7 @@ RunResult StagePipelineExecutor::run(const LoopSpec &Spec) {
       planViolation(C, "replica stage overlapped a commit epoch");
       return false;
     }
-    if (setOverlaps(A.Rep.Writes, SeqReadWords)) {
+    if (SeqReadWords.intersects(A.Rep.Writes)) {
       planViolation(C, "replica-stage writes hit the sequential read set");
       return false;
     }

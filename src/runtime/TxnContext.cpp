@@ -245,8 +245,16 @@ void TxnContext::logAcquiredObjects() {
 void TxnContext::checkSetLimits() {
   if (Limits.MaxAccessSetBytes == 0 || LimitExceeded)
     return;
-  if (Reads.memoryFootprintBytes() + Writes.memoryFootprintBytes() >
-      Limits.MaxAccessSetBytes)
+  const auto Footprint = [this] {
+    return Reads.memoryFootprintBytes() + Writes.memoryFootprintBytes();
+  };
+  if (Footprint() <= Limits.MaxAccessSetBytes)
+    return;
+  // Runs appended out of order may repeat words: count them exactly before
+  // declaring a crash.
+  Reads.normalize();
+  Writes.normalize();
+  if (Footprint() > Limits.MaxAccessSetBytes)
     LimitExceeded = true;
 }
 
@@ -349,6 +357,8 @@ void TxnContext::beginTxn() {
 void TxnContext::suspendTxn() {
   assert(Mode == ContextMode::Transactional &&
          "suspendTxn is only meaningful transactionally");
+  Reads.normalize();
+  Writes.normalize();
   if (BufferedWrites) {
     // Memory was never touched; the log already holds redo data.
     logAcquiredObjects();
@@ -360,6 +370,8 @@ void TxnContext::suspendTxn() {
 void TxnContext::captureRedo() {
   assert(Mode == ContextMode::Transactional &&
          "captureRedo is only meaningful transactionally");
+  Reads.normalize();
+  Writes.normalize();
   if (BufferedWrites) {
     // The buffered log IS the redo log.
     logAcquiredObjects();
@@ -402,14 +414,23 @@ void TxnContext::commitReductionSlot(const ReductionBinding &Binding,
 void TxnContext::finishProbeIteration() {
   assert(Mode == ContextMode::DepProbe &&
          "finishProbeIteration requires DepProbe mode");
-  if (!SawRaw && CurReads.intersects(PriorWrites))
-    SawRaw = true;
-  if (!SawWaw && CurWrites.intersects(PriorWrites))
+  // A history stops growing once every check that reads it has fired, and
+  // the reads go unread once the RAW check has fired and their history
+  // has stopped.
+  if (!SawRaw || !SawWar) {
+    CurReads.normalize();
+    if (!SawRaw && PriorWrites.intersects(CurReads))
+      SawRaw = true;
+  }
+  CurWrites.normalize();
+  if (!SawWaw && PriorWrites.intersects(CurWrites))
     SawWaw = true;
-  if (!SawWar && CurWrites.intersects(PriorReads))
+  if (!SawWar && PriorReads.intersects(CurWrites))
     SawWar = true;
-  PriorReads.unionWith(CurReads);
-  PriorWrites.unionWith(CurWrites);
+  if (!SawWar)
+    PriorReads.insert(CurReads);
+  if (!SawRaw || !SawWaw)
+    PriorWrites.insert(CurWrites);
   CurReads.clear();
   CurWrites.clear();
 }

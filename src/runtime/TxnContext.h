@@ -308,14 +308,16 @@ public:
   /// Resets all transactional state for a fresh transaction.
   void beginTxn();
 
-  /// Ends the execution phase: restores memory to the committed snapshot
-  /// (the transaction's writes unwind) while the log flips to redo data.
-  /// A buffered context never touched memory; it only logs its acquired
-  /// objects' private copies.
+  /// Ends the execution phase: normalizes the read and write sets (sorted,
+  /// coalesced runs, ready to validate, merge and ship) and restores
+  /// memory to the committed snapshot (the transaction's writes unwind)
+  /// while the log flips to redo data. A buffered context never touched
+  /// memory; it only logs its acquired objects' private copies.
   void suspendTxn();
 
-  /// Fork-join child variant of suspendTxn: the log captures the final
-  /// values but memory is left dirty (the child process exits anyway).
+  /// Fork-join child variant of suspendTxn: the sets are normalized and
+  /// the log captures the final values, but memory is left dirty (the
+  /// child process exits anyway).
   void captureRedo();
 
   /// Applies the write log, reduction merges, and deferred frees to the
@@ -341,7 +343,8 @@ public:
   /// True if a resource limit tripped during this transaction.
   bool limitExceeded() const { return LimitExceeded; }
 
-  /// Read/write sets of the current transaction.
+  /// Read/write sets of the current transaction, normalized from
+  /// suspendTxn/captureRedo on.
   const AccessSet &readSet() const { return Reads; }
   const AccessSet &writeSet() const { return Writes; }
 
@@ -425,8 +428,8 @@ private:
   size_t ScratchBytes = 0;
 
   // DepProbe state.
-  AccessSet PriorReads;
-  AccessSet PriorWrites;
+  AccessHistory PriorReads;
+  AccessHistory PriorWrites;
   AccessSet CurReads;
   AccessSet CurWrites;
   bool SawRaw = false;

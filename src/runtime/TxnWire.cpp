@@ -11,7 +11,6 @@
 #include "support/Timer.h"
 #include "support/Varint.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -181,34 +180,18 @@ size_t alter::rawAccessSetBytes(const AccessSet &Set) {
 
 void alter::serializeAccessSet(std::vector<uint8_t> &Out,
                                const AccessSet &Set) {
-  std::vector<uintptr_t> Sorted(Set.words());
-  std::sort(Sorted.begin(), Sorted.end());
-  appendVarint(Out, Sorted.size());
-
-  // Collapse sorted keys into (gap, length) runs. Gap is measured from the
+  // A normalized set's runs are exactly the maximal runs of its sorted
+  // keys. Each ships as (gap, length - 1), the gap measured from the
   // previous run's end, so contiguous ranges cost a few bytes per run while
   // scattered keys degrade gracefully to one varint delta each.
-  size_t NumRuns = 0;
-  for (size_t J = 0; J != Sorted.size();) {
-    size_t K = J + 1;
-    while (K != Sorted.size() && Sorted[K] == Sorted[K - 1] + 1)
-      ++K;
-    ++NumRuns;
-    J = K;
-  }
-  appendVarint(Out, NumRuns);
+  const std::vector<AccessSet::Run> &Runs = Set.runs();
+  appendVarint(Out, Set.sizeWords());
+  appendVarint(Out, Runs.size());
   uint64_t PrevEnd = 0;
-  size_t I = 0;
-  while (I != Sorted.size()) {
-    size_t K = I + 1;
-    while (K != Sorted.size() && Sorted[K] == Sorted[K - 1] + 1)
-      ++K;
-    const uint64_t Base = static_cast<uint64_t>(Sorted[I]);
-    const uint64_t Len = static_cast<uint64_t>(K - I);
-    appendVarint(Out, Base - PrevEnd);
-    appendVarint(Out, Len - 1);
-    PrevEnd = Base + Len;
-    I = K;
+  for (const AccessSet::Run &R : Runs) {
+    appendVarint(Out, R.First - PrevEnd);
+    appendVarint(Out, R.End - R.First - 1);
+    PrevEnd = R.End;
   }
 }
 
@@ -219,7 +202,7 @@ bool alter::deserializeAccessSet(const uint8_t *Data, size_t Size,
   const uint64_t NumRuns = R.varint();
   if (R.failed())
     return false;
-  // Bound allocation before decoding: word count against the sanity cap,
+  // Bound the decode before it starts: word count against the sanity cap,
   // run count against the physical encoding size (each run is >= 2 bytes).
   if (Count > MaxWireSetWords || NumRuns > Size / 2 + 1 || NumRuns > Count)
     return false;
@@ -233,10 +216,11 @@ bool alter::deserializeAccessSet(const uint8_t *Data, size_t Size,
     const uint64_t Base = PrevEnd + Gap;
     if (Decoded + Len < Len || Decoded + Len > Count)
       return false;
-    for (uint64_t K = 0; K != Len; ++K) {
-      const uintptr_t Key = static_cast<uintptr_t>(Base + K);
-      Set.insertWords(&Key, 1);
-    }
+    // Word key 0 and a run that wraps the address space are never encoded.
+    if (Base < PrevEnd || Base == 0 || Base + Len < Base)
+      return false;
+    Set.appendRun(static_cast<uintptr_t>(Base),
+                  static_cast<uintptr_t>(Base + Len));
     Decoded += Len;
     PrevEnd = Base + Len;
   }

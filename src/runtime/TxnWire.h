@@ -13,9 +13,10 @@
 /// The format is compressed (§4.1 ships these over every commit, so pipe
 /// traffic is a first-order cost):
 ///
-///  - access sets carry their word count and their sorted word keys
-///    run-length-encoded as varint (gap, length) pairs — array ranges
-///    instrumented by induction variables collapse to a handful of runs;
+///  - access sets carry their word count and their normalized word runs
+///    (AccessSet) as varint (gap, length) pairs, written as the worker
+///    built them — array ranges instrumented by induction variables are a
+///    handful of runs;
 ///  - the write log's entry table is delta + varint encoded
 ///    (WriteLog::serializeCompact);
 ///  - each message reports the byte count the uncompressed format would
@@ -227,12 +228,15 @@ bool decodeChildReport(const std::vector<uint8_t> &Bytes,
                        const LoopSpec &Spec, const RuntimeParams &Params,
                        ChildReport &Rep, std::string &Error);
 
-/// Serializes \p Set in the compressed form (word count, run count, RLE
-/// word runs). Exposed for tests and size accounting.
+/// Serializes the normalized \p Set in the compressed form (word count,
+/// run count, then each run as a varint gap and length). Exposed for tests
+/// and size accounting.
 void serializeAccessSet(std::vector<uint8_t> &Out, const AccessSet &Set);
 
-/// Inverse of serializeAccessSet; \p Consumed receives the encoded length.
-/// Returns false on corrupt input (the set may be partially filled).
+/// Inverse of serializeAccessSet: appends each decoded run to \p Set, which
+/// an empty \p Set leaves normalized; \p Consumed receives the encoded
+/// length. Returns false on corrupt input (the set may be partially
+/// filled).
 bool deserializeAccessSet(const uint8_t *Data, size_t Size, AccessSet &Set,
                           size_t &Consumed);
 

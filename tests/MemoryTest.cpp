@@ -7,6 +7,8 @@
 #include "memory/AccessSet.h"
 #include "memory/AlterAllocator.h"
 #include "memory/WriteLog.h"
+#include "runtime/TxnWire.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -93,24 +95,43 @@ TEST(AccessSetTest, ClearResets) {
   EXPECT_TRUE(S.insert(&X));
 }
 
-TEST(AccessSetTest, WordsArrayMatchesInsertionOrder) {
+TEST(AccessSetTest, NormalizeSortsAndCoalescesRuns) {
   AccessSet S;
-  double X = 0, Y = 0;
-  S.insert(&X);
-  S.insert(&Y);
-  ASSERT_EQ(S.words().size(), 2u);
-  EXPECT_EQ(S.words()[0], AccessSet::wordKey(&X));
-  EXPECT_EQ(S.words()[1], AccessSet::wordKey(&Y));
+  alignas(8) uint64_t V[8] = {};
+  S.insert(&V[5]);
+  S.insert(&V[1]); // descending: the set is no longer normalized
+  S.insertRange(&V[2], 2 * sizeof(uint64_t));
+  S.insert(&V[1]);
+  EXPECT_FALSE(S.normalized());
+  EXPECT_EQ(S.sizeWords(), 4u) << "distinct words, before normalizing too";
+  S.normalize();
+  ASSERT_TRUE(S.normalized());
+  ASSERT_EQ(S.runs().size(), 2u);
+  EXPECT_EQ(S.runs()[0].First, AccessSet::wordKey(&V[1]));
+  EXPECT_EQ(S.runs()[0].End, AccessSet::wordKey(&V[4]));
+  EXPECT_EQ(S.runs()[1].First, AccessSet::wordKey(&V[5]));
+  EXPECT_EQ(S.runs()[1].End, AccessSet::wordKey(&V[6]));
+  EXPECT_EQ(S.sizeWords(), 4u);
 }
 
-TEST(AccessSetTest, BulkInsertWords) {
-  AccessSet A, B;
-  std::vector<double> V(64);
-  for (double &D : V)
-    A.insert(&D);
-  B.insertWords(A.words().data(), A.words().size());
-  EXPECT_EQ(B.sizeWords(), A.sizeWords());
-  EXPECT_TRUE(B.intersects(A));
+TEST(AccessSetTest, AppendRunExtendsTheLastRun) {
+  AccessSet S;
+  const uintptr_t K = 1000;
+  S.appendRun(K, K + 4);
+  S.appendRun(K + 4, K + 8); // adjacent
+  S.appendRun(K + 2, K + 3); // inside
+  ASSERT_TRUE(S.normalized());
+  ASSERT_EQ(S.runs().size(), 1u);
+  EXPECT_EQ(S.sizeWords(), 8u);
+  S.appendRun(K + 20, K + 21); // past a gap: still in order
+  EXPECT_TRUE(S.normalized());
+  S.appendRun(K - 5, K - 4);
+  EXPECT_FALSE(S.normalized());
+  S.normalize();
+  ASSERT_EQ(S.runs().size(), 3u);
+  EXPECT_EQ(S.runs()[0].First, K - 5);
+  EXPECT_EQ(S.runs()[2].First, K + 20);
+  EXPECT_EQ(S.sizeWords(), 10u);
 }
 
 TEST(AccessSetTest, FootprintGrowsWithMembers) {
@@ -128,6 +149,180 @@ TEST(AccessSetTest, SubWordAccessesShareAWord) {
   S.insert(&Buf[0]);
   EXPECT_FALSE(S.insert(&Buf[7])) << "same 8-byte word";
   EXPECT_EQ(S.sizeWords(), 1u);
+}
+
+//===----------------------------------------------------------------------===
+// AccessSet and AccessHistory against a std::set oracle
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Word keys of byte range [Addr, Addr + Size).
+void oracleInsert(std::set<uintptr_t> &Oracle, uintptr_t Addr, size_t Size) {
+  for (uintptr_t K = Addr >> 3; K <= (Addr + Size - 1) >> 3; ++K)
+    Oracle.insert(K);
+}
+
+/// Fills \p Set and \p Oracle with \p Ops accesses in a 4 KiB window that
+/// mix ascending, descending, overlapping, adjacent and sub-word ranges and
+/// single-word inserts.
+void randomAccesses(Xoshiro256StarStar &Rng, unsigned Ops, AccessSet &Set,
+                    std::set<uintptr_t> &Oracle) {
+  const uintptr_t Lo = 0x100000, Window = 4096;
+  uintptr_t Up = Lo, Down = Lo + Window, Prev = Lo + Window / 2;
+  for (unsigned I = 0; I != Ops; ++I) {
+    uintptr_t Addr = 0;
+    size_t Size = 8 * (1 + Rng.nextBounded(24));
+    switch (Rng.nextBounded(6)) {
+    case 0: // ascending, sometimes touching the previous range
+      Addr = Up + 8 * Rng.nextBounded(3);
+      Up = Addr + Size;
+      break;
+    case 1: // descending
+      Addr = Down - Size - 8 * Rng.nextBounded(3);
+      Down = Addr;
+      break;
+    case 2: // anywhere, overlapping earlier ranges
+      Addr = Lo + 8 * Rng.nextBounded(Window / 8);
+      break;
+    case 3: // adjacent to the previous access
+      Addr = Prev;
+      break;
+    case 4: // sub-word start and size
+      Addr = Lo + Rng.nextBounded(Window);
+      Size = 1 + Rng.nextBounded(12);
+      break;
+    default: { // one word through insert()
+      Addr = Lo + Rng.nextBounded(Window);
+      const bool New = !Oracle.count(Addr >> 3);
+      EXPECT_EQ(Set.insert(reinterpret_cast<const void *>(Addr)), New);
+      Oracle.insert(Addr >> 3);
+      Prev = Addr + 1;
+      continue;
+    }
+    }
+    if (Addr < Lo || Addr + Size > Lo + Window + 512) {
+      Up = Lo;
+      Down = Lo + Window;
+      continue;
+    }
+    Set.insertRange(reinterpret_cast<const void *>(Addr), Size);
+    oracleInsert(Oracle, Addr, Size);
+    Prev = Addr + Size;
+  }
+}
+
+std::set<uintptr_t> expand(AccessSet Set) {
+  Set.normalize();
+  std::set<uintptr_t> Keys;
+  uintptr_t PrevEnd = 0;
+  for (const AccessSet::Run &R : Set.runs()) {
+    EXPECT_LT(R.First, R.End);
+    EXPECT_GT(R.First, PrevEnd) << "runs must be ascending and coalesced";
+    PrevEnd = R.End;
+    for (uintptr_t K = R.First; K != R.End; ++K)
+      Keys.insert(K);
+  }
+  return Keys;
+}
+
+} // namespace
+
+TEST(AccessSetOracleTest, MatchesStdSet) {
+  Xoshiro256StarStar Rng(24);
+  for (unsigned Trial = 0; Trial != 200; ++Trial) {
+    AccessSet A, B;
+    std::set<uintptr_t> OA, OB;
+    // Every 40th set appends enough runs to be compacted on the way.
+    const unsigned OpsA =
+        Trial % 40 == 0 ? 3000 : static_cast<unsigned>(Rng.nextBounded(160));
+    randomAccesses(Rng, OpsA, A, OA);
+    randomAccesses(Rng, static_cast<unsigned>(Rng.nextBounded(160)), B, OB);
+    if (Trial % 2)
+      A.normalize(); // queries hold in either state
+
+    EXPECT_EQ(A.sizeWords(), OA.size());
+    EXPECT_EQ(A.empty(), OA.empty());
+    for (uintptr_t Addr = 0x100000 - 64; Addr < 0x100000 + 4096 + 640;
+         Addr += 8)
+      ASSERT_EQ(A.contains(reinterpret_cast<const void *>(Addr)),
+                OA.count(Addr >> 3) != 0);
+
+    std::set<uintptr_t> Common;
+    for (uintptr_t K : OA)
+      if (OB.count(K))
+        Common.insert(K);
+    EXPECT_EQ(A.intersects(B), !Common.empty());
+    EXPECT_EQ(B.intersects(A), !Common.empty());
+    const uintptr_t Witness = A.firstCommonWord(B);
+    if (Common.empty()) {
+      EXPECT_EQ(Witness, 0u);
+    } else {
+      EXPECT_TRUE(OA.count(Witness) && OB.count(Witness));
+      EXPECT_EQ(Witness, *Common.begin()) << "the lowest shared word";
+      EXPECT_EQ(B.firstCommonWord(A), Witness);
+    }
+
+    AccessSet U = A;
+    U.unionWith(B);
+    EXPECT_TRUE(U.normalized());
+    std::set<uintptr_t> OU = OA;
+    OU.insert(OB.begin(), OB.end());
+    EXPECT_EQ(expand(U), OU);
+    EXPECT_EQ(U.sizeWords(), OU.size());
+
+    A.normalize();
+    std::vector<uint8_t> Wire;
+    serializeAccessSet(Wire, A);
+    AccessSet Back;
+    size_t Consumed = 0;
+    ASSERT_TRUE(deserializeAccessSet(Wire.data(), Wire.size(), Back,
+                                     Consumed));
+    EXPECT_EQ(Consumed, Wire.size());
+    EXPECT_TRUE(Back.normalized());
+    EXPECT_EQ(Back.sizeWords(), OA.size());
+    EXPECT_EQ(expand(Back), OA);
+  }
+}
+
+TEST(AccessSetOracleTest, HistoryMatchesStdSet) {
+  Xoshiro256StarStar Rng(7);
+  for (unsigned Trial = 0; Trial != 20; ++Trial) {
+    AccessHistory History;
+    std::set<uintptr_t> Oracle;
+    for (unsigned Iter = 0; Iter != 40; ++Iter) {
+      AccessSet Cur;
+      std::set<uintptr_t> OCur;
+      randomAccesses(Rng, static_cast<unsigned>(Rng.nextBounded(12)), Cur,
+                     OCur);
+      Cur.normalize();
+      bool Shared = false;
+      for (uintptr_t K : OCur)
+        Shared |= Oracle.count(K) != 0;
+      ASSERT_EQ(History.intersects(Cur), Shared);
+      History.insert(Cur);
+      Oracle.insert(OCur.begin(), OCur.end());
+      ASSERT_EQ(History.sizeWords(), Oracle.size());
+    }
+  }
+}
+
+TEST(AccessSetTest, FootprintModelsHashSetPlusArray) {
+  // §4.1's table starts at 64 slots and doubles at 3/4 load; the key array
+  // doubles as a vector grows. 48 distinct words fit in 1 KiB; the 49th
+  // doubles the table.
+  AccessSet S;
+  EXPECT_EQ(S.memoryFootprintBytes(), 64u * 8);
+  S.appendRun(1000, 1048);
+  EXPECT_EQ(S.memoryFootprintBytes(), (64u + 64u) * 8);
+  S.appendRun(1000, 1049);
+  EXPECT_EQ(S.memoryFootprintBytes(), (128u + 64u) * 8);
+  S.appendRun(500, 501);
+  S.appendRun(1000, 1049); // repeats 49 words out of order
+  EXPECT_GT(S.memoryFootprintBytes(), (128u + 64u) * 8)
+      << "an upper bound until normalized";
+  S.normalize();
+  EXPECT_EQ(S.memoryFootprintBytes(), (128u + 64u) * 8) << "50 words";
 }
 
 //===----------------------------------------------------------------------===

@@ -64,9 +64,12 @@ void sleepMs(long Ms) {
 // Wire format round trips
 //===----------------------------------------------------------------------===
 
-std::vector<uintptr_t> sortedWords(const AccessSet &Set) {
-  std::vector<uintptr_t> W = Set.words();
-  std::sort(W.begin(), W.end());
+std::vector<uintptr_t> sortedWords(AccessSet Set) {
+  Set.normalize();
+  std::vector<uintptr_t> W;
+  for (const AccessSet::Run &R : Set.runs())
+    for (uintptr_t K = R.First; K != R.End; ++K)
+      W.push_back(K);
   return W;
 }
 
@@ -77,6 +80,8 @@ TEST(AccessSetWireTest, ScatteredKeysRoundTrip) {
   for (size_t I = 0; I < Pool.size(); I += 1 + (I * 7) % 61)
     Set.insert(&Pool[I]);
   Set.insertRange(&Pool[100], 64 * sizeof(double));
+  // The wire ships normalized runs, as a context leaves them at suspend.
+  Set.normalize();
 
   std::vector<uint8_t> Wire;
   serializeAccessSet(Wire, Set);
@@ -99,6 +104,29 @@ TEST(AccessSetWireTest, EmptySetRoundTrips) {
   EXPECT_TRUE(deserializeAccessSet(Wire.data(), Wire.size(), Back, Consumed));
   EXPECT_EQ(Consumed, Wire.size());
   EXPECT_TRUE(Back.empty());
+}
+
+TEST(AccessSetWireTest, EncodingMatchesGoldenBytes) {
+  // One fixed set, inserted out of order and with repeats: two sub-word
+  // words, a 64-word range, a single word, two adjacent words and a word
+  // far away. Its encoding is pinned byte for byte: the varint word count
+  // and run count, then each run's gap and length - 1.
+  const auto At = [](uintptr_t A) { return reinterpret_cast<void *>(A); };
+  AccessSet Set;
+  Set.insertRange(At(0x10000), 64 * 8);
+  Set.insert(At(0x20010));
+  Set.insert(At(0x20018));
+  Set.insertRange(At(0x8004), 12);
+  Set.insert(At(0x12345678));
+  Set.insertRange(At(0x10100), 16);
+  Set.insert(At(0x20000));
+  Set.normalize();
+  EXPECT_EQ(Set.sizeWords(), 70u);
+  std::vector<uint8_t> Wire;
+  serializeAccessSet(Wire, Set);
+  EXPECT_EQ(Wire, (std::vector<uint8_t>{0x46, 0x05, 0x80, 0x20, 0x01, 0xfe,
+                                        0x1f, 0x3f, 0xc0, 0x3f, 0x00, 0x01,
+                                        0x01, 0xcb, 0x95, 0x99, 0x12, 0x00}));
 }
 
 TEST(AccessSetWireTest, ContiguousRangesCompressBelowRaw) {

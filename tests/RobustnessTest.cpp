@@ -190,9 +190,12 @@ TEST(WireProtocolTest, Crc32MatchesIeeeReferenceVector) {
 
 TEST(WireProtocolTest, AccessSetDecodeRejectsEveryTruncation) {
   std::vector<double> Pool(256);
+  static double Far = 0; // static storage: a second run far from the pool
   AccessSet Set;
   Set.insertRange(Pool.data(), Pool.size() * sizeof(double));
-  Set.insert(&Pool[0]); // plus a second run far from the first
+  Set.insert(&Far);
+  Set.normalize();
+  ASSERT_EQ(Set.runs().size(), 2u);
   std::vector<uint8_t> Wire;
   serializeAccessSet(Wire, Set);
   {
